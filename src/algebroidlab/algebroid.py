@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import StructuralError, ValidationFailure
 from .linalg import QMatrix
 from .ratpoly import (
     TruncatedPoly,
     WeightAssignment,
+    _poly_mat_mul,
     format_poly,
     grlex_key,
     poly_matrix_inverse_unit,
@@ -67,9 +68,6 @@ class LieAlgebroidPatch:
     @property
     def n_vars(self) -> int:
         return len(self.var_names)
-
-    def zero_poly(self) -> TruncatedPoly:
-        return TruncatedPoly.zero(self.n_vars, self.jet_order)
 
     def data_degree(self) -> int:
         """Largest total degree appearing in anchor and structure entries."""
@@ -292,19 +290,6 @@ def adjoint_representation(a: LieAlgebroidPatch) -> Representation:
     return Representation(a, a.rank, gammas, fibre_weights=a.frame_weights, name="adjoint")
 
 
-def _mat_mul(a_rows, b_rows, n_vars, cap):
-    m = len(a_rows)
-    out = [[TruncatedPoly.zero(n_vars, cap) for _ in range(m)] for _ in range(m)]
-    for i in range(m):
-        for k in range(m):
-            if a_rows[i][k].is_zero():
-                continue
-            for j in range(m):
-                if not b_rows[k][j].is_zero():
-                    out[i][j] = out[i][j] + a_rows[i][k] * b_rows[k][j]
-    return out
-
-
 def validate_representation(rho: Representation, order: Optional[int] = None) -> ValidationReport:
     """Flatness of the connection: the curvature on every frame pair vanishes
     up to the certified order."""
@@ -318,8 +303,8 @@ def validate_representation(rho: Representation, order: Optional[int] = None) ->
     for i in range(a.rank):
         for j in range(i + 1, a.rank):
             gi, gj = rho.gammas[i], rho.gammas[j]
-            comm = _mat_mul(gi, gj, a.n_vars, a.jet_order)
-            comm2 = _mat_mul(gj, gi, a.n_vars, a.jet_order)
+            comm = _poly_mat_mul(gi, gj)
+            comm2 = _poly_mat_mul(gj, gi)
             for al in range(m):
                 for be in range(m):
                     acc = a.anchor_apply(i, gj[al][be]) - a.anchor_apply(j, gi[al][be])

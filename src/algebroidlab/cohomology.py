@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
 from .linalg import QMatrix, quotient_dim_and_reps
-from .ratpoly import TruncatedPoly, format_poly, grlex_key, monomials_up_to
+from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
 BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibre)
@@ -300,46 +300,55 @@ def format_cochain(vec: Sequence[Fraction], basis: List[BasisElement],
 # -- betti computations ----------------------------------------------------------------
 
 
+def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
+                       basis_q: List[BasisElement], shift: int
+                       ) -> List[List[Fraction]]:
+    """Nonzero boundaries, in basis_q coordinates, of the degree-(q-1)
+    primitives with coefficients of degree <= n_deg + shift + 1 whose image
+    lands inside the window basis_q.  shift bounds the degree increase of
+    the differential."""
+    if q == 0:
+        return []
+    slack = shift + 1
+    basis_pre = cx.window_basis(q - 1, n_deg + slack, weight)
+    basis_mid = cx.window_basis(q, n_deg + slack + shift, weight)
+    d_pre = cx.d_matrix(basis_pre, basis_mid)
+    # Rows of basis_mid beyond the q-window must vanish on admissible inputs.
+    inside = {elem: i for i, elem in enumerate(basis_q)}
+    outside_rows = [i for i, elem in enumerate(basis_mid) if elem not in inside]
+    if outside_rows:
+        proj = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols)
+        admissible = proj.kernel_basis()
+    else:
+        admissible = QMatrix.identity(d_pre.ncols).columns()
+    boundaries: List[List[Fraction]] = []
+    for eta in admissible:
+        img = d_pre.apply(eta)
+        vec = [QZERO] * len(basis_q)
+        ok = True
+        for i, elem in enumerate(basis_mid):
+            if img[i] == 0:
+                continue
+            if elem in inside:
+                vec[inside[elem]] = img[i]
+            else:
+                ok = False
+                break
+        if ok and any(v != 0 for v in vec):
+            boundaries.append(vec)
+    return boundaries
+
+
 def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
                   ) -> Tuple[int, List[List[Fraction]], List[BasisElement]]:
     """Betti estimate on one degree window: cocycles with coefficients of
     degree <= n_deg modulo boundaries of windowed primitives that land
     inside the window."""
     shift = cx.degree_shift()
-    slack = shift + 1
     basis_q = cx.window_basis(q, n_deg, weight)
     basis_up = cx.window_basis(q + 1, n_deg + shift, weight)
-    d_q = cx.d_matrix(basis_q, basis_up)
-    cocycles = d_q.kernel_basis()
-
-    boundaries: List[List[Fraction]] = []
-    if q > 0:
-        basis_pre = cx.window_basis(q - 1, n_deg + slack, weight)
-        basis_mid = cx.window_basis(q, n_deg + slack + shift, weight)
-        d_pre = cx.d_matrix(basis_pre, basis_mid)
-        # Rows of basis_mid beyond the q-window must vanish on admissible inputs.
-        inside = {elem: i for i, elem in enumerate(basis_q)}
-        outside_rows = [i for i, elem in enumerate(basis_mid) if elem not in inside]
-        if outside_rows:
-            proj = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols)
-            admissible = proj.kernel_basis()
-        else:
-            admissible = QMatrix.identity(d_pre.ncols).columns()
-        for eta in admissible:
-            img = d_pre.apply(eta)
-            vec = [QZERO] * len(basis_q)
-            ok = True
-            for i, elem in enumerate(basis_mid):
-                if img[i] == 0:
-                    continue
-                if elem in inside:
-                    vec[inside[elem]] = img[i]
-                else:
-                    ok = False
-                    break
-            if ok and any(v != 0 for v in vec):
-                boundaries.append(vec)
-
+    cocycles = cx.d_matrix(basis_q, basis_up).kernel_basis()
+    boundaries = _window_boundaries(cx, q, n_deg, weight, basis_q, shift)
     betti, reps = quotient_dim_and_reps(cocycles, boundaries, len(basis_q))
     return betti, reps, basis_q
 

@@ -33,7 +33,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, kernel_quotient_dims, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, kernel_quotient_dims
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -286,17 +286,32 @@ def _minor(m: QMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
 
 
 def _det(rows: List[List[Fraction]]) -> Fraction:
-    k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    acc = Fraction(0)
-    for j in range(k):
-        if rows[0][j] == 0:
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        acc += term if j % 2 == 0 else -term
-    return acc
+    """Determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            if f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def _add_block(rows: List[List[Fraction]], block: QMatrix, r0: int, c0: int,
+               sign: int = 1) -> None:
+    """Add sign * block into rows with its top-left entry at (r0, c0)."""
+    for r, brow in enumerate(block.rows):
+        out = rows[r0 + r]
+        for c, v in enumerate(brow):
+            if v:
+                out[c0 + c] += sign * v
 
 
 def cochain_transport(p: QMatrix, q_mat: QMatrix,
@@ -330,6 +345,8 @@ class CechDoubleComplex:
     bases: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], BasisElement]]]
     delta: Dict[Tuple[int, int], QMatrix]     # C^{p,q} -> C^{p+1,q}
     vert: Dict[Tuple[int, int], QMatrix]      # C^{p,q} -> C^{p,q+1}, unsigned
+    _total: Dict[int, QMatrix] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def p_max(self) -> int:
         return len(self.simplices) - 1
@@ -351,35 +368,24 @@ class CechDoubleComplex:
         return sum(s for _, _, s in self.total_basis_slices(n))
 
     def total_matrix(self, n: int) -> QMatrix:
-        """The total differential from total degree n to n + 1."""
-        src = self.total_basis_slices(n)
-        dst = self.total_basis_slices(n + 1)
-        dst_off = {p: off for p, off, _ in dst}
-        nrows = self.total_dim(n + 1)
+        """The total differential from total degree n to n + 1, built once
+        per complex; callers must not modify it."""
+        if n in self._total:
+            return self._total[n]
+        dst_off = {p: off for p, off, _ in self.total_basis_slices(n + 1)}
         ncols = self.total_dim(n)
-        rows = [[Fraction(0)] * ncols for _ in range(nrows)]
-        for p, off, size in src:
-            q = n - p
+        rows = [[Fraction(0)] * ncols for _ in range(self.total_dim(n + 1))]
+        for p, off, size in self.total_basis_slices(n):
             if size == 0:
                 continue
-            dm = self.delta.get((p, q))
-            if dm is not None and dm.nrows and p + 1 in dst_off:
-                o2 = dst_off[p + 1]
-                for r in range(dm.nrows):
-                    for c in range(size):
-                        v = dm.rows[r][c]
-                        if v:
-                            rows[o2 + r][off + c] += v
-            vm = self.vert.get((p, q))
-            if vm is not None and vm.nrows and p in dst_off:
-                sign = -1 if p % 2 else 1
-                o2 = dst_off[p]
-                for r in range(vm.nrows):
-                    for c in range(size):
-                        v = vm.rows[r][c]
-                        if v:
-                            rows[o2 + r][off + c] += sign * v
-        return QMatrix(rows, ncols)
+            dm = self.delta.get((p, n - p))
+            if dm is not None and p + 1 in dst_off:
+                _add_block(rows, dm, dst_off[p + 1], off)
+            vm = self.vert.get((p, n - p))
+            if vm is not None and p in dst_off:
+                _add_block(rows, vm, dst_off[p], off, -1 if p % 2 else 1)
+        self._total[n] = QMatrix(rows, ncols)
+        return self._total[n]
 
     def total_betti(self) -> List[int]:
         n_top = self.p_max() + self.q_max
@@ -427,22 +433,15 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
             chart_d[(i, q)] = cx.d_matrix(chart_bases[(i, q)], chart_bases[(i, q + 1)])
     for p, level in enumerate(simpl):
         for q in range(q_max + 1):
-            src = bases[(p, q)]
-            dst = bases[(p, q + 1)]
-            idx = {key: pos for pos, key in enumerate(dst)}
-            rows = [[Fraction(0)] * len(src) for _ in range(len(dst))]
-            col = 0
+            ncols = len(bases[(p, q)])
+            rows = [[Fraction(0)] * ncols for _ in range(len(bases[(p, q + 1)]))]
+            r0 = c0 = 0
             for alpha in level:
                 dm = chart_d[(alpha[0], q)]
-                src_b = chart_bases[(alpha[0], q)]
-                dst_b = chart_bases[(alpha[0], q + 1)]
-                for cc in range(len(src_b)):
-                    for rr in range(len(dst_b)):
-                        v = dm.rows[rr][cc]
-                        if v:
-                            rows[idx[(alpha, dst_b[rr])]][col + cc] += v
-                col += len(src_b)
-            vert[(p, q)] = QMatrix(rows, len(src))
+                _add_block(rows, dm, r0, c0)
+                r0 += dm.nrows
+                c0 += dm.ncols
+            vert[(p, q)] = QMatrix(rows, ncols)
 
     # horizontal differential with min-vertex twisting
     delta: Dict[Tuple[int, int], QMatrix] = {}
@@ -477,12 +476,7 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
                     sign = -1 if s % 2 else 1
                     coff = src_off[face]
                     if s == 0:
-                        tm = tr_matrix(beta[0], face[0], q)
-                        for rr in range(nb):
-                            for cc in range(tm.ncols):
-                                v = tm.rows[rr][cc]
-                                if v:
-                                    rows[roff + rr][coff + cc] += sign * v
+                        _add_block(rows, tr_matrix(beta[0], face[0], q), roff, coff, sign)
                     else:
                         for rr in range(nb):
                             rows[roff + rr][coff + rr] += sign
@@ -557,13 +551,7 @@ class _Staircase:
         self.dc = dc
         self.p_top = dc.p_max()
         self.n_top = self.p_top + dc.q_max
-        self._d: Dict[int, QMatrix] = {}
         self._a_cache: Dict[Tuple[int, int, int], List[List[Fraction]]] = {}
-
-    def d(self, n: int) -> QMatrix:
-        if n not in self._d:
-            self._d[n] = self.dc.total_matrix(n)
-        return self._d[n]
 
     def _column_mask(self, n: int, p_min: int) -> List[int]:
         out = []
@@ -593,7 +581,7 @@ class _Staircase:
                 v[c] = Fraction(1)
                 out.append(v)
         else:
-            dmat = self.d(n)
+            dmat = self.dc.total_matrix(n)
             # rows of the image that must vanish: columns below p + r
             con_rows = []
             if n + 1 <= self.n_top:
@@ -619,7 +607,7 @@ class _Staircase:
         for v in self.a_basis(r - 1, p + 1, n):
             ech.add(v)
         if n - 1 >= 0:
-            dmat = self.d(n - 1)
+            dmat = self.dc.total_matrix(n - 1)
             for v in self.a_basis(r - 1, p - r + 1, n - 1):
                 ech.add(dmat.apply(v))
         return ech
@@ -632,33 +620,18 @@ class _Staircase:
         if not z:
             return 0
         bnd = self.boundary_span(r, p, n)
-        count = 0
-        probe = Echelon(self.dc.total_dim(n))
-        for row in bnd.rows:
-            probe.add(list(row))
-        for v in z:
-            if probe.add(v):
-                count += 1
-        return count
+        return sum(bnd.add(v) for v in z)
 
     def d_rank(self, r: int, p: int, q: int) -> int:
-        """Rank of the induced page differential out of (p, q)."""
-        n = p + q
-        if self.page_dim(r, p, q) == 0:
-            return 0
+        """Rank of the induced page differential out of (p, q), for a
+        position (p, q) where the page does not vanish."""
         tp, tq = p + r, q - r + 1
         if tq < 0 or tp > self.p_top:
             return 0
-        dmat = self.d(n)
+        n = p + q
+        dmat = self.dc.total_matrix(n)
         bnd = self.boundary_span(r, tp, n + 1)
-        probe = Echelon(self.dc.total_dim(n + 1))
-        for row in bnd.rows:
-            probe.add(list(row))
-        rank = 0
-        for v in self.a_basis(r, p, n):
-            if probe.add(dmat.apply(v)):
-                rank += 1
-        return rank
+        return sum(bnd.add(dmat.apply(v)) for v in self.a_basis(r, p, n))
 
 
 def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:
@@ -776,12 +749,7 @@ def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
                     sign = -1 if s % 2 else 1
                     coff = offs[p][face]
                     if s == 0:
-                        tm = induced(beta[0], face[0])
-                        for rr in range(nb):
-                            for cc in range(tm.ncols):
-                                v = tm.rows[rr][cc]
-                                if v:
-                                    rows[roff + rr][coff + cc] += sign * v
+                        _add_block(rows, induced(beta[0], face[0]), roff, coff, sign)
                     else:
                         for rr in range(nb):
                             rows[roff + rr][coff + rr] += sign
@@ -837,20 +805,12 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
         return LocalizationReport("hypotheses unmet", hyps, branch, n, chart,
                                   -1, fibre_dim, None)
     dc = build_double_complex(f, c)
-    d_n = dc.total_matrix(n)
-    d_prev = dc.total_matrix(n - 1) if n > 0 else None
-    cocycles = d_n.kernel_basis()
+    cocycles = dc.total_matrix(n).kernel_basis()
     bech = Echelon(dc.total_dim(n))
-    if d_prev is not None:
-        for col in d_prev.image_basis():
+    if n > 0:
+        for col in dc.total_matrix(n - 1).image_basis():
             bech.add(col)
-    total_reps = []
-    acc = Echelon(dc.total_dim(n))
-    for row in bech.rows:
-        acc.add(list(row))
-    for v in cocycles:
-        if acc.add(bech.reduce(v)):
-            total_reps.append(v)
+    total_reps = [v for v in cocycles if bech.add(v)]
     total_dim = len(total_reps)
 
     # chart-x component of the (0, n) block
@@ -876,17 +836,11 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
             restricted.append(list(v[off:off + count]))
     # kernel of the induced map on classes: restrict, then reduce modulo
     # chart coboundaries
-    dxp = lc.matrices[n - 1] if n > 0 else None
     fib_b = Echelon(fibre_basis_len)
-    if dxp is not None:
-        for col in dxp.image_basis():
+    if n > 0:
+        for col in lc.matrices[n - 1].image_basis():
             fib_b.add(col)
-    img = Echelon(fibre_basis_len)
-    rank = 0
-    for v in restricted:
-        if img.add(fib_b.reduce(v)):
-            rank += 1
-    kernel_dim = total_dim - rank
+    kernel_dim = total_dim - sum(fib_b.add(v) for v in restricted)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"
     return LocalizationReport(verdict, hyps, branch, n, chart,
                               total_dim, fibre_dim, kernel_dim)

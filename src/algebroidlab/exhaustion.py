@@ -14,7 +14,12 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .errors import StructuralError, ValidationFailure
+from .errors import LabError, StructuralError, ValidationFailure
+
+# Selection entries one subexhaust call may materialize over all its passes.
+# Stage values grow geometrically with steps under slope >= 2 oracles, so an
+# oversized request stops here instead of running for minutes.
+MAX_SELECTION_ENTRIES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,16 @@ class _Pass:
     Runs the alternating minimal-swallowing recursion on the reindexed
     oracles, bumped where needed to keep the output strictly increasing.
     alpha[0] indexes into a and alpha[1] into b; both are plain integer
-    lists filled in order, only as far as they are asked for.
+    lists filled in order, only as far as they are asked for.  filled is
+    a one-entry counter shared by all passes of one subexhaust call.
     """
 
-    def __init__(self, a, b, mu_ba: MonotoneOracle, mu_ab: MonotoneOracle):
+    def __init__(self, a, b, mu_ba: MonotoneOracle, mu_ab: MonotoneOracle,
+                 filled: List[int]):
         self.a, self.b = a, b
         self.mu_ba, self.mu_ab = mu_ba, mu_ab
         self.alpha: Tuple[List[int], List[int]] = ([], [])
+        self.filled = filled
 
     def fill(self, side: int, n: int, reach: int = 0) -> None:
         """Grow alpha[side] to at least n entries, the last at least reach.
@@ -124,6 +132,10 @@ class _Pass:
         a, b, mu_ba, mu_ab = self.a, self.b, self.mu_ba, self.mu_ab
         grown = self.alpha[side]
         while len(grown) < n or grown[-1] < reach:
+            if self.filled[0] >= MAX_SELECTION_ENTRIES:
+                raise LabError(f"stage selections exceed {MAX_SELECTION_ENTRIES} "
+                               "entries (MAX_SELECTION_ENTRIES); use fewer steps")
+            self.filled[0] += 1
             if len(alpha1) == len(alpha2):
                 # least current a stage swallowing the last selected b stage
                 stage = a.least(mu_ab(b.value(alpha2[-1]))) if alpha1 else 1
@@ -172,8 +184,9 @@ def subexhaust(ep: ExhaustionProblem, steps: int = 10) -> SubexhaustionResult:
         raise StructuralError("steps must be positive")
     seqs = {i: _Identity() for i in range(ep.n_charts)}
     order = tuple(sorted(ep.overlaps))
+    filled = [0]
     for (i, j) in order:
-        step = _Pass(seqs[i], seqs[j], ep.oracles[(j, i)], ep.oracles[(i, j)])
+        step = _Pass(seqs[i], seqs[j], ep.oracles[(j, i)], ep.oracles[(i, j)], filled)
         seqs[i], seqs[j] = _Refined(seqs[i], step, 0), _Refined(seqs[j], step, 1)
     alphas = {i: tuple(seqs[i].value(n) for n in range(1, steps + 1))
               for i in range(ep.n_charts)}

@@ -190,11 +190,6 @@ class QMatrix:
         _, pivots = self.rref()
         return [self.column(j) for j in pivots]
 
-    def row_space_rref(self) -> List[Vector]:
-        """Canonical basis of the row space: nonzero rows of the rref."""
-        red, pivots = self.rref()
-        return [red.rows[i][:] for i in range(len(pivots))]
-
     def solve(self, b: Sequence) -> Optional[Vector]:
         """One solution x of self @ x = b, or None if inconsistent."""
         bb = [Fraction(v) for v in b]
@@ -222,30 +217,6 @@ class QMatrix:
         if pivots != list(range(n)):
             return None
         return QMatrix([red.rows[i][n:] for i in range(n)], n)
-
-
-def hstack(mats: Sequence[QMatrix]) -> QMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return QMatrix.zeros(0, 0)
-    nrows = mats[0].nrows
-    if any(m.nrows != nrows for m in mats):
-        raise ValueError("row count mismatch in hstack")
-    return QMatrix([sum((m.rows[i] for m in mats), []) for i in range(nrows)],
-                   sum(m.ncols for m in mats))
-
-
-def vstack(mats: Sequence[QMatrix]) -> QMatrix:
-    mats = [m for m in mats]
-    if not mats:
-        return QMatrix.zeros(0, 0)
-    ncols = mats[0].ncols
-    if any(m.ncols != ncols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    rows = []
-    for m in mats:
-        rows.extend(row[:] for row in m.rows)
-    return QMatrix(rows, ncols)
 
 
 class Echelon:
@@ -291,22 +262,6 @@ class Echelon:
         return len(self.rows)
 
 
-def span_intersection(a: List[Vector], b: List[Vector], dim: int) -> List[Vector]:
-    """Basis of span(a) meet span(b), as vectors in the ambient space."""
-    if not a or not b:
-        return []
-    stacked = QMatrix([[(a[j][i] if j < len(a) else -b[j - len(a)][i])
-                        for j in range(len(a) + len(b))] for i in range(dim)],
-                      len(a) + len(b))
-    out: List[Vector] = []
-    ech = Echelon(dim)
-    for ker in stacked.kernel_basis():
-        vec = [sum((ker[j] * a[j][i] for j in range(len(a))), QZERO) for i in range(dim)]
-        if ech.add(vec):
-            out.append(vec)
-    return out
-
-
 def quotient_dim_and_reps(cycles: List[Vector], boundaries: List[Vector], dim: int
                           ) -> Tuple[int, List[Vector]]:
     """Dimension and canonical representatives of span(cycles)/span(boundaries).
@@ -314,23 +269,22 @@ def quotient_dim_and_reps(cycles: List[Vector], boundaries: List[Vector], dim: i
     Boundaries must lie inside the cycle span (not checked here).  The
     representatives are the residuals of the cycle basis vectors after
     reduction modulo the boundary span, taken in order, each reduced
-    against the previously accepted ones.
+    against the previously accepted ones and scaled to leading entry 1.
+    One reduced echelon holds both, so each residual is the unique vector
+    of its coset that vanishes at every pivot.
     """
     ech = Echelon(dim)
     for b in boundaries:
         ech.add(b)
     reps: List[Vector] = []
-    rep_ech = Echelon(dim)
     for z in cycles:
         resid = ech.reduce(z)
-        resid = rep_ech.reduce(resid)
         pivot = next((i for i, x in enumerate(resid) if x != 0), None)
         if pivot is None:
             continue
         inv = 1 / resid[pivot]
-        resid = [x * inv for x in resid]
-        rep_ech.add(resid)
-        reps.append(resid)
+        reps.append([x * inv for x in resid])
+        ech.add(reps[-1])
     return len(reps), reps
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import CEComplex, _window_betti, weight_cohomology
+from .cohomology import CEComplex, _window_betti, _window_boundaries, weight_cohomology
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix
 from .ratpoly import (
@@ -738,7 +738,6 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     start, end, span = window
     rows: List[TransversalIsoRow] = []
     shift = max(cx.degree_shift(), slice_cx.degree_shift())
-    slack = shift + 1
     for q in range(max(a.rank, sliced.rank) + 1):
         betti_s, _reps_s, basis_s = _window_betti(slice_cx, q, end, None)
         # total side: sum the weight strata at the same degree
@@ -749,33 +748,14 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         big_up = cx.window_basis(q + 1, end + shift)
         d_q = cx.d_matrix(basis_big, big_up)
         cocycles = d_q.kernel_basis()
-        # boundary span on the slice at this window
+        # boundary span on the slice at this window, then the rank of the
+        # restricted cocycles modulo it
         bnd_ech = Echelon(len(basis_s))
-        if q > 0:
-            basis_pre = slice_cx.window_basis(q - 1, end + slack)
-            basis_mid = slice_cx.window_basis(q, end + slack + shift)
-            d_pre = slice_cx.d_matrix(basis_pre, basis_mid)
-            inside = {e: i for i, e in enumerate(basis_s)}
-            outside = [i for i, e in enumerate(basis_mid) if e not in inside]
-            if outside:
-                proj = QMatrix([d_pre.rows[i] for i in outside], d_pre.ncols)
-                adm = proj.kernel_basis()
-            else:
-                adm = QMatrix.identity(d_pre.ncols).columns()
-            for eta in adm:
-                img = d_pre.apply(eta)
-                vec = [Fraction(0)] * len(basis_s)
-                for i, e in enumerate(basis_mid):
-                    if img[i] != 0 and e in inside:
-                        vec[inside[e]] = img[i]
-                bnd_ech.add(vec)
-        image_ech = Echelon(len(basis_s))
-        img_rank = 0
-        for zvec in cocycles:
-            rv = _restrict_cochain(a, zvec, basis_big, q, keep, frame, basis_s)
-            resid = bnd_ech.reduce(rv)
-            if image_ech.add(resid):
-                img_rank += 1
+        for vec in _window_boundaries(slice_cx, q, end, None, basis_s, shift):
+            bnd_ech.add(vec)
+        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep,
+                                                     frame, basis_s))
+                       for zvec in cocycles)
         surjective = img_rank >= betti_s
         rows.append(TransversalIsoRow(q, betti_a, betti_s, betti_a == betti_s, surjective))
     ok = all(r.equal and r.restriction_surjective for r in rows)

@@ -336,14 +336,6 @@ class WeightAssignment:
     def monomial_weight(self, mono: Exponent) -> int:
         return sum(w * e for w, e in zip(self.weights, mono))
 
-    def zero_weight_coords(self) -> List[int]:
-        return [i for i, w in enumerate(self.weights) if w == 0]
-
-    def euler_coefficients(self) -> List[Tuple[int, int]]:
-        """Pairs (coordinate index, weight) with nonzero weight, defining the
-        generating vector field sum(w_i x_i d/dx_i)."""
-        return [(i, w) for i, w in enumerate(self.weights) if w != 0]
-
 
 # -- parsing and formatting ----------------------------------------------------
 
@@ -530,10 +522,6 @@ def poly_matrix_rank(rows: List[List[TruncatedPoly]]) -> int:
     return rank
 
 
-def poly_matrix_eval(rows: List[List[TruncatedPoly]], point: Sequence) -> List[List[Fraction]]:
-    return [[e.evaluate(point) for e in row] for row in rows]
-
-
 def poly_inverse_unit(f: TruncatedPoly, cap: int) -> TruncatedPoly:
     """Inverse of f in the jet ring of order cap; f must have nonzero constant term."""
     c0 = f.constant_term()
@@ -581,14 +569,16 @@ def poly_matrix_inverse_unit(rows: List[List[TruncatedPoly]], cap: int) -> List[
 
 
 def _poly_mat_mul(a: List[List[TruncatedPoly]], b: List[List[TruncatedPoly]]) -> List[List[TruncatedPoly]]:
-    k, mid, cols = len(a), len(b), len(b[0])
+    """Product of polynomial matrices; zero entries contribute nothing."""
+    cols = len(b[0]) if b else 0
     out = []
-    for i in range(k):
-        row = []
-        for j in range(cols):
-            acc = TruncatedPoly.zero(a[0][0].n, a[i][0].cap)
-            for l in range(mid):
-                acc = acc + a[i][l] * b[l][j]
-            row.append(acc)
+    for row_a in a:
+        row = [TruncatedPoly.zero(row_a[0].n, row_a[0].cap) for _ in range(cols)]
+        for l, x in enumerate(row_a):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(b[l]):
+                if not y.is_zero():
+                    row[j] = row[j] + x * y
         out.append(row)
     return out

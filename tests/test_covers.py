@@ -8,6 +8,7 @@ import pytest
 from algebroidlab.algebroid import Representation, trivial_representation
 from algebroidlab.covers import (
     ChartData,
+    _det,
     CoverDatum,
     LocalSystemFamily,
     build_double_complex,
@@ -145,6 +146,46 @@ def test_cochain_transport_identity_and_composition():
     t1 = cochain_transport(p, QMatrix([[1]]), basis2, basis2)
     t2 = cochain_transport(p.inverse(), QMatrix([[1]]), basis2, basis2)
     assert ((t1 @ t2) - QMatrix.identity(len(basis2))).is_zero()
+
+
+def _cofactor_det(rows):
+    """Laplace expansion along the first row; the oracle for covers._det."""
+    if not rows:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j, v in enumerate(rows[0]):
+        if v:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            acc += (-1) ** j * v * _cofactor_det(minor)
+    return acc
+
+
+def test_det_matches_cofactor_expansion():
+    rng = random.Random(60221)
+    cases = [[]]
+    for k in range(1, 7):
+        for _ in range(25):
+            m = [[Fraction(rng.randrange(-4, 5), rng.choice((1, 1, 2, 3)))
+                  if rng.random() < 0.7 else Fraction(0) for _ in range(k)]
+                 for _ in range(k)]
+            cases.append(m)
+            if k > 1:
+                dup = [row[:] for row in m]          # singular: proportional rows
+                c = rng.choice((Fraction(1), Fraction(-1, 2), Fraction(3)))
+                dup[rng.randrange(1, k)] = [c * v for v in dup[0]]
+                cases.append(dup)
+                zero = [row[:] for row in m]         # singular: zero row
+                zero[rng.randrange(k)] = [Fraction(0)] * k
+                cases.append(zero)
+    singular = 0
+    for m in cases:
+        want = _cofactor_det(m)
+        assert _det(m) == want, m
+        assert type(_det(m)) is Fraction
+        singular += want == 0
+    assert singular > 100
+    assert _det([]) == 1
+    assert _det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
 
 
 def test_inner_automorphism_acts_trivially_on_top_cohomology():

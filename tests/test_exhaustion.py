@@ -1,14 +1,17 @@
 """Stage selection across chart overlaps and its post-hoc verification."""
 
 import random
+import time
 from functools import lru_cache
 
 import pytest
 
-from algebroidlab.errors import StructuralError, ValidationFailure
-from algebroidlab.exhaustion import (IDENTITY_ORACLE, ExhaustionProblem,
-                                     MonotoneOracle, SubexhaustionResult,
-                                     subexhaust, verify_interleaving)
+from algebroidlab.cli import main
+from algebroidlab.errors import LabError, StructuralError, ValidationFailure
+from algebroidlab.exhaustion import (IDENTITY_ORACLE, MAX_SELECTION_ENTRIES,
+                                     ExhaustionProblem, MonotoneOracle,
+                                     SubexhaustionResult, subexhaust,
+                                     verify_interleaving)
 
 
 def _two_charts(mu_10, mu_01):
@@ -231,3 +234,49 @@ def test_selections_match_closure_recursion(seed, count, steps):
     for _ in range(count):
         ep = _random_problem(rng)
         assert subexhaust(ep, steps=steps).alphas == _closure_alphas(ep, steps)
+
+
+# -- resource bound: an oversized steps request stops with LabError -----------------
+
+
+def _worst_criterion_9_problem():
+    """Draw 43 of the criterion-9 generator: 4 charts, overlaps (0,1),(1,2),
+    slope-2 tails, whose stage values grow about 4x per step."""
+    rng = random.Random(424243)
+    for _ in range(43):
+        ep = _random_problem(rng)
+    assert ep.n_charts == 4 and ep.overlaps == ((0, 1), (1, 2))
+    return ep
+
+
+def _model_text(ep) -> str:
+    lines = ["version 1", "", "exhaustion worst {",
+             "  charts = " + ", ".join(ep.charts),
+             "  overlaps = " + ", ".join(f"({i},{j})" for i, j in ep.overlaps)]
+    for (dst, src), mu in sorted(ep.oracles.items()):
+        clauses = [f"prefix {', '.join(map(str, mu.prefix))}"] if mu.prefix else []
+        clauses += [f"slope {mu.slope}", f"offset {mu.offset}"]
+        lines.append(f"  mu[{dst}][{src}] = " + " ; ".join(clauses))
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_oversized_steps_raise_lab_error_quickly():
+    ep = _worst_criterion_9_problem()
+    t0 = time.process_time()
+    with pytest.raises(LabError, match=str(MAX_SELECTION_ENTRIES)):
+        subexhaust(ep, steps=14)
+    assert time.process_time() - t0 < 2.0
+
+
+def test_oversized_steps_exit_1_from_cli(tmp_path, capsysbinary):
+    ep = _worst_criterion_9_problem()
+    model = tmp_path / "worst.alab"
+    model.write_text(_model_text(ep), encoding="utf-8")
+    assert main(["subexhaust", str(model), "--steps", "6"]) == 0
+    capsysbinary.readouterr()
+    assert main(["subexhaust", str(model), "--steps", "14"]) == 1
+    captured = capsysbinary.readouterr()
+    assert b"verdict: error" in captured.out
+    assert b"MAX_SELECTION_ENTRIES" in captured.out
+    assert b"internal error" not in captured.out
+    assert b"Traceback" not in captured.out + captured.err

@@ -13,11 +13,8 @@ from algebroidlab.linalg import (
     Echelon,
     NotAComplexError,
     QMatrix,
-    hstack,
     kernel_quotient_dims,
     quotient_dim_and_reps,
-    span_intersection,
-    vstack,
 )
 
 
@@ -77,12 +74,10 @@ def test_solve_and_inverse():
     assert QMatrix([[1, 1], [2, 2]]).solve([1, 3]) is None
 
 
-def test_matmul_and_stacks():
+def test_matmul():
     a = QMatrix([[1, 2], [3, 4]])
     b = QMatrix([[0, 1], [1, 0]])
     assert (a @ b).rows == [[2, 1], [4, 3]]
-    assert hstack([a, b]).ncols == 4
-    assert vstack([a, b]).nrows == 4
 
 
 def test_echelon_membership_and_reduction():
@@ -93,16 +88,6 @@ def test_echelon_membership_and_reduction():
     assert ech.contains([2, 3, 1])
     assert not ech.contains([0, 0, 1])
     assert ech.rank == 2
-
-
-def test_span_intersection():
-    # span{(1,0,0),(0,1,0)} meet span{(0,1,0),(0,0,1)} = span{(0,1,0)}
-    a = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0), Fraction(1), Fraction(0)]]
-    b = [[Fraction(0), Fraction(1), Fraction(0)], [Fraction(0), Fraction(0), Fraction(1)]]
-    inter = span_intersection(a, b, 3)
-    assert len(inter) == 1
-    v = inter[0]
-    assert v[0] == 0 and v[2] == 0 and v[1] != 0
 
 
 def _brute_force_betti(d_in, d_out):
@@ -154,6 +139,79 @@ def test_quotient_representatives_reduced():
     betti, reps = quotient_dim_and_reps(cycles, boundaries, 2)
     assert betti == 1
     assert len(reps) == 1
+
+
+# -- quotient: one echelon against the two-echelon construction ---------------------
+
+
+def _two_echelon_quotient(cycles, boundaries, dim):
+    """The earlier construction, kept as the oracle: residuals modulo the
+    boundary echelon, then modulo a second echelon of accepted residuals."""
+    ech = Echelon(dim)
+    for b in boundaries:
+        ech.add(b)
+    reps = []
+    rep_ech = Echelon(dim)
+    for z in cycles:
+        resid = rep_ech.reduce(ech.reduce(z))
+        pivot = next((i for i, x in enumerate(resid) if x != 0), None)
+        if pivot is None:
+            continue
+        inv = 1 / resid[pivot]
+        resid = [x * inv for x in resid]
+        rep_ech.add(resid)
+        reps.append(resid)
+    return len(reps), reps
+
+
+def _combination(rng, vectors, dim):
+    out = [Fraction(0)] * dim
+    for v in vectors:
+        f = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+        out = [a + f * b for a, b in zip(out, v)]
+    return out
+
+
+def _check_quotient(cycles, boundaries, dim):
+    got = quotient_dim_and_reps(cycles, boundaries, dim)
+    assert got == _two_echelon_quotient(cycles, boundaries, dim)
+    assert got[0] == len(got[1])
+
+
+def test_quotient_matches_two_echelon_oracle_seeded():
+    rng = random.Random(5150)
+    for _ in range(300):
+        dim = rng.randrange(0, 7)
+        cycles = [[Fraction(_sparse_entry(rng)) for _ in range(dim)]
+                  for _ in range(rng.randrange(0, 6))]
+        if rng.random() < 0.5:
+            # boundaries inside span(cycles), some repeated or zero
+            boundaries = [_combination(rng, rng.sample(cycles, rng.randrange(0, len(cycles) + 1)),
+                                       dim) for _ in range(rng.randrange(0, 5))]
+        else:
+            # unrelated random vectors
+            boundaries = [[Fraction(_sparse_entry(rng)) for _ in range(dim)]
+                          for _ in range(rng.randrange(0, 5))]
+        _check_quotient(cycles, boundaries, dim)
+
+
+_small_q = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(lambda dim: st.tuples(
+    st.just(dim),
+    st.lists(st.lists(_small_q, min_size=dim, max_size=dim), max_size=5),
+    st.lists(st.lists(_small_q, min_size=dim, max_size=dim), max_size=4),
+    st.lists(st.lists(_small_q, max_size=5), max_size=4))))
+def test_quotient_matches_two_echelon_oracle_hypothesis(data):
+    dim, cycles, unrelated, coeffs = data
+    # unrelated random vectors as boundaries
+    _check_quotient(cycles, unrelated, dim)
+    # boundaries inside span(cycles)
+    inside = [[sum((c * v[i] for c, v in zip(cs, cycles)), Fraction(0)) for i in range(dim)]
+              for cs in coeffs]
+    _check_quotient(cycles, inside, dim)
 
 
 # -- apply: sparse product against the dense formula -------------------------------
