@@ -25,7 +25,7 @@ from .ratpoly import (
     _poly_mat_mul,
     format_poly,
     grlex_key,
-    poly_matrix_inverse_unit,
+    pivot_kernel_frame,
     poly_matrix_rank,
 )
 
@@ -467,27 +467,8 @@ def tau_and_kernel(s: SubmersionDatum) -> TauKernelReport:
 
     # Solve for a pivot set using the origin value; the pivot submatrix is a
     # unit in the jet ring, so the kernel is a free module with an explicit frame.
-    m0 = QMatrix([[e.evaluate(origin) for e in row] for row in tau_cols])
-    _, pivots = m0.rref()
-    if len(pivots) != nb:
-        raise ValidationFailure("kernel rank jumps at the origin",
-                                {"kind": "rank_jump", "where": "origin"})
-    free = [i for i in range(r) if i not in set(pivots)]
-    sub = [[tau_cols[l][p] for p in pivots] for l in range(nb)]
-    sub_inv = poly_matrix_inverse_unit(sub, a.jet_order)
-
-    kernel_frame: List[List[TruncatedPoly]] = []
+    pivots, free, kernel_frame = pivot_kernel_frame(tau_cols, r, a.n_vars, a.jet_order)
     z = TruncatedPoly.zero(a.n_vars, a.jet_order)
-    for t in free:
-        rhs = [tau_cols[l][t] for l in range(nb)]
-        coeffs = [z for _ in range(r)]
-        coeffs[t] = TruncatedPoly.const(a.n_vars, 1, a.jet_order)
-        for srow in range(nb):
-            acc = z
-            for l in range(nb):
-                acc = acc + sub_inv[srow][l] * rhs[l]
-            coeffs[pivots[srow]] = -acc
-        kernel_frame.append(coeffs)
 
     # Residual of the base block on the kernel frame must vanish within the cap.
     for idx, coeffs in enumerate(kernel_frame):

@@ -316,11 +316,7 @@ def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
     # Rows of basis_mid beyond the q-window must vanish on admissible inputs.
     inside = {elem: i for i, elem in enumerate(basis_q)}
     outside_rows = [i for i, elem in enumerate(basis_mid) if elem not in inside]
-    if outside_rows:
-        proj = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols)
-        admissible = proj.kernel_basis()
-    else:
-        admissible = QMatrix.identity(d_pre.ncols).columns()
+    admissible = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols).kernel_basis()
     boundaries: List[List[Fraction]] = []
     for eta in admissible:
         img = d_pre.apply(eta)

@@ -572,32 +572,21 @@ class _Staircase:
         if not support:
             self._a_cache[key] = []
             return []
-        out: List[List[Fraction]]
-        if r < 0:
-            dim_n = self.dc.total_dim(n)
-            out = []
-            for c in support:
-                v = [Fraction(0)] * dim_n
-                v[c] = Fraction(1)
-                out.append(v)
-        else:
-            dmat = self.dc.total_matrix(n)
-            # rows of the image that must vanish: columns below p + r
-            con_rows = []
-            if n + 1 <= self.n_top:
-                allowed = set(self._column_mask(n + 1, max(p + r, 0)))
-                con_rows = [rr for rr in self._column_mask(n + 1, 0)
-                            if rr not in allowed]
-            sub = QMatrix([[dmat.rows[rr][cc] for cc in support] for rr in con_rows],
-                          len(support))
-            small = sub.kernel_basis()
-            dim_n = self.dc.total_dim(n)
-            out = []
-            for vec in small:
-                v = [Fraction(0)] * dim_n
-                for pos, c in enumerate(support):
-                    v[c] = vec[pos]
-                out.append(v)
+        dmat = self.dc.total_matrix(n)
+        # rows of the image that must vanish: columns below p + r
+        con_rows = []
+        if r >= 0 and n + 1 <= self.n_top:
+            allowed = set(self._column_mask(n + 1, max(p + r, 0)))
+            con_rows = [rr for rr in self._column_mask(n + 1, 0) if rr not in allowed]
+        sub = QMatrix([[dmat.rows[rr][cc] for cc in support] for rr in con_rows],
+                      len(support))
+        dim_n = self.dc.total_dim(n)
+        out = []
+        for vec in sub.kernel_basis():
+            v = [Fraction(0)] * dim_n
+            for pos, c in enumerate(support):
+                v[c] = vec[pos]
+            out.append(v)
         self._a_cache[key] = out
         return out
 

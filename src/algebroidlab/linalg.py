@@ -1,13 +1,18 @@
 """Exact linear algebra over the rationals.
 
 All computations run on Fraction entries; there is no floating point in
-this module.  Pivoting is deterministic (first nonzero entry scanning
-columns left to right), so kernel and image bases, reduced echelon forms
-and quotient representatives are reproducible byte for byte.
+this module.  There is one elimination engine, `Echelon`: a reduced row
+echelon span whose rows are sparse {column: Fraction} dicts.  `QMatrix`
+keeps dense rows for its readers, and `QMatrix.rref` feeds those rows into
+an `Echelon`, so rank, kernel, image, solve and inverse all reduce there.
+The reduced row echelon form of a matrix is unique, so pivots, kernel and
+image bases, solutions, inverses and quotient representatives do not
+depend on the order of elimination and are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -15,6 +20,7 @@ QZERO = Fraction(0)
 QONE = Fraction(1)
 
 Vector = List[Fraction]
+SparseRow = Dict[int, Fraction]
 
 
 class NotAComplexError(ValueError):
@@ -62,14 +68,8 @@ class QMatrix:
             return cls.zeros(0, len(cols))
         return cls([[col[i] for col in cols] for i in range(height)])
 
-    def copy(self) -> "QMatrix":
-        return QMatrix([row[:] for row in self.rows], self.ncols)
-
     def column(self, j: int) -> Vector:
         return [row[j] for row in self.rows]
-
-    def columns(self) -> List[Vector]:
-        return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self) -> "QMatrix":
         return QMatrix([[self.rows[i][j] for i in range(self.nrows)]
@@ -86,22 +86,11 @@ class QMatrix:
     def __repr__(self) -> str:
         return f"QMatrix({self.nrows}x{self.ncols})"
 
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        self._shape_check(other, same=True)
-        return QMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        self._shape_check(other, same=True)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
         return QMatrix([[a - b for a, b in zip(r1, r2)]
                         for r1, r2 in zip(self.rows, other.rows)], self.ncols)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix([[-a for a in row] for row in self.rows], self.ncols)
-
-    def scale(self, value) -> "QMatrix":
-        v = Fraction(value)
-        return QMatrix([[a * v for a in row] for row in self.rows], self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
@@ -127,42 +116,23 @@ class QMatrix:
         support = [(j, b) for j, b in enumerate(v) if b]
         return [sum((row[j] * b for j, b in support if row[j]), QZERO) for row in self.rows]
 
-    def _shape_check(self, other: "QMatrix", same: bool = False) -> None:
-        if same and (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
-
     # -- reductions -------------------------------------------------------------
 
     def rref(self) -> Tuple["QMatrix", List[int]]:
-        """Reduced row echelon form and the list of pivot columns."""
-        m = [row[:] for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        pivots: List[int] = []
-        pr = 0
-        for col in range(ncols):
-            pivot = None
-            for r in range(pr, nrows):
-                if m[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            m[pr], m[pivot] = m[pivot], m[pr]
-            inv = 1 / m[pr][col]
-            m[pr] = [v * inv for v in m[pr]]
-            for r in range(nrows):
-                if r != pr and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
-            pivots.append(col)
-            pr += 1
-            if pr == nrows:
-                break
+        """Reduced row echelon form and the list of pivot columns.
+
+        The rows are inserted into one Echelon; the reduced rows come first
+        in pivot order, followed by zero rows up to the original height.
+        """
+        ech = Echelon(self.ncols)
+        for row in self.rows:
+            ech._insert({j: x for j, x in enumerate(row) if x})
         out = QMatrix.__new__(QMatrix)
-        out.rows = m
-        out.nrows = nrows
-        out.ncols = ncols
-        return out, pivots
+        out.rows = ech.dense_rows() + [[QZERO] * self.ncols
+                                       for _ in range(self.nrows - ech.rank)]
+        out.nrows = self.nrows
+        out.ncols = self.ncols
+        return out, list(ech.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -195,10 +165,7 @@ class QMatrix:
         bb = [Fraction(v) for v in b]
         if len(bb) != self.nrows:
             raise ValueError("rhs arity mismatch")
-        aug = QMatrix([row + [val] for row, val in zip(self.rows, bb)] or [],
-                      self.ncols + 1)
-        if self.nrows == 0:
-            return [QZERO] * self.ncols
+        aug = QMatrix([row + [val] for row, val in zip(self.rows, bb)], self.ncols + 1)
         red, pivots = aug.rref()
         if self.ncols in pivots:
             return None
@@ -220,46 +187,85 @@ class QMatrix:
 
 
 class Echelon:
-    """Incrementally built reduced echelon span, for membership and reduction."""
+    """Reduced row echelon span with sparse rows, built one vector at a time.
+
+    Each row is a {column: Fraction} dict of its nonzero entries, equal to 1
+    at its own pivot and 0 at every other pivot.  `pivots` is ascending.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: List[Vector] = []
         self.pivots: List[int] = []
+        self._rows: Dict[int, SparseRow] = {}      # pivot -> row
+
+    def _reduce(self, v: SparseRow) -> SparseRow:
+        """Residual of v against the span, computed in place.
+
+        Subtracting the row of one pivot leaves v unchanged at every other
+        pivot, so the factors are the entries of v at the pivots.
+        """
+        rows = self._rows
+        for p in [p for p in v if p in rows]:
+            _axpy(v, -v[p], rows[p])
+        return v
+
+    def _insert(self, v: SparseRow) -> bool:
+        """Insert the sparse vector v (consumed); True if it enlarged the span."""
+        v = self._reduce(v)
+        if not v:
+            return False
+        pivot = min(v)
+        inv = 1 / v[pivot]
+        v = {c: x * inv for c, x in v.items()}
+        # Back-substitute into existing rows to keep the echelon reduced.
+        for row in self._rows.values():
+            if pivot in row:
+                _axpy(row, -row[pivot], v)
+        insort(self.pivots, pivot)
+        self._rows[pivot] = v
+        return True
 
     def reduce(self, vec: Sequence) -> Vector:
         """Residual of vec after elimination against the current span."""
-        v = [Fraction(x) for x in vec]
-        for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return self._dense(self._reduce(_sparse(vec)))
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if it enlarged the span."""
-        v = self.reduce(vec)
-        pivot = next((i for i, x in enumerate(v) if x != 0), None)
-        if pivot is None:
-            return False
-        inv = 1 / v[pivot]
-        v = [x * inv for x in v]
-        # Back-substitute into existing rows to keep the echelon reduced.
-        for i, row in enumerate(self.rows):
-            if row[pivot] != 0:
-                f = row[pivot]
-                self.rows[i] = [a - f * b for a, b in zip(row, v)]
-        at = next((k for k, p in enumerate(self.pivots) if p > pivot), len(self.pivots))
-        self.rows.insert(at, v)
-        self.pivots.insert(at, pivot)
-        return True
+        return self._insert(_sparse(vec))
 
     def contains(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not self._reduce(_sparse(vec))
+
+    def dense_rows(self) -> List[Vector]:
+        """The reduced rows as dense vectors, in pivot order."""
+        return [self._dense(self._rows[p]) for p in self.pivots]
+
+    def _dense(self, v: SparseRow) -> Vector:
+        out = [QZERO] * self.dim
+        for c, x in v.items():
+            out[c] = x
+        return out
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
+
+
+def _sparse(vec: Sequence) -> SparseRow:
+    return {j: Fraction(x) for j, x in enumerate(vec) if x}
+
+
+def _axpy(v: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """v += f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        if c in v:
+            y = v[c] + f * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+        else:
+            v[c] = f * x
 
 
 def quotient_dim_and_reps(cycles: List[Vector], boundaries: List[Vector], dim: int

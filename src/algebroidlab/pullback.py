@@ -31,7 +31,7 @@ from .linalg import Echelon, QMatrix
 from .ratpoly import (
     TruncatedPoly,
     WeightAssignment,
-    poly_matrix_inverse_unit,
+    pivot_kernel_frame,
     poly_matrix_rank,
 )
 
@@ -217,28 +217,10 @@ def _pullback_slice(phi: StructuredMap, a: LieAlgebroidPatch,
                                 {"kind": "not_transverse", "details": trans.details})
     cap = a.jet_order
     r = a.rank
-    nrm = len(removed)
-    block = _slice_block(a, removed, keep)       # nrm x r over the slice ring
-    origin = [Fraction(0)] * len(keep)
-    m0 = QMatrix([[e.evaluate(origin) for e in row] for row in block])
-    _, pivots = m0.rref()
-    pivot_frames = list(pivots)                  # frame indices solved for
-    free = [i for i in range(r) if i not in set(pivot_frames)]
-    sub = [[block[l][p] for p in pivot_frames] for l in range(nrm)]
-    sub_inv = poly_matrix_inverse_unit(sub, cap)
-
+    block = _slice_block(a, removed, keep)       # len(removed) x r over the slice ring
     nk = len(keep)
+    pivot_frames, free, frame = pivot_kernel_frame(block, r, nk, cap)
     zs = TruncatedPoly.zero(nk, cap)
-    frame: List[List[TruncatedPoly]] = []
-    for t in free:
-        coeffs = [zs for _ in range(r)]
-        coeffs[t] = TruncatedPoly.const(nk, 1, cap)
-        for srow in range(nrm):
-            acc = zs
-            for l in range(nrm):
-                acc = acc + sub_inv[srow][l] * block[l][t]
-            coeffs[pivot_frames[srow]] = -acc
-        frame.append(coeffs)
 
     # Restricted big algebroid over the slice ring: anchor keeps only slice
     # columns (kernel sections have no removed components on the slice).
@@ -714,23 +696,7 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     keep = list(keep)
     removed = [l for l in range(n) if l not in keep]
     block = _slice_block(a, removed, keep)
-    origin = [Fraction(0)] * len(keep)
-    m0 = QMatrix([[e.evaluate(origin) for e in row] for row in block])
-    _, pivots = m0.rref()
-    free = [i for i in range(a.rank) if i not in set(pivots)]
-    sub = [[block[l][p] for p in pivots] for l in range(len(removed))]
-    sub_inv = poly_matrix_inverse_unit(sub, a.jet_order)
-    zs = TruncatedPoly.zero(len(keep), a.jet_order)
-    frame = []
-    for t in free:
-        coeffs = [zs for _ in range(a.rank)]
-        coeffs[t] = TruncatedPoly.const(len(keep), 1, a.jet_order)
-        for srow in range(len(removed)):
-            acc = zs
-            for l in range(len(removed)):
-                acc = acc + sub_inv[srow][l] * block[l][t]
-            coeffs[pivots[srow]] = -acc
-        frame.append(coeffs)
+    _, _, frame = pivot_kernel_frame(block, a.rank, len(keep), a.jet_order)
 
     cx = CEComplex(a, rho)
     cx.require_graded()

@@ -568,6 +568,36 @@ def poly_matrix_inverse_unit(rows: List[List[TruncatedPoly]], cap: int) -> List[
     return _poly_mat_mul(acc, b0i_rows)
 
 
+def pivot_kernel_frame(block: List[List[TruncatedPoly]], ncols: int, n_vars: int, cap: int
+                       ) -> Tuple[List[int], List[int], List[List[TruncatedPoly]]]:
+    """Pivot columns, free columns and a kernel frame of a polynomial block
+    that is surjective at the origin, in the jet ring of order cap.
+
+    The pivots are those of the block's value at the origin, so the pivot
+    submatrix is a unit.  Each frame element has 1 at its own free column,
+    0 at the other free columns, and pivot entries solving block . v = 0.
+    A block with no rows gives the identity frame on ncols columns.
+    """
+    from .linalg import QMatrix  # local import to avoid a cycle
+
+    _, pivots = QMatrix([[e.constant_term() for e in row] for row in block], ncols).rref()
+    pivot_set = set(pivots)
+    free = [i for i in range(ncols) if i not in pivot_set]
+    sub_inv = poly_matrix_inverse_unit([[row[p] for p in pivots] for row in block], cap)
+    z = TruncatedPoly.zero(n_vars, cap)
+    frame: List[List[TruncatedPoly]] = []
+    for t in free:
+        coeffs = [z] * ncols
+        coeffs[t] = TruncatedPoly.const(n_vars, 1, cap)
+        for srow, p in enumerate(pivots):
+            acc = z
+            for l, row in enumerate(block):
+                acc = acc + sub_inv[srow][l] * row[t]
+            coeffs[p] = -acc
+        frame.append(coeffs)
+    return pivots, free, frame
+
+
 def _poly_mat_mul(a: List[List[TruncatedPoly]], b: List[List[TruncatedPoly]]) -> List[List[TruncatedPoly]]:
     """Product of polynomial matrices; zero entries contribute nothing."""
     cols = len(b[0]) if b else 0

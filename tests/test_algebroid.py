@@ -198,10 +198,21 @@ def test_tau_kernel_identity_projection_of_lie_algebra():
 def test_tau_kernel_rejects_vanishing_anchor_at_origin():
     x = TruncatedPoly.var(1, 0, 4)
     z = TruncatedPoly.zero(1, 4)
-    a = LieAlgebroidPatch(("x",), 4, 1, [[x]], [[[z]]])
-    with pytest.raises(ValidationFailure) as err:
-        tau_and_kernel(SubmersionDatum(a, (0,)))
-    assert err.value.witness["where"] == "origin"
+    vanishing = LieAlgebroidPatch(("x",), 4, 1, [[x]], [[[z]]])
+    # e1 = x d/dx, e2 = d/dy, e3 = d/dz over (x, y; z), base = (x, y): the
+    # base block has full generic rank 2 but rank 1 at the origin.
+    x3 = TruncatedPoly.var(3, 0, 4)
+    one3 = TruncatedPoly.const(3, 1, 4)
+    z3 = TruncatedPoly.zero(3, 4)
+    dropping = LieAlgebroidPatch(("x", "y", "z"), 4, 3,
+                                 [[x3, z3, z3], [z3, one3, z3], [z3, z3, one3]],
+                                 [[[z3] * 3 for _ in range(3)] for _ in range(3)])
+    assert validate_algebroid(dropping).ok
+    for a, base, rank in ((vanishing, (0,), 0), (dropping, (0, 1), 1)):
+        with pytest.raises(ValidationFailure) as err:
+            tau_and_kernel(SubmersionDatum(a, base))
+        assert err.value.witness == {"kind": "not_surjective", "where": "origin",
+                                     "rank": rank, "needed": len(base)}
 
 
 def test_tau_kernel_rejects_generically_deficient_block():

@@ -287,3 +287,186 @@ def _matrix_and_vector(draw):
 @given(_matrix_and_vector())
 def test_apply_matches_dense_formula_hypothesis(mv):
     _check_apply(*mv)
+
+
+# -- the Echelon engine against the dense Gauss-Jordan elimination -----------------
+
+
+def _gauss_jordan(rows, ncols):
+    """The earlier dense rref, kept as the oracle: column by column, first
+    nonzero row as pivot, full elimination above and below."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    nrows = len(m)
+    pivots = []
+    pr = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(pr, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        inv = 1 / m[pr][col]
+        m[pr] = [v * inv for v in m[pr]]
+        for r in range(nrows):
+            if r != pr and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(col)
+        pr += 1
+        if pr == nrows:
+            break
+    return m, pivots
+
+
+def _oracle_kernel(rows, ncols):
+    red, pivots = _gauss_jordan(rows, ncols)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[j] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][j]
+        basis.append(vec)
+    return basis
+
+
+def _oracle_solve(rows, ncols, b):
+    red, pivots = _gauss_jordan([row + [v] for row, v in zip(rows, b)], ncols + 1)
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def _oracle_inverse(rows):
+    n = len(rows)
+    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    red, pivots = _gauss_jordan(aug, 2 * n)
+    if pivots != list(range(n)):
+        return None
+    return [red[i][n:] for i in range(n)]
+
+
+def _all_fractions(vectors):
+    return all(type(x) is Fraction for v in vectors for x in v)
+
+
+def _check_against_gauss_jordan(m: QMatrix, rng=None) -> None:
+    red, pivots = m.rref()
+    want_rows, want_pivots = _gauss_jordan(m.rows, m.ncols)
+    assert (red.nrows, red.ncols) == (m.nrows, m.ncols)
+    assert pivots == want_pivots
+    assert red.rows == want_rows
+    assert _all_fractions(red.rows)
+    assert m.rank() == len(want_pivots)
+    ker = m.kernel_basis()
+    assert ker == _oracle_kernel(m.rows, m.ncols) and _all_fractions(ker)
+    img = m.image_basis()
+    assert img == [m.column(j) for j in want_pivots] and _all_fractions(img)
+    rng = rng or random.Random(m.nrows * 31 + m.ncols)
+    x0 = [Fraction(rng.randrange(-3, 4)) for _ in range(m.ncols)]
+    for b in (m.apply(x0), [_sparse_entry(rng) for _ in range(m.nrows)]):
+        x = m.solve(b)
+        assert x == _oracle_solve(m.rows, m.ncols, [Fraction(v) for v in b])
+        if x is not None:
+            assert m.apply(x) == b and _all_fractions([x])
+    if m.nrows == m.ncols:
+        inv = m.inverse()
+        want = _oracle_inverse(m.rows)
+        assert (inv is None) == (want is None)
+        if inv is not None:
+            assert inv.rows == want and _all_fractions(inv.rows)
+            assert inv @ m == QMatrix.identity(m.nrows)
+
+
+def _sparse_matrix(rng, nrows, ncols, density):
+    rows = [[(_sparse_entry(rng) or 1) if rng.random() < density else 0
+             for _ in range(ncols)] for _ in range(nrows)]
+    return QMatrix(rows, ncols)
+
+
+def test_rref_matches_gauss_jordan_seeded():
+    rng = random.Random(20240611)
+    outcomes = {"singular": 0, "invertible": 0, "inconsistent": 0}
+    for _ in range(400):
+        nr, nc = rng.randrange(0, 7), rng.randrange(0, 7)
+        rows = [[_sparse_entry(rng) for _ in range(nc)] for _ in range(nr)]
+        if nr and rng.random() < 0.3:
+            rows[rng.randrange(nr)] = [0] * nc               # zero row
+        if nc and rng.random() < 0.3:
+            j = rng.randrange(nc)
+            for row in rows:                                  # zero column
+                row[j] = 0
+        if nr > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(nr), 2)                   # dependent row
+            f = Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+            rows[i] = [a + f * b for a, b in zip(rows[i], rows[k])]
+        m = QMatrix(rows, nc)
+        _check_against_gauss_jordan(m, rng)
+        if nr == nc:
+            outcomes["singular" if m.inverse() is None else "invertible"] += 1
+        if m.solve([1] * nr) is None:
+            outcomes["inconsistent"] += 1
+    assert all(outcomes.values()), outcomes
+
+
+def test_rref_edge_shapes():
+    for m in (QMatrix([], 0), QMatrix([], 4), QMatrix([[], [], []]),
+              QMatrix.zeros(3, 5), QMatrix.zeros(2, 2), QMatrix.identity(4)):
+        _check_against_gauss_jordan(m)
+    assert QMatrix([], 3).kernel_basis() == QMatrix.identity(3).rows
+    assert QMatrix([], 3).solve([]) == [0, 0, 0]
+    assert QMatrix([[], []]).solve([0, 0]) == []
+    assert QMatrix([[], []]).solve([0, 1]) is None
+    assert QMatrix([], 0).inverse() == QMatrix([], 0)
+
+
+def test_rref_matches_gauss_jordan_on_sparse_differentials():
+    # about 95% zeros, the shape of the CE differentials
+    rng = random.Random(1618)
+    for nr, nc in ((12, 30), (30, 12), (25, 25), (40, 60)):
+        _check_against_gauss_jordan(_sparse_matrix(rng, nr, nc, 0.05), rng)
+
+
+_sparse_q = st.one_of(st.just(0), st.just(0), st.just(0), st.integers(-4, 4),
+                      st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def _matrices(draw):
+    nr, nc = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(_sparse_q, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+    return QMatrix(rows, nc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_matches_gauss_jordan_hypothesis(m):
+    _check_against_gauss_jordan(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.lists(_sparse_q, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_inverse_matches_gauss_jordan_hypothesis(rows):
+    _check_against_gauss_jordan(QMatrix(rows, len(rows)))
+
+
+def test_echelon_rows_stay_reduced_and_sparse():
+    rng = random.Random(99)
+    for _ in range(100):
+        dim = rng.randrange(1, 9)
+        ech = Echelon(dim)
+        vecs = [[_sparse_entry(rng) for _ in range(dim)] for _ in range(rng.randrange(0, 8))]
+        for v in vecs:
+            ech.add(v)
+        rows, pivots = _gauss_jordan(vecs, dim)
+        assert ech.pivots == pivots
+        assert ech.dense_rows() == rows[:len(pivots)]
+        assert all(x != 0 and type(x) is Fraction
+                   for row in ech._rows.values() for x in row.values())
+        for v in vecs:
+            assert ech.contains(v)
+            assert not any(ech.reduce(v))

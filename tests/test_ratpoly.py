@@ -15,6 +15,7 @@ from algebroidlab.ratpoly import (
     grlex_key,
     monomials_up_to,
     parse_poly,
+    pivot_kernel_frame,
     poly_divide_exact,
     poly_inverse_unit,
     poly_matrix_inverse_unit,
@@ -224,6 +225,56 @@ def test_poly_matrix_inverse_unit():
     prod = _poly_mat_mul(rows, inv)
     assert prod[0][0] == P.const(2, 1, 3) and prod[1][1] == P.const(2, 1, 3)
     assert prod[0][1].is_zero() and prod[1][0].is_zero()
+
+
+def _unit_block(rng, nrows, ncols, n_vars, cap):
+    """nrows x ncols polynomial block whose value at the origin has full row
+    rank; higher-order terms are random."""
+    from algebroidlab.linalg import QMatrix
+    while True:
+        const = [[Fraction(rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])) for _ in range(ncols)]
+                 for _ in range(nrows)]
+        if QMatrix(const, ncols).rank() == nrows:
+            break
+    block = []
+    for row in const:
+        out = []
+        for c in row:
+            hi = _random_poly(rng, n_vars, cap, max_terms=3)
+            hi = hi - P.const(n_vars, hi.constant_term(), cap)
+            out.append(hi + P.const(n_vars, c, cap))
+        block.append(out)
+    return block
+
+
+def test_pivot_kernel_frame_seeded():
+    rng = random.Random(4242)
+    for _ in range(120):
+        nrows = rng.randrange(0, 3)
+        ncols = nrows + rng.randrange(0, 3)
+        n_vars, cap = rng.randrange(1, 3), rng.randrange(1, 4)
+        block = _unit_block(rng, nrows, ncols, n_vars, cap)
+        pivots, free, frame = pivot_kernel_frame(block, ncols, n_vars, cap)
+        assert len(pivots) == nrows
+        assert sorted(pivots + free) == list(range(ncols))
+        assert len(frame) == len(free)
+        for t, v in zip(free, frame):
+            assert len(v) == ncols
+            for t2 in free:
+                assert v[t2] == P.const(n_vars, int(t2 == t), cap)
+            for row in block:
+                acc = P.zero(n_vars, cap)
+                for e, c in zip(row, v):
+                    acc = acc + e * c
+                assert acc.truncate(cap).is_zero()
+
+
+def test_pivot_kernel_frame_without_rows_is_identity():
+    for ncols, n_vars, cap in ((0, 1, 2), (1, 1, 3), (3, 2, 2)):
+        pivots, free, frame = pivot_kernel_frame([], ncols, n_vars, cap)
+        assert pivots == [] and free == list(range(ncols))
+        assert frame == [[P.const(n_vars, int(i == j), cap) for j in range(ncols)]
+                         for i in range(ncols)]
 
 
 def test_generic_rank_frozen_cases():
