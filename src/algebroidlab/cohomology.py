@@ -19,12 +19,19 @@ Two computation modes:
   differential is computed exactly from window N into window N + shift,
   so d after d is exactly zero; boundaries are intersected back into the
   window.  Betti numbers are reported per window with a stabilization
-  flag over the requested span.
+  flag over the requested span.  Each complex memoizes the differential
+  of every basis element, so the elements shared by windows, degrees and
+  the cocycle and boundary steps are differentiated once.  The boundaries
+  of one window come from one sparse elimination: the rows d(eta) of all
+  windowed primitives, with the coordinates outside the window ordered
+  first, so the reduced rows pivoted inside the window span the images
+  that vanish outside it.
 
 The basis order is canonical: wedge tuple (lexicographic), then fibre
 index, then monomial in graded-lex order.  All representative cocycles
 are reduced-echelon with respect to this order, which makes reports
-deterministic byte for byte.
+deterministic byte for byte: the reduced row echelon basis of a span is
+unique, whatever order the elimination took.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import QMatrix, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
@@ -77,18 +84,20 @@ class CEComplex:
         self._structure = [[[e.truncate(None) for e in col] for col in plane]
                            for plane in a.structure]
         self._gammas = [[[e.truncate(None) for e in row] for row in g] for g in rho.gammas]
-
-    # -- degrees and weights -----------------------------------------------------
-
-    def degree_shift(self) -> int:
-        """Max increase of coefficient degree under the differential."""
         degs = [0]
         degs += [e.total_degree() - 1 for row in self._anchor for e in row if not e.is_zero()]
         degs += [e.total_degree() for plane in self._structure for col in plane
                  for e in col if not e.is_zero()]
         degs += [e.total_degree() for g in self._gammas for row in g
                  for e in row if not e.is_zero()]
-        return max(degs)
+        self._shift = max(degs)
+        self._d: Dict[BasisElement, Cochain] = {}
+
+    # -- degrees and weights -----------------------------------------------------
+
+    def degree_shift(self) -> int:
+        """Max increase of coefficient degree under the differential."""
+        return self._shift
 
     def element_weight(self, elem: BasisElement) -> int:
         if self.a.weights is None and self.a.n_vars > 0:
@@ -147,6 +156,16 @@ class CEComplex:
     # -- the differential -------------------------------------------------------------
 
     def d_of_element(self, elem: BasisElement) -> Cochain:
+        """Differential of one basis element, built once per complex.
+
+        The cochain is shared by every caller and must not be mutated.
+        """
+        d = self._d.get(elem)
+        if d is None:
+            d = self._d[elem] = self._build_d(elem)
+        return d
+
+    def _build_d(self, elem: BasisElement) -> Cochain:
         mono, wedge, beta = elem
         a, n = self.a, self.a.n_vars
         poly_mono = TruncatedPoly.monomial(n, mono, 1)
@@ -201,17 +220,15 @@ class CEComplex:
 
     def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
         index = {elem: i for i, elem in enumerate(target)}
-        cols: List[List[Fraction]] = []
-        for elem in source:
-            col = [QZERO] * len(target)
+        rows = [[QZERO] * len(source) for _ in target]
+        for j, elem in enumerate(source):
             for key, val in self.d_of_element(elem).items():
-                if key in index:
-                    col[index[key]] = val
-                elif val != 0:
+                i = index.get(key)
+                if i is None:
                     raise StructuralError(
                         f"differential leaves the target window at {key}")
-            cols.append(col)
-        return QMatrix.from_columns(cols, len(target)) if source else QMatrix.zeros(len(target), 0)
+                rows[i][j] = val
+        return QMatrix.of_fractions(rows, len(source))
 
     # -- interior contraction (for the scaling homotopy) ------------------------------
 
@@ -300,39 +317,37 @@ def format_cochain(vec: Sequence[Fraction], basis: List[BasisElement],
 # -- betti computations ----------------------------------------------------------------
 
 
+def _boundaries(cx: CEComplex, primitives: List[BasisElement],
+                basis_q: List[BasisElement]) -> List[List[Fraction]]:
+    """Reduced row echelon basis, in basis_q coordinates, of the boundaries
+    of span(primitives) that lie inside span(basis_q).
+
+    The row d(eta) of every primitive eta goes into one echelon, with each
+    coordinate outside basis_q at a negative column, so those are
+    eliminated first and the rows pivoted inside basis_q span exactly the
+    images that vanish outside it."""
+    inside = {elem: i for i, elem in enumerate(basis_q)}
+    outside: Dict[BasisElement, int] = {}
+    ech = Echelon(len(basis_q))
+    for eta in primitives:
+        row = {}
+        for key, val in cx.d_of_element(eta).items():
+            col = inside.get(key)
+            row[~outside.setdefault(key, len(outside)) if col is None else col] = val
+        ech.add_sparse(row)
+    return ech.dense_rows()
+
+
 def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
                        basis_q: List[BasisElement], shift: int
                        ) -> List[List[Fraction]]:
-    """Nonzero boundaries, in basis_q coordinates, of the degree-(q-1)
-    primitives with coefficients of degree <= n_deg + shift + 1 whose image
-    lands inside the window basis_q.  shift bounds the degree increase of
-    the differential."""
+    """Reduced row echelon basis, in basis_q coordinates, of the boundaries
+    of the degree-(q-1) primitives with coefficients of degree
+    <= n_deg + shift + 1 that land inside the window basis_q.  shift
+    bounds the degree increase of the differential."""
     if q == 0:
         return []
-    slack = shift + 1
-    basis_pre = cx.window_basis(q - 1, n_deg + slack, weight)
-    basis_mid = cx.window_basis(q, n_deg + slack + shift, weight)
-    d_pre = cx.d_matrix(basis_pre, basis_mid)
-    # Rows of basis_mid beyond the q-window must vanish on admissible inputs.
-    inside = {elem: i for i, elem in enumerate(basis_q)}
-    outside_rows = [i for i, elem in enumerate(basis_mid) if elem not in inside]
-    admissible = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols).kernel_basis()
-    boundaries: List[List[Fraction]] = []
-    for eta in admissible:
-        img = d_pre.apply(eta)
-        vec = [QZERO] * len(basis_q)
-        ok = True
-        for i, elem in enumerate(basis_mid):
-            if img[i] == 0:
-                continue
-            if elem in inside:
-                vec[inside[elem]] = img[i]
-            else:
-                ok = False
-                break
-        if ok and any(v != 0 for v in vec):
-            boundaries.append(vec)
-    return boundaries
+    return _boundaries(cx, cx.window_basis(q - 1, n_deg + shift + 1, weight), basis_q)
 
 
 def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
@@ -353,13 +368,8 @@ def _exact_stratum_betti(cx: CEComplex, q: int, weight: int
                          ) -> Tuple[int, List[List[Fraction]], List[BasisElement]]:
     basis_q = cx.stratum_basis(q, weight)
     basis_up = cx.stratum_basis(q + 1, weight)
-    d_q = cx.d_matrix(basis_q, basis_up)
-    cocycles = d_q.kernel_basis()
-    boundaries: List[List[Fraction]] = []
-    if q > 0:
-        basis_pre = cx.stratum_basis(q - 1, weight)
-        d_pre = cx.d_matrix(basis_pre, basis_q)
-        boundaries = d_pre.image_basis()
+    cocycles = cx.d_matrix(basis_q, basis_up).kernel_basis()
+    boundaries = _boundaries(cx, cx.stratum_basis(q - 1, weight), basis_q) if q > 0 else []
     betti, reps = quotient_dim_and_reps(cocycles, boundaries, len(basis_q))
     return betti, reps, basis_q
 

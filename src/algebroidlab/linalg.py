@@ -52,6 +52,15 @@ class QMatrix:
             self.ncols = 0 if ncols is None else ncols
 
     @classmethod
+    def of_fractions(cls, rows: List[Vector], ncols: int) -> "QMatrix":
+        """Wrap rows whose entries are already Fractions, without copying."""
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.nrows = len(rows)
+        out.ncols = ncols
+        return out
+
+    @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
         return cls([[QZERO] * ncols for _ in range(nrows)], ncols)
 
@@ -126,13 +135,9 @@ class QMatrix:
         """
         ech = Echelon(self.ncols)
         for row in self.rows:
-            ech._insert({j: x for j, x in enumerate(row) if x})
-        out = QMatrix.__new__(QMatrix)
-        out.rows = ech.dense_rows() + [[QZERO] * self.ncols
-                                       for _ in range(self.nrows - ech.rank)]
-        out.nrows = self.nrows
-        out.ncols = self.ncols
-        return out, list(ech.pivots)
+            ech.add_sparse({j: x for j, x in enumerate(row) if x})
+        rows = ech.dense_rows() + [[QZERO] * self.ncols for _ in range(self.nrows - ech.rank)]
+        return QMatrix.of_fractions(rows, self.ncols), list(ech.pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -191,6 +196,11 @@ class Echelon:
 
     Each row is a {column: Fraction} dict of its nonzero entries, equal to 1
     at its own pivot and 0 at every other pivot.  `pivots` is ascending.
+    The columns of a vector are 0..dim-1.  A sparse row may also carry
+    negative columns, for coordinates to eliminate: they order before every
+    other column, and `dense_rows` leaves out the rows pivoted there, so
+    its rows are the reduced basis of the part of the span that vanishes
+    at those coordinates.
     """
 
     def __init__(self, dim: int):
@@ -209,7 +219,7 @@ class Echelon:
             _axpy(v, -v[p], rows[p])
         return v
 
-    def _insert(self, v: SparseRow) -> bool:
+    def add_sparse(self, v: SparseRow) -> bool:
         """Insert the sparse vector v (consumed); True if it enlarged the span."""
         v = self._reduce(v)
         if not v:
@@ -231,14 +241,11 @@ class Echelon:
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if it enlarged the span."""
-        return self._insert(_sparse(vec))
-
-    def contains(self, vec: Sequence) -> bool:
-        return not self._reduce(_sparse(vec))
+        return self.add_sparse(_sparse(vec))
 
     def dense_rows(self) -> List[Vector]:
-        """The reduced rows as dense vectors, in pivot order."""
-        return [self._dense(self._rows[p]) for p in self.pivots]
+        """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
+        return [self._dense(self._rows[p]) for p in self.pivots if p >= 0]
 
     def _dense(self, v: SparseRow) -> Vector:
         out = [QZERO] * self.dim

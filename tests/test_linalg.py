@@ -85,8 +85,8 @@ def test_echelon_membership_and_reduction():
     assert ech.add([1, 1, 0])
     assert ech.add([0, 1, 1])
     assert not ech.add([1, 2, 1])     # dependent
-    assert ech.contains([2, 3, 1])
-    assert not ech.contains([0, 0, 1])
+    assert not any(ech.reduce([2, 3, 1]))
+    assert any(ech.reduce([0, 0, 1]))
     assert ech.rank == 2
 
 
@@ -468,5 +468,4 @@ def test_echelon_rows_stay_reduced_and_sparse():
         assert all(x != 0 and type(x) is Fraction
                    for row in ech._rows.values() for x in row.values())
         for v in vecs:
-            assert ech.contains(v)
             assert not any(ech.reduce(v))

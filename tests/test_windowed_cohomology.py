@@ -1,0 +1,190 @@
+"""Windowed boundaries, the memoized differential and their guards."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from algebroidlab.algebroid import LieAlgebroidPatch, adjoint_representation
+from algebroidlab.cohomology import CEComplex, _boundaries, _window_boundaries, jet_cohomology
+from algebroidlab.errors import StructuralError
+from algebroidlab.library import (
+    heisenberg_patch,
+    poisson_disc_patch,
+    product_with_tangent,
+    sl2_patch,
+)
+from algebroidlab.linalg import Echelon, QMatrix
+from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
+from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
+
+SLOPES = (F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
+
+
+def _affine_patch(slopes, jet_order: int) -> LieAlgebroidPatch:
+    """Transitive patch e1 = d_x + sum_k a_k y_k d_{y_k}, e_{k+1} = d_{y_k},
+    with [e1, e_{k+1}] = -a_k e_{k+1}; weight 0 on x and 1 on every y_k."""
+    n = 1 + len(slopes)
+
+    def c(v):
+        return TruncatedPoly.const(n, v, jet_order)
+
+    z = c(0)
+    anchor = [[c(1)] + [TruncatedPoly.monomial(n, tuple(int(i == k + 1) for i in range(n)),
+                                               a, jet_order)
+                        for k, a in enumerate(slopes)]]
+    anchor += [[c(1) if l == k + 1 else z for l in range(n)] for k in range(n - 1)]
+    structure = [[[z] * n for _ in range(n)] for _ in range(n)]
+    for k, a in enumerate(slopes):
+        structure[0][k + 1] = [c(-a) if m == k + 1 else z for m in range(n)]
+        structure[k + 1][0] = [c(a) if m == k + 1 else z for m in range(n)]
+    return LieAlgebroidPatch(("x", "y", "z")[:n], jet_order, n, anchor, structure,
+                             weights=WeightAssignment((0,) + (1,) * (n - 1)),
+                             frame_weights=(0,) + (-1,) * (n - 1),
+                             name=f"affine{n}")
+
+
+def _kernel_then_apply(cx, q, n_deg, weight, basis_q, shift):
+    """The windowed boundaries by the dense construction: the kernel of the
+    rows of d_pre outside the window, each kernel vector pushed through d_pre."""
+    if q == 0:
+        return []
+    slack = shift + 1
+    basis_pre = cx.window_basis(q - 1, n_deg + slack, weight)
+    basis_mid = cx.window_basis(q, n_deg + slack + shift, weight)
+    d_pre = cx.d_matrix(basis_pre, basis_mid)
+    inside = {elem: i for i, elem in enumerate(basis_q)}
+    outside_rows = [i for i, elem in enumerate(basis_mid) if elem not in inside]
+    admissible = QMatrix([d_pre.rows[i] for i in outside_rows], d_pre.ncols).kernel_basis()
+    out = []
+    for eta in admissible:
+        img = d_pre.apply(eta)
+        assert not any(img[i] for i in outside_rows)
+        vec = [F(0)] * len(basis_q)
+        for i, elem in enumerate(basis_mid):
+            if elem in inside:
+                vec[inside[elem]] = img[i]
+        if any(vec):
+            out.append(vec)
+    return out
+
+
+def _rref(vectors, dim):
+    ech = Echelon(dim)
+    for v in vectors:
+        ech.add(v)
+    return ech.dense_rows()
+
+
+def _check_boundaries(a, weights=(None,), extra_shifts=(0,)):
+    cases = 0
+    for weight in weights:
+        for extra in extra_shifts:
+            for q in range(a.rank + 1):
+                for n_deg in range(1, 5):
+                    cx, oracle_cx = CEComplex(a), CEComplex(a)
+                    shift = cx.degree_shift() + extra
+                    basis_q = cx.window_basis(q, n_deg, weight)
+                    got = _window_boundaries(cx, q, n_deg, weight, basis_q, shift)
+                    want = _kernel_then_apply(oracle_cx, q, n_deg, weight, basis_q, shift)
+                    assert got == _rref(want, len(basis_q)), (a.name, weight, extra, q, n_deg)
+                    cases += bool(got)
+    assert cases, f"{a.name}: every boundary span was empty"
+
+
+def test_window_boundaries_match_kernel_then_apply_on_affine_patches():
+    rng = random.Random(20261018)
+    for n_slopes in (1, 1, 2):
+        slopes = [rng.choice(SLOPES) for _ in range(n_slopes)]
+        _check_boundaries(_affine_patch(slopes, 6))
+
+
+def test_window_boundaries_match_kernel_then_apply_on_products():
+    for fibre in (sl2_patch(), heisenberg_patch()):
+        _check_boundaries(product_with_tangent(fibre, ("y",), 5, (1,)))
+
+
+def test_window_boundaries_match_kernel_then_apply_on_weight_strata():
+    _check_boundaries(_affine_patch([F(2)], 6), weights=(-2, -1, 0, 1, 2))
+
+
+def test_window_boundaries_match_kernel_then_apply_with_larger_shift():
+    # transversal_iso_check passes the larger shift of the total and slice
+    # complexes; poisson_disc has a nonzero shift of its own
+    _check_boundaries(_affine_patch([F(-1, 2)], 6), extra_shifts=(1, 2))
+    _check_boundaries(poisson_disc_patch(), extra_shifts=(0, 1))
+
+
+def test_stratum_boundaries_match_image_of_d_matrix():
+    sl2 = sl2_patch()
+    cases = 0
+    for a, rho in ((sl2, None), (sl2, adjoint_representation(sl2)),
+                   (product_with_tangent(sl2, ("y",), 5, (1,)), None),
+                   (product_with_tangent(heisenberg_patch(), ("y",), 5, (1,)), None)):
+        for q in range(1, a.rank + 1):
+            for w in range(-3, 4):
+                cx, oracle_cx = CEComplex(a, rho), CEComplex(a, rho)
+                basis_pre, basis_q = cx.stratum_basis(q - 1, w), cx.stratum_basis(q, w)
+                got = _boundaries(cx, basis_pre, basis_q)
+                image = oracle_cx.d_matrix(basis_pre, basis_q).image_basis()
+                assert got == _rref(image, len(basis_q)), (a.name, q, w)
+                cases += bool(got)
+    assert cases
+
+
+def _count_builds(monkeypatch):
+    """Count uncached differential builds per (complex, element) and apply calls."""
+    builds, complexes, applies = {}, {}, []
+    build, apply = CEComplex._build_d, QMatrix.apply
+
+    def counting_build(self, elem):
+        complexes[id(self)] = self          # keeps every id unique
+        key = (id(self), elem)
+        builds[key] = builds.get(key, 0) + 1
+        return build(self, elem)
+
+    def counting_apply(self, vec):
+        applies.append(vec)
+        return apply(self, vec)
+
+    monkeypatch.setattr(CEComplex, "_build_d", counting_build)
+    monkeypatch.setattr(QMatrix, "apply", counting_apply)
+    return builds, complexes, applies
+
+
+def test_windowed_paths_build_each_differential_once_and_never_apply(monkeypatch):
+    builds, _, applies = _count_builds(monkeypatch)
+    rep = jet_cohomology(_affine_patch([F(2)], 5), window=(3, 5, 3))
+    assert [r.betti for r in rep.rows] == [1, 0, 0]
+    assert not applies
+    assert builds and max(builds.values()) == 1
+
+    builds.clear()
+    rep = transversal_iso_check(_affine_patch([F(2)], 6), None, keep=(0,), window=(3, 5, 3))
+    assert rep.ok
+    assert not applies
+    assert builds and max(builds.values()) == 1
+
+
+def test_d_matrix_rejects_target_window_one_degree_short():
+    cx = CEComplex(_affine_patch([F(3)], 6))
+    shift = cx.degree_shift()
+    for q in (0, 1):
+        source = cx.window_basis(q, 3)
+        cx.d_matrix(source, cx.window_basis(q + 1, 3 + shift))
+        with pytest.raises(StructuralError, match="leaves the target window"):
+            cx.d_matrix(source, cx.window_basis(q + 1, 3 + shift - 1))
+
+
+def test_cached_cochains_are_not_mutated_by_callers(monkeypatch):
+    _, complexes, _ = _count_builds(monkeypatch)
+    jet_cohomology(_affine_patch([F(1, 2)], 5), window=(2, 4, 2))
+    euler_homotopy_verify(product_with_tangent(sl2_patch(), ("y",), 5, (1,)), None,
+                          max_deg=3, degrees=(0, 1, 2))
+    assert len(complexes) >= 3
+    for cx in list(complexes.values()):
+        fresh = CEComplex(cx.a, cx.rho)
+        for elem, cochain in cx._d.items():
+            assert cochain == fresh.d_of_element(elem), (cx.a.name, elem)
