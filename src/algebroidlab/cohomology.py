@@ -416,6 +416,15 @@ def weight_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None
     """
     cx = CEComplex(a, rho)
     cx.require_graded()
+    return _weight_cohomology(cx, weights, degrees, window)
+
+
+def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
+                       degrees: Optional[Sequence[int]], window: Tuple[int, int, int]
+                       ) -> CohomologyReport:
+    """weight_cohomology on a graded complex, so callers can share its
+    differential cache."""
+    a = cx.a
     degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
     if weights is None:
         offsets = []

@@ -9,11 +9,15 @@ smallest chart index on each simplex; the horizontal differential is the
 alternating face sum, transporting through (P, Q) exactly when the face
 drops the smallest vertex.
 
-The page engine computes every term of the associated filtration-by-
-column spectral sequence as an explicit subquotient of the total complex,
-with two independent certificates: total-degree dimensions against a
-brute-force count, and the second page against a simplicial cochain
-computation that never touches the staircase machinery.
+The pages of the filtration-by-column spectral sequence come from one
+reduction per total degree: the columns of the total differential enter
+one Echelon from the highest filtration column down, and each accepted
+column is paired with its pivot row.  Every E_r term is then a count of
+persistence pairs by length plus the unpaired positions.  Three
+certificates stand beside the pages: the total square D o D = 0 at
+assembly, the terminal page against total cohomology by rank-nullity, and
+the second page against a simplicial cochain computation that never
+touches the filtration reduction.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, kernel_quotient_dims
+from .linalg import Echelon, QMatrix
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -314,6 +318,38 @@ def _add_block(rows: List[List[Fraction]], block: QMatrix, r0: int, c0: int,
                 out[c0 + c] += sign * v
 
 
+def _face_sum(faces: List[Tuple[int, ...]], cofaces: List[Tuple[int, ...]],
+              size, transport) -> QMatrix:
+    """Alternating face sum from cochains on `faces` to cochains on `cofaces`.
+
+    Each simplex carries size(v) coordinates of its smallest vertex v.  A
+    face keeps the smallest vertex of its coface, except the face that drops
+    it, whose coordinates pass through transport(coface min, face min).
+    """
+    src_off: Dict[Tuple[int, ...], int] = {}
+    ncols = 0
+    for alpha in faces:
+        src_off[alpha] = ncols
+        ncols += size(alpha[0])
+    rows = [[Fraction(0)] * ncols for _ in range(sum(size(b[0]) for b in cofaces))]
+    roff = 0
+    for beta in cofaces:
+        nb = size(beta[0])
+        for s in range(len(beta)):
+            face = beta[:s] + beta[s + 1:]
+            if face not in src_off:
+                raise StructuralError(f"nerve face {face!r} of {beta!r} missing")
+            sign = -1 if s % 2 else 1
+            coff = src_off[face]
+            if s == 0:
+                _add_block(rows, transport(beta[0], face[0]), roff, coff, sign)
+            else:
+                for rr in range(nb):
+                    rows[roff + rr][coff + rr] += sign
+        roff += nb
+    return QMatrix.of_fractions(rows, ncols)
+
+
 def cochain_transport(p: QMatrix, q_mat: QMatrix,
                       src: List[BasisElement], dst: List[BasisElement]) -> QMatrix:
     """Matrix of omega |-> q . omega(p^{-1} ., ..., p^{-1} .) on CE bases."""
@@ -388,18 +424,16 @@ class CechDoubleComplex:
         return self._total[n]
 
     def total_betti(self) -> List[int]:
+        """Total cohomology by rank-nullity, dim C^n - rank D_n - rank D_{n-1};
+        build_double_complex certifies D o D = 0 first."""
         n_top = self.p_max() + self.q_max
-        out = []
-        for n in range(n_top + 1):
-            d_n = self.total_matrix(n)
-            if n == 0:
-                z = len(d_n.kernel_basis())
-                out.append(z)
-                continue
-            d_prev = self.total_matrix(n - 1)
-            info = kernel_quotient_dims(d_prev, d_n)
-            out.append(info["betti"])
-        return out
+        ranks = [self.total_matrix(n).rank() for n in range(n_top + 1)]
+        return [self.total_dim(n) - ranks[n] - (ranks[n - 1] if n else 0)
+                for n in range(n_top + 1)]
+
+    def column_of(self, n: int) -> List[int]:
+        """Filtration column p of each basis position of total degree n."""
+        return [p for p, _, size in self.total_basis_slices(n) for _ in range(size)]
 
 
 def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleComplex:
@@ -457,70 +491,43 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
 
     for p in range(len(simpl) - 1):
         for q in range(q_max + 2):
-            src = bases[(p, q)]
-            dst = bases[(p + 1, q)]
-            src_off = {}
-            off = 0
-            for alpha in simpl[p]:
-                src_off[alpha] = off
-                off += len(chart_bases[(alpha[0], q)])
-            rows = [[Fraction(0)] * len(src) for _ in range(len(dst))]
-            roff = 0
-            for beta in simpl[p + 1]:
-                nb = len(chart_bases[(beta[0], q)])
-                for s in range(len(beta)):
-                    face = beta[:s] + beta[s + 1:]
-                    if face not in src_off:
-                        raise StructuralError(
-                            f"nerve face {face!r} of {beta!r} missing")
-                    sign = -1 if s % 2 else 1
-                    coff = src_off[face]
-                    if s == 0:
-                        _add_block(rows, tr_matrix(beta[0], face[0], q), roff, coff, sign)
-                    else:
-                        for rr in range(nb):
-                            rows[roff + rr][coff + rr] += sign
-                roff += nb
-            delta[(p, q)] = QMatrix(rows, len(src))
+            delta[(p, q)] = _face_sum(simpl[p], simpl[p + 1],
+                                      lambda i: len(chart_bases[(i, q)]),
+                                      lambda i, j: tr_matrix(i, j, q))
 
     dc = CechDoubleComplex(f, nv, simpl, q_max, bases, delta, vert)
     _verify_complex(dc)
     return dc
 
 
+_IDENTITY_BY_COLUMN_STEP = {
+    0: "vertical differential does not square to zero",
+    1: "differentials do not commute",
+    2: "face sum does not square to zero",
+}
+
+
 def _verify_complex(dc: CechDoubleComplex) -> None:
-    p_top = dc.p_max()
-    for p in range(p_top + 1):
-        for q in range(dc.q_max + 1):
-            if q + 1 <= dc.q_max:
-                m2 = dc.vert.get((p, q + 1))
-                m1 = dc.vert.get((p, q))
-                if m1 is not None and m2 is not None and m1.nrows and m2.nrows:
-                    if not (m2 @ m1).is_zero():
-                        raise ValidationFailure("vertical differential does not square to zero",
-                                                {"kind": "not_complex", "at": (p, q)})
-            if p + 2 <= p_top:
-                d2 = dc.delta.get((p + 1, q))
-                d1 = dc.delta.get((p, q))
-                if d1 is not None and d2 is not None and d1.nrows and d2.nrows:
-                    if not (d2 @ d1).is_zero():
-                        raise ValidationFailure("face sum does not square to zero",
-                                                {"kind": "not_complex", "at": (p, q)})
-            if p + 1 <= p_top and q + 1 <= dc.q_max + 1:
-                a = dc.vert.get((p + 1, q)) @ dc.delta.get((p, q)) \
-                    if dc.delta.get((p, q)) is not None else None
-                b = dc.delta.get((p, q + 1)) @ dc.vert.get((p, q)) \
-                    if dc.vert.get((p, q)) is not None else None
-                if a is not None and b is not None and not (a - b).is_zero():
-                    raise ValidationFailure("differentials do not commute",
-                                            {"kind": "not_complex", "at": (p, q)})
-    n_top = p_top + dc.q_max
-    for n in range(n_top + 1):
-        m1 = dc.total_matrix(n)
-        m2 = dc.total_matrix(n + 1)
-        if m1.nrows and m2.nrows and not (m2 @ m1).is_zero():
-            raise ValidationFailure("total differential does not square to zero",
-                                    {"kind": "not_complex", "at": n})
+    """Certify D o D = 0 on the total complex.
+
+    Block (p + k, p) of the total D o D is, up to sign, the vertical square
+    for k = 0, the commutator of the vertical and horizontal maps for k = 1
+    and the face-sum square for k = 2, so a vanishing total square is the
+    three block identities at once.  A failure names the identity from the
+    blocks of its first nonzero entry, at the source (p, q) of that entry.
+    """
+    for n in range(dc.p_max() + dc.q_max + 1):
+        m1, m2 = dc.total_matrix(n), dc.total_matrix(n + 1)
+        if not (m1.nrows and m2.nrows):
+            continue
+        src_p, dst_p = dc.column_of(n), dc.column_of(n + 2)
+        for j in range(m1.ncols):
+            img = m2.apply(m1.column(j))
+            i = next((i for i, v in enumerate(img) if v), None)
+            if i is not None:
+                p = src_p[j]
+                raise ValidationFailure(_IDENTITY_BY_COLUMN_STEP[dst_p[i] - p],
+                                        {"kind": "not_complex", "at": (p, n - p)})
 
 
 # -- spectral sequence engine ------------------------------------------------------------
@@ -544,108 +551,60 @@ class SSReport:
     e2_ok: bool
 
 
-class _Staircase:
-    """Subquotient arithmetic for the column filtration of a double complex."""
+def _filtration_pairs(dc: CechDoubleComplex, n: int) -> List[Tuple[int, int]]:
+    """Persistence pairs of the column filtration across D_n, as (source
+    position in degree n, partner position in degree n + 1).
 
-    def __init__(self, dc: CechDoubleComplex):
-        self.dc = dc
-        self.p_top = dc.p_max()
-        self.n_top = self.p_top + dc.q_max
-        self._a_cache: Dict[Tuple[int, int, int], List[List[Fraction]]] = {}
-
-    def _column_mask(self, n: int, p_min: int) -> List[int]:
-        out = []
-        for p, off, size in self.dc.total_basis_slices(n):
-            if p >= p_min:
-                out.extend(range(off, off + size))
-        return out
-
-    def a_basis(self, r: int, p: int, n: int) -> List[List[Fraction]]:
-        """Vectors of total degree n, supported on columns >= p, whose image
-        has no component in columns < p + r.  r < 0 means no image condition."""
-        if n < 0 or n > self.n_top:
-            return []
-        key = (r, p, n)
-        if key in self._a_cache:
-            return self._a_cache[key]
-        support = self._column_mask(n, max(p, 0))
-        if not support:
-            self._a_cache[key] = []
-            return []
-        dmat = self.dc.total_matrix(n)
-        # rows of the image that must vanish: columns below p + r
-        con_rows = []
-        if r >= 0 and n + 1 <= self.n_top:
-            allowed = set(self._column_mask(n + 1, max(p + r, 0)))
-            con_rows = [rr for rr in self._column_mask(n + 1, 0) if rr not in allowed]
-        sub = QMatrix([[dmat.rows[rr][cc] for cc in support] for rr in con_rows],
-                      len(support))
-        dim_n = self.dc.total_dim(n)
-        out = []
-        for vec in sub.kernel_basis():
-            v = [Fraction(0)] * dim_n
-            for pos, c in enumerate(support):
-                v[c] = vec[pos]
-            out.append(v)
-        self._a_cache[key] = out
-        return out
-
-    def boundary_span(self, r: int, p: int, n: int) -> Echelon:
-        """Echelon of A_{r-1}^{p+1} plus d(A_{r-1}^{p-r+1}) inside degree n."""
-        ech = Echelon(self.dc.total_dim(n))
-        for v in self.a_basis(r - 1, p + 1, n):
-            ech.add(v)
-        if n - 1 >= 0:
-            dmat = self.dc.total_matrix(n - 1)
-            for v in self.a_basis(r - 1, p - r + 1, n - 1):
-                ech.add(dmat.apply(v))
-        return ech
-
-    def page_dim(self, r: int, p: int, q: int) -> int:
-        n = p + q
-        if q < 0 or p < 0 or p > self.p_top or q > self.dc.q_max:
-            return 0
-        z = self.a_basis(r, p, n)
-        if not z:
-            return 0
-        bnd = self.boundary_span(r, p, n)
-        return sum(bnd.add(v) for v in z)
-
-    def d_rank(self, r: int, p: int, q: int) -> int:
-        """Rank of the induced page differential out of (p, q), for a
-        position (p, q) where the page does not vanish."""
-        tp, tq = p + r, q - r + 1
-        if tq < 0 or tp > self.p_top:
-            return 0
-        n = p + q
-        dmat = self.dc.total_matrix(n)
-        bnd = self.boundary_span(r, tp, n + 1)
-        return sum(bnd.add(dmat.apply(v)) for v in self.a_basis(r, p, n))
+    The columns of D_n enter one Echelon from the highest filtration column
+    down, and the rows of degree n + 1 are ordered by column ascending, so
+    the pivot of each accepted column is the lowest-column row its reduced
+    image can reach: its partner.
+    """
+    dmat = dc.total_matrix(n)
+    ech = Echelon(dmat.nrows)
+    pairs = []
+    for j in reversed(range(dmat.ncols)):
+        pivot = ech.add_sparse({i: row[j] for i, row in enumerate(dmat.rows) if row[j]})
+        if pivot is not None:
+            pairs.append((j, pivot))
+    return pairs
 
 
 def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:
     """Pages of the column-filtration spectral sequence with certificates.
 
-    Dimension bookkeeping (next page = kernel modulo image of the page
-    differential) is asserted at every step; the terminal page is compared
-    against brute-force total cohomology, and the second page against the
-    independent simplicial oracle.
+    One filtration-ordered reduction of each total differential pairs every
+    basis position with at most one partner.  A pair whose source sits in
+    column p and partner in column p + g lives on pages 0..g at both ends
+    and is the rank of d_g out of its source; unpaired positions survive to
+    the terminal page.  Dimension bookkeeping (next page = kernel modulo
+    image of the page differential) is asserted at every step; the terminal
+    page is compared against total cohomology by rank-nullity, and the
+    second page against the independent simplicial oracle.
     """
-    eng = _Staircase(dc)
-    p_top, q_top = eng.p_top, dc.q_max
+    p_top, q_top = dc.p_max(), dc.q_max
     r_stab = max(p_top + 1, q_top + 2)
     r_top = max(r_max, r_stab)
+    essential = {(p, q): dc.dim(p, q) for p in range(p_top + 1) for q in range(q_top + 1)}
+    pairs: List[Tuple[Tuple[int, int], int]] = []      # (source (p, q), gap)
+    for n in range(p_top + q_top + 1):
+        src_p, dst_p = dc.column_of(n), dc.column_of(n + 1)
+        for j, i in _filtration_pairs(dc, n):
+            src, dst = (src_p[j], n - src_p[j]), (dst_p[i], n + 1 - dst_p[i])
+            essential[src] -= 1
+            essential[dst] -= 1
+            pairs.append((src, dst_p[i] - src_p[j]))
     pages: List[SSPage] = []
     prev: Optional[SSPage] = None
     for r in range(r_top + 1):
-        dims = {}
-        ranks = {}
-        for p in range(p_top + 1):
-            for q in range(q_top + 1):
-                dims[(p, q)] = eng.page_dim(r, p, q)
-        for p in range(p_top + 1):
-            for q in range(q_top + 1):
-                ranks[(p, q)] = eng.d_rank(r, p, q) if dims[(p, q)] else 0
+        dims = dict(essential)
+        ranks = {key: 0 for key in essential}
+        for (p, q), gap in pairs:
+            if gap >= r:
+                dims[(p, q)] += 1
+                dims[(p + gap, q - gap + 1)] += 1
+            if gap == r:
+                ranks[(p, q)] += 1
         page = SSPage(r, dims, ranks)
         if prev is not None:
             for p in range(p_top + 1):
@@ -717,32 +676,9 @@ def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
             return ind_cache[(i, j)]
 
         # simplicial cochain spaces with H^q coefficients at the min vertex
-        offs: List[Dict[Tuple[int, ...], int]] = []
-        sizes: List[int] = []
-        for level in simpl:
-            off_map = {}
-            off = 0
-            for alpha in level:
-                off_map[alpha] = off
-                off += dims_h[alpha[0]]
-            offs.append(off_map)
-            sizes.append(off)
-        deltas: List[QMatrix] = []
-        for p in range(len(simpl) - 1):
-            rows = [[Fraction(0)] * sizes[p] for _ in range(sizes[p + 1])]
-            for beta in simpl[p + 1]:
-                nb = dims_h[beta[0]]
-                roff = offs[p + 1][beta]
-                for s in range(len(beta)):
-                    face = beta[:s] + beta[s + 1:]
-                    sign = -1 if s % 2 else 1
-                    coff = offs[p][face]
-                    if s == 0:
-                        _add_block(rows, induced(beta[0], face[0]), roff, coff, sign)
-                    else:
-                        for rr in range(nb):
-                            rows[roff + rr][coff + rr] += sign
-            deltas.append(QMatrix(rows, sizes[p]))
+        sizes = [sum(dims_h[alpha[0]] for alpha in level) for level in simpl]
+        deltas = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i], induced)
+                  for p in range(len(simpl) - 1)]
         for p in range(len(simpl)):
             d_out = deltas[p] if p < len(deltas) else QMatrix.zeros(0, sizes[p])
             z = len(d_out.kernel_basis()) if sizes[p] else 0
@@ -802,30 +738,12 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
     total_reps = [v for v in cocycles if bech.add(v)]
     total_dim = len(total_reps)
 
-    # chart-x component of the (0, n) block
-    slice_off = None
-    for p, off, size in dc.total_basis_slices(n):
-        if p == 0:
-            base = dc.bases[(0, n)]
-            pos = 0
-            for alpha, _elem in base:
-                if alpha == (chart,):
-                    break
-                pos += 1
-            count = sum(1 for alpha, _ in base if alpha == (chart,))
-            slice_off = (off + pos, count)
-            break
-    fibre_basis_len = len(_chart_basis(f.charts[chart], n))
-    restricted = []
-    for v in total_reps:
-        if slice_off is None:
-            restricted.append([Fraction(0)] * fibre_basis_len)
-        else:
-            off, count = slice_off
-            restricted.append(list(v[off:off + count]))
+    # chart-x component of the (0, n) block, which opens the degree-n basis
+    own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
+    restricted = [[v[i] for i in own] for v in total_reps]
     # kernel of the induced map on classes: restrict, then reduce modulo
     # chart coboundaries
-    fib_b = Echelon(fibre_basis_len)
+    fib_b = Echelon(len(own))
     if n > 0:
         for col in lc.matrices[n - 1].image_basis():
             fib_b.add(col)

@@ -219,11 +219,14 @@ class Echelon:
             _axpy(v, -v[p], rows[p])
         return v
 
-    def add_sparse(self, v: SparseRow) -> bool:
-        """Insert the sparse vector v (consumed); True if it enlarged the span."""
+    def add_sparse(self, v: SparseRow) -> Optional[int]:
+        """Insert the sparse vector v (consumed).
+
+        Returns the pivot of its new row if v enlarged the span, else None.
+        """
         v = self._reduce(v)
         if not v:
-            return False
+            return None
         pivot = min(v)
         inv = 1 / v[pivot]
         v = {c: x * inv for c, x in v.items()}
@@ -233,7 +236,7 @@ class Echelon:
                 _axpy(row, -row[pivot], v)
         insort(self.pivots, pivot)
         self._rows[pivot] = v
-        return True
+        return pivot
 
     def reduce(self, vec: Sequence) -> Vector:
         """Residual of vec after elimination against the current span."""
@@ -241,7 +244,7 @@ class Echelon:
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if it enlarged the span."""
-        return self.add_sparse(_sparse(vec))
+        return self.add_sparse(_sparse(vec)) is not None
 
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""

@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import CEComplex, _window_betti, _window_boundaries, weight_cohomology
+from .cohomology import (CEComplex, _weight_cohomology, _window_betti, _window_boundaries,
+                         weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix
 from .ratpoly import (
@@ -707,7 +708,7 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     for q in range(max(a.rank, sliced.rank) + 1):
         betti_s, _reps_s, basis_s = _window_betti(slice_cx, q, end, None)
         # total side: sum the weight strata at the same degree
-        wrep = weight_cohomology(a, rho, degrees=[q], window=window)
+        wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
         # restriction surjectivity on representatives
         basis_big = cx.window_basis(q, end)

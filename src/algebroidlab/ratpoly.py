@@ -295,14 +295,6 @@ class TruncatedPoly:
 
     # -- weight grading --------------------------------------------------------
 
-    def weight_decompose(self, weights: Sequence[int]) -> Dict[int, "TruncatedPoly"]:
-        """Split into weight-homogeneous parts; keys are the occurring weights."""
-        parts: Dict[int, Dict[Exponent, Fraction]] = {}
-        for mono, val in self.c.items():
-            w = sum(wl * e for wl, e in zip(weights, mono))
-            parts.setdefault(w, {})[mono] = val
-        return {w: TruncatedPoly(self.n, cs, self.cap) for w, cs in sorted(parts.items())}
-
     def homogeneous_weight(self, weights: Sequence[int]) -> Optional[int]:
         """The single weight of all monomials, or None if mixed.  Zero poly -> 0."""
         seen = None
@@ -520,22 +512,6 @@ def poly_matrix_rank(rows: List[List[TruncatedPoly]]) -> int:
         if pr == nrows:
             break
     return rank
-
-
-def poly_inverse_unit(f: TruncatedPoly, cap: int) -> TruncatedPoly:
-    """Inverse of f in the jet ring of order cap; f must have nonzero constant term."""
-    c0 = f.constant_term()
-    if c0 == 0:
-        raise ValueError("not a unit: zero constant term")
-    g = TruncatedPoly.const(f.n, 1, cap) - f.truncate(cap).scale(1 / c0)
-    total = TruncatedPoly.const(f.n, 1, cap)
-    power = TruncatedPoly.const(f.n, 1, cap)
-    for _ in range(cap):
-        power = power * g
-        if power.is_zero():
-            break
-        total = total + power
-    return total.scale(1 / c0)
 
 
 def poly_matrix_inverse_unit(rows: List[List[TruncatedPoly]], cap: int) -> List[List[TruncatedPoly]]:

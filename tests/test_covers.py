@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -9,6 +10,8 @@ from algebroidlab.algebroid import Representation, trivial_representation
 from algebroidlab.covers import (
     ChartData,
     _det,
+    _verify_complex,
+    CechDoubleComplex,
     CoverDatum,
     LocalSystemFamily,
     build_double_complex,
@@ -24,7 +27,7 @@ from algebroidlab.covers import (
 from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
-from algebroidlab.linalg import QMatrix
+from algebroidlab.linalg import Echelon, QMatrix
 from algebroidlab.ratpoly import TruncatedPoly
 
 
@@ -48,6 +51,14 @@ def _circle(n_charts=3):
                              else ((i + 1) % n_charts, i)
                              for i in range(n_charts)]))
     return CoverDatum(names, overlaps)
+
+
+def _sphere():
+    """Four charts meeting pairwise and in every triple: the nerve is the
+    boundary of a tetrahedron, a 2-sphere."""
+    return CoverDatum(("A", "B", "C", "D"),
+                      ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
+                      ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
 
 
 def _constant_family(cover, fibre, rep=None, transitions=None):
@@ -349,15 +360,204 @@ def _random_family(rng):
     return cover, f
 
 
+# -- page oracle --------------------------------------------------------------------------
+
+# Every page term as an explicit subquotient of the total complex: a fresh
+# kernel for each (r, p, n).  Slow, but it shares nothing with the
+# filtration-ordered reduction in ss_pages.
+
+
+class _Staircase:
+    """Subquotient arithmetic for the column filtration of a double complex."""
+
+    def __init__(self, dc: CechDoubleComplex):
+        self.dc = dc
+        self.p_top = dc.p_max()
+        self.n_top = self.p_top + dc.q_max
+        self._a_cache: Dict[Tuple[int, int, int], List[List[Fraction]]] = {}
+
+    def _column_mask(self, n: int, p_min: int) -> List[int]:
+        out = []
+        for p, off, size in self.dc.total_basis_slices(n):
+            if p >= p_min:
+                out.extend(range(off, off + size))
+        return out
+
+    def a_basis(self, r: int, p: int, n: int) -> List[List[Fraction]]:
+        """Vectors of total degree n, supported on columns >= p, whose image
+        has no component in columns < p + r.  r < 0 means no image condition."""
+        if n < 0 or n > self.n_top:
+            return []
+        key = (r, p, n)
+        if key in self._a_cache:
+            return self._a_cache[key]
+        support = self._column_mask(n, max(p, 0))
+        if not support:
+            self._a_cache[key] = []
+            return []
+        dmat = self.dc.total_matrix(n)
+        # rows of the image that must vanish: columns below p + r
+        con_rows = []
+        if r >= 0 and n + 1 <= self.n_top:
+            allowed = set(self._column_mask(n + 1, max(p + r, 0)))
+            con_rows = [rr for rr in self._column_mask(n + 1, 0) if rr not in allowed]
+        sub = QMatrix([[dmat.rows[rr][cc] for cc in support] for rr in con_rows],
+                      len(support))
+        dim_n = self.dc.total_dim(n)
+        out = []
+        for vec in sub.kernel_basis():
+            v = [Fraction(0)] * dim_n
+            for pos, c in enumerate(support):
+                v[c] = vec[pos]
+            out.append(v)
+        self._a_cache[key] = out
+        return out
+
+    def boundary_span(self, r: int, p: int, n: int) -> Echelon:
+        """Echelon of A_{r-1}^{p+1} plus d(A_{r-1}^{p-r+1}) inside degree n."""
+        ech = Echelon(self.dc.total_dim(n))
+        for v in self.a_basis(r - 1, p + 1, n):
+            ech.add(v)
+        if n - 1 >= 0:
+            dmat = self.dc.total_matrix(n - 1)
+            for v in self.a_basis(r - 1, p - r + 1, n - 1):
+                ech.add(dmat.apply(v))
+        return ech
+
+    def page_dim(self, r: int, p: int, q: int) -> int:
+        n = p + q
+        if q < 0 or p < 0 or p > self.p_top or q > self.dc.q_max:
+            return 0
+        z = self.a_basis(r, p, n)
+        if not z:
+            return 0
+        bnd = self.boundary_span(r, p, n)
+        return sum(bnd.add(v) for v in z)
+
+    def d_rank(self, r: int, p: int, q: int) -> int:
+        """Rank of the induced page differential out of (p, q), for a
+        position (p, q) where the page does not vanish."""
+        tp, tq = p + r, q - r + 1
+        if tq < 0 or tp > self.p_top:
+            return 0
+        n = p + q
+        dmat = self.dc.total_matrix(n)
+        bnd = self.boundary_span(r, tp, n + 1)
+        return sum(bnd.add(dmat.apply(v)) for v in self.a_basis(r, p, n))
+
+
+
+def _oracle_pages(dc: CechDoubleComplex, r_top: int):
+    eng = _Staircase(dc)
+    grid = [(p, q) for p in range(eng.p_top + 1) for q in range(dc.q_max + 1)]
+    out = []
+    for r in range(r_top + 1):
+        dims = {(p, q): eng.page_dim(r, p, q) for p, q in grid}
+        ranks = {(p, q): eng.d_rank(r, p, q) if dims[(p, q)] else 0 for p, q in grid}
+        out.append((dims, ranks))
+    return out
+
+
+def _assert_pages_match_oracle(dc):
+    rep = ss_pages(dc, r_max=dc.p_max() + dc.q_max + 2)
+    assert len(rep.pages) > rep.stable_from
+    oracle = _oracle_pages(dc, rep.stable_from)
+    for page, (dims, ranks) in zip(rep.pages, oracle):
+        assert page.dims == dims, page.r
+        assert page.d_ranks == ranks, page.r
+    assert rep.e_infinity == oracle[rep.stable_from][0]
+    return rep
+
+
 def test_random_double_complexes_certificates():
-    # pages against brute force and the simplicial oracle, every instance
+    # pages against the subquotient oracle, total cohomology and the
+    # simplicial second page, every instance
     rng = random.Random(991)
-    for _ in range(12):
+    for _ in range(32):
         cover, f = _random_family(rng)
-        dc = build_double_complex(f, cover)
-        rep = ss_pages(dc, r_max=3)
+        rep = _assert_pages_match_oracle(build_double_complex(f, cover))
         assert rep.convergence_ok
         assert rep.e2_ok
+
+
+def test_pages_match_oracle_on_twisted_circles():
+    from algebroidlab.algebroid import adjoint_representation
+    lam = Fraction(2)
+    p = QMatrix([[1, 0, 0], [0, lam, 0], [0, 0, 1 / lam]])
+    cover = _circle(4)
+    g = sl2_patch()
+    # an automorphism of sl2 intertwines the adjoint action through itself
+    f = LocalSystemFamily(cover, [ChartData(g, adjoint_representation(g))
+                                  for _ in cover.charts], {(0, 1): (p, p)})
+    assert validate_family(f).ok
+    rep = _assert_pages_match_oracle(build_double_complex(f, cover))
+    assert rep.convergence_ok and rep.e2_ok
+    u = QMatrix([[1, 1], [0, 1]])
+    f = _constant_family(_circle(5), abelian_patch(2),
+                         transitions={(1, 2): (u, QMatrix([[1]])),
+                                      (0, 4): (u, QMatrix([[2]]))})
+    rep = _assert_pages_match_oracle(build_double_complex(f, _circle(5)))
+    assert rep.convergence_ok and rep.e2_ok
+
+
+def test_sphere_cover_two_dimensional_nerve():
+    # total cohomology is H*(S^2) (x) H*(fibre)
+    cover = _sphere()
+    assert nerve(cover).dim() == 2
+    cases = [(abelian_patch(1), {}, [1, 1, 1, 1]),
+             (abelian_patch(2), {}, [1, 2, 2, 2, 1]),
+             (sl2_patch(), {}, [1, 0, 1, 1, 0, 1])]
+    # a twisted draw: gauge transitions satisfy the cocycle on every triple
+    gauges = [QMatrix.identity(2), QMatrix([[2, 1], [1, 1]]),
+              QMatrix([[0, 1], [-1, 3]]), QMatrix([[1, -1], [1, 1]])]
+    scales = [Fraction(1), Fraction(2), Fraction(3), Fraction(1, 2)]
+    cases.append((abelian_patch(2),
+                  {(i, j): (gauges[i] @ gauges[j].inverse(),
+                            QMatrix([[scales[i] / scales[j]]]))
+                   for (i, j) in cover.overlaps},
+                  [1, 2, 2, 2, 1]))
+    for fibre, trans, total in cases:
+        f = _constant_family(cover, fibre, transitions=trans)
+        assert validate_family(f).ok
+        rep = _assert_pages_match_oracle(build_double_complex(f, cover))
+        assert rep.convergence_ok and rep.e2_ok
+        assert rep.total_betti == total
+
+
+# -- the total-square certificate ----------------------------------------------------------
+
+
+def _named_identity_fails(dc, message: str, p: int, q: int) -> bool:
+    """The block product of the identity a failure names, at its source."""
+    vert, delta = dc.vert, dc.delta
+    if message == "vertical differential does not square to zero":
+        return not (vert[(p, q + 1)] @ vert[(p, q)]).is_zero()
+    if message == "face sum does not square to zero":
+        return not (delta[(p + 1, q)] @ delta[(p, q)]).is_zero()
+    assert message == "differentials do not commute", message
+    return not ((vert[(p + 1, q)] @ delta[(p, q)])
+                - (delta[(p, q + 1)] @ vert[(p, q)])).is_zero()
+
+
+def test_verify_complex_names_a_failing_block_identity():
+    triangle = CoverDatum(("A", "B", "C"), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
+    corruptions = [(sl2_patch(), "vert", (0, 0)), (sl2_patch(), "vert", (1, 1)),
+                   (abelian_patch(2), "vert", (1, 0)), (abelian_patch(2), "delta", (0, 1)),
+                   (abelian_patch(2), "delta", (1, 0)), (sl2_patch(), "delta", (0, 2))]
+    rng = random.Random(7)
+    named = set()
+    for fibre, which, key in corruptions:
+        dc = build_double_complex(_constant_family(triangle, fibre), triangle)
+        block = getattr(dc, which)[key]
+        block.rows[rng.randrange(block.nrows)][rng.randrange(block.ncols)] += 1
+        dc._total.clear()
+        with pytest.raises(ValidationFailure) as ei:
+            _verify_complex(dc)
+        message, witness = str(ei.value), ei.value.witness
+        assert witness["kind"] == "not_complex"
+        assert _named_identity_fails(dc, message, *witness["at"]), (which, key, message)
+        named.add(message)
+    assert len(named) == 3, named
 
 
 # -- localization ------------------------------------------------------------------------

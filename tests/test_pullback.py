@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from algebroidlab.algebroid import (
     validate_algebroid,
     validate_representation,
 )
-from algebroidlab.cohomology import lie_algebra_cohomology, weight_cohomology
+from algebroidlab.cohomology import CEComplex, lie_algebra_cohomology, weight_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import (
     abelian_patch,
@@ -31,7 +32,10 @@ from algebroidlab.pullback import (
     transversal_iso_check,
     transversality_check,
 )
+from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, parse_poly
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _poly(n, cap, text):
@@ -414,3 +418,22 @@ def test_transversal_iso_with_trivial_representation():
     rho = trivial_representation(a, 1)
     rep = transversal_iso_check(a, rho, keep=(), window=(2, 4, 2))
     assert rep.ok
+
+
+def test_transversal_iso_differentiates_each_element_once(monkeypatch):
+    # the weight strata of every degree run on the check's own complex, so
+    # the slice and the total complex are the only two, and their caches
+    # see each basis element once
+    built = []
+    build = CEComplex._build_d
+
+    def counting(self, elem):
+        built.append((id(self), elem))
+        return build(self, elem)
+
+    monkeypatch.setattr(CEComplex, "_build_d", counting)
+    _, a = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+    rep = transversal_iso_check(a, None, keep=(), window=(3, 5, 3))
+    assert rep.ok
+    assert len({cx for cx, _ in built}) == 2
+    assert len(built) == len(set(built))

@@ -17,7 +17,6 @@ from algebroidlab.ratpoly import (
     parse_poly,
     pivot_kernel_frame,
     poly_divide_exact,
-    poly_inverse_unit,
     poly_matrix_inverse_unit,
     poly_matrix_rank,
 )
@@ -145,16 +144,6 @@ def test_scale_vars_by_symbolic_t():
 
 # -- weights ---------------------------------------------------------------------
 
-def test_weight_decompose():
-    w = WeightAssignment((0, 1))
-    p = _p("x^3 + x*y + y^2 + 4")
-    parts = p.weight_decompose(w.weights)
-    assert sorted(parts) == [0, 1, 2]
-    assert parts[0] == _p("x^3 + 4")
-    assert parts[1] == _p("x*y")
-    assert parts[2] == _p("y^2")
-
-
 def test_weight_assignment_rejects_negative():
     with pytest.raises(ValueError):
         WeightAssignment((1, -1))
@@ -207,14 +196,6 @@ def test_divide_exact_recovers_factor():
     assert poly_divide_exact(prod, a) == b.truncate(None)
     with pytest.raises(ValueError):
         poly_divide_exact(_p("x^2 + y"), a)
-
-
-def test_poly_inverse_unit():
-    f = _p("1 + x + y", cap=4)
-    g = poly_inverse_unit(f, 4)
-    assert (f * g) == P.const(2, 1, 4)
-    with pytest.raises(ValueError):
-        poly_inverse_unit(_p("x", cap=3), 3)
 
 
 def test_poly_matrix_inverse_unit():
