@@ -21,11 +21,15 @@ Two computation modes:
   window.  Betti numbers are reported per window with a stabilization
   flag over the requested span.  Each complex memoizes the differential
   of every basis element, so the elements shared by windows, degrees and
-  the cocycle and boundary steps are differentiated once.  The boundaries
-  of one window come from one sparse elimination: the rows d(eta) of all
-  windowed primitives, with the coordinates outside the window ordered
-  first, so the reduced rows pivoted inside the window span the images
-  that vanish outside it.
+  the cocycle and boundary steps are differentiated once.  Everything
+  stays on sparse rows until a representative is printed.  The cocycles
+  are the kernel read off the reduced sparse rows of d (`d_rows`).  The
+  boundaries of one window come from one sparse elimination: the rows
+  d(eta) of all windowed primitives, with the coordinates outside the
+  window ordered first, so the reduced rows pivoted inside the window
+  span the images that vanish outside it.  The cocycles are then reduced
+  into that same echelon, and only the accepted residuals, the
+  representatives, are made dense.
 
 The basis order is canonical: wedge tuple (lexicographic), then fibre
 index, then monomial in graded-lex order.  All representative cocycles
@@ -43,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, _dense, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
@@ -218,9 +222,12 @@ class CEComplex:
                     add(c_uv_k * poly_mono, wedge2, beta, sigma * (-1) ** (pa + pb))
         return out
 
-    def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
+    def d_rows(self, source: List[BasisElement], target: List[BasisElement]
+               ) -> List[SparseRow]:
+        """The differential from span(source) to span(target) as sparse
+        rows, one per target element, with columns indexing source."""
         index = {elem: i for i, elem in enumerate(target)}
-        rows = [[QZERO] * len(source) for _ in target]
+        rows: List[SparseRow] = [{} for _ in target]
         for j, elem in enumerate(source):
             for key, val in self.d_of_element(elem).items():
                 i = index.get(key)
@@ -228,7 +235,12 @@ class CEComplex:
                     raise StructuralError(
                         f"differential leaves the target window at {key}")
                 rows[i][j] = val
-        return QMatrix.of_fractions(rows, len(source))
+        return rows
+
+    def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
+        """`d_rows` as a dense matrix."""
+        return QMatrix.of_fractions([_dense(row, len(source))
+                                     for row in self.d_rows(source, target)], len(source))
 
     # -- interior contraction (for the scaling homotopy) ------------------------------
 
@@ -317,9 +329,16 @@ def format_cochain(vec: Sequence[Fraction], basis: List[BasisElement],
 # -- betti computations ----------------------------------------------------------------
 
 
+def _cocycles(cx: CEComplex, basis_q: List[BasisElement],
+              basis_up: List[BasisElement]) -> List[SparseRow]:
+    """Canonical basis of the cocycles in span(basis_q), as sparse rows in
+    basis_q coordinates; the differential must land inside span(basis_up)."""
+    return Echelon(len(basis_q), cx.d_rows(basis_q, basis_up)).kernel()
+
+
 def _boundaries(cx: CEComplex, primitives: List[BasisElement],
-                basis_q: List[BasisElement]) -> List[List[Fraction]]:
-    """Reduced row echelon basis, in basis_q coordinates, of the boundaries
+                basis_q: List[BasisElement]) -> Echelon:
+    """Reduced row echelon span, in basis_q coordinates, of the boundaries
     of span(primitives) that lie inside span(basis_q).
 
     The row d(eta) of every primitive eta goes into one echelon, with each
@@ -335,19 +354,16 @@ def _boundaries(cx: CEComplex, primitives: List[BasisElement],
             col = inside.get(key)
             row[~outside.setdefault(key, len(outside)) if col is None else col] = val
         ech.add_sparse(row)
-    return ech.dense_rows()
+    return ech
 
 
 def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
-                       basis_q: List[BasisElement], shift: int
-                       ) -> List[List[Fraction]]:
-    """Reduced row echelon basis, in basis_q coordinates, of the boundaries
-    of the degree-(q-1) primitives with coefficients of degree
-    <= n_deg + shift + 1 that land inside the window basis_q.  shift
-    bounds the degree increase of the differential."""
-    if q == 0:
-        return []
-    return _boundaries(cx, cx.window_basis(q - 1, n_deg + shift + 1, weight), basis_q)
+                       basis_q: List[BasisElement], shift: int) -> Echelon:
+    """`_boundaries` of the degree-(q-1) primitives with coefficients of
+    degree <= n_deg + shift + 1 into the window basis_q.  shift bounds the
+    degree increase of the differential."""
+    primitives = cx.window_basis(q - 1, n_deg + shift + 1, weight) if q else []
+    return _boundaries(cx, primitives, basis_q)
 
 
 def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
@@ -357,20 +373,9 @@ def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
     inside the window."""
     shift = cx.degree_shift()
     basis_q = cx.window_basis(q, n_deg, weight)
-    basis_up = cx.window_basis(q + 1, n_deg + shift, weight)
-    cocycles = cx.d_matrix(basis_q, basis_up).kernel_basis()
-    boundaries = _window_boundaries(cx, q, n_deg, weight, basis_q, shift)
-    betti, reps = quotient_dim_and_reps(cocycles, boundaries, len(basis_q))
-    return betti, reps, basis_q
-
-
-def _exact_stratum_betti(cx: CEComplex, q: int, weight: int
-                         ) -> Tuple[int, List[List[Fraction]], List[BasisElement]]:
-    basis_q = cx.stratum_basis(q, weight)
-    basis_up = cx.stratum_basis(q + 1, weight)
-    cocycles = cx.d_matrix(basis_q, basis_up).kernel_basis()
-    boundaries = _boundaries(cx, cx.stratum_basis(q - 1, weight), basis_q) if q > 0 else []
-    betti, reps = quotient_dim_and_reps(cocycles, boundaries, len(basis_q))
+    cocycles = _cocycles(cx, basis_q, cx.window_basis(q + 1, n_deg + shift, weight))
+    betti, reps = quotient_dim_and_reps(
+        cocycles, _window_boundaries(cx, q, n_deg, weight, basis_q, shift))
     return betti, reps, basis_q
 
 
@@ -443,7 +448,10 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
     for q in degrees:
         for w in weights:
             if finite:
-                betti, reps, basis = _exact_stratum_betti(cx, q, w)
+                basis = cx.stratum_basis(q, w)
+                betti, reps = quotient_dim_and_reps(
+                    _cocycles(cx, basis, cx.stratum_basis(q + 1, w)),
+                    _boundaries(cx, cx.stratum_basis(q - 1, w) if q else [], basis))
                 if not basis and betti == 0 and w != 0:
                     continue
                 rows.append(CohomologyRow(
@@ -517,9 +525,8 @@ def lie_algebra_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] =
     betti: List[int] = []
     reps: List[List[List[Fraction]]] = []
     for q in range(r + 1):
-        cocycles = mats[q].kernel_basis()
-        boundaries = mats[q - 1].image_basis() if q > 0 else []
-        b, rp = quotient_dim_and_reps(cocycles, boundaries, len(bases[q]))
+        b, rp = quotient_dim_and_reps(_cocycles(cx, bases[q], bases[q + 1]),
+                                      _boundaries(cx, bases[q - 1] if q else [], bases[q]))
         betti.append(b)
         reps.append(rp)
     return LieCohomology(betti, bases[:r + 1], mats, reps)

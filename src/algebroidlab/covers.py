@@ -37,7 +37,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix
+from .linalg import Echelon, QMatrix, quotient_dim_and_reps
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -420,7 +420,7 @@ class CechDoubleComplex:
             vm = self.vert.get((p, n - p))
             if vm is not None and p in dst_off:
                 _add_block(rows, vm, dst_off[p], off, -1 if p % 2 else 1)
-        self._total[n] = QMatrix(rows, ncols)
+        self._total[n] = QMatrix.of_fractions(rows, ncols)
         return self._total[n]
 
     def total_betti(self) -> List[int]:
@@ -475,7 +475,7 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
                 _add_block(rows, dm, r0, c0)
                 r0 += dm.nrows
                 c0 += dm.ncols
-            vert[(p, q)] = QMatrix(rows, ncols)
+            vert[(p, q)] = QMatrix.of_fractions(rows, ncols)
 
     # horizontal differential with min-vertex twisting
     delta: Dict[Tuple[int, int], QMatrix] = {}
@@ -730,23 +730,18 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
         return LocalizationReport("hypotheses unmet", hyps, branch, n, chart,
                                   -1, fibre_dim, None)
     dc = build_double_complex(f, c)
-    cocycles = dc.total_matrix(n).kernel_basis()
-    bech = Echelon(dc.total_dim(n))
-    if n > 0:
-        for col in dc.total_matrix(n - 1).image_basis():
-            bech.add(col)
-    total_reps = [v for v in cocycles if bech.add(v)]
-    total_dim = len(total_reps)
+    # classes: total cocycles modulo the column span of D_{n-1}
+    boundaries = dc.total_matrix(n - 1).transpose().echelon() if n > 0 \
+        else Echelon(dc.total_dim(n))
+    total_dim, total_reps = quotient_dim_and_reps(dc.total_matrix(n).echelon().kernel(),
+                                                  boundaries)
 
     # chart-x component of the (0, n) block, which opens the degree-n basis
     own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
     restricted = [[v[i] for i in own] for v in total_reps]
     # kernel of the induced map on classes: restrict, then reduce modulo
     # chart coboundaries
-    fib_b = Echelon(len(own))
-    if n > 0:
-        for col in lc.matrices[n - 1].image_basis():
-            fib_b.add(col)
+    fib_b = lc.matrices[n - 1].transpose().echelon() if n > 0 else Echelon(len(own))
     kernel_dim = total_dim - sum(fib_b.add(v) for v in restricted)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"
     return LocalizationReport(verdict, hyps, branch, n, chart,

@@ -2,19 +2,22 @@
 
 All computations run on Fraction entries; there is no floating point in
 this module.  There is one elimination engine, `Echelon`: a reduced row
-echelon span whose rows are sparse {column: Fraction} dicts.  `QMatrix`
-keeps dense rows for its readers, and `QMatrix.rref` feeds those rows into
-an `Echelon`, so rank, kernel, image, solve and inverse all reduce there.
-The reduced row echelon form of a matrix is unique, so pivots, kernel and
-image bases, solutions, inverses and quotient representatives do not
-depend on the order of elimination and are reproducible byte for byte.
+echelon span whose rows are sparse {column: Fraction} dicts.  Kernels and
+subquotients are computed there on sparse rows: `Echelon.kernel` reads the
+null space off the reduced rows, and `quotient_dim_and_reps` reduces sparse
+cycles against a boundary echelon.  `QMatrix` keeps dense rows for its
+readers; its rank, kernel, image, solve and inverse feed those rows into an
+`Echelon` and densify the answer.  The reduced row echelon form of a matrix
+is unique, so pivots, kernel and image bases, solutions, inverses and
+quotient representatives do not depend on the order of elimination and are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 QZERO = Fraction(0)
 QONE = Fraction(1)
@@ -118,11 +121,10 @@ class QMatrix:
         return QMatrix(out, other.ncols)
 
     def apply(self, vec: Sequence) -> Vector:
-        v = [Fraction(x) for x in vec]
-        if len(v) != self.ncols:
+        if len(vec) != self.ncols:
             raise ValueError("vector arity mismatch")
-        # differentials are sparse: multiply only nonzero pairs
-        support = [(j, b) for j, b in enumerate(v) if b]
+        # differentials are sparse: convert and multiply only nonzero pairs
+        support = [(j, Fraction(b)) for j, b in enumerate(vec) if b]
         return [sum((row[j] * b for j, b in support if row[j]), QZERO) for row in self.rows]
 
     # -- reductions -------------------------------------------------------------
@@ -133,32 +135,20 @@ class QMatrix:
         The rows are inserted into one Echelon; the reduced rows come first
         in pivot order, followed by zero rows up to the original height.
         """
-        ech = Echelon(self.ncols)
-        for row in self.rows:
-            ech.add_sparse({j: x for j, x in enumerate(row) if x})
+        ech = self.echelon()
         rows = ech.dense_rows() + [[QZERO] * self.ncols for _ in range(self.nrows - ech.rank)]
         return QMatrix.of_fractions(rows, self.ncols), list(ech.pivots)
+
+    def echelon(self) -> "Echelon":
+        """The reduced row echelon span of the rows."""
+        return Echelon(self.ncols, ({j: x for j, x in enumerate(row) if x} for row in self.rows))
 
     def rank(self) -> int:
         return len(self.rref()[1])
 
     def kernel_basis(self) -> List[Vector]:
-        """Basis of the null space; one vector per free column, in column order.
-
-        Each basis vector has entry 1 at its free column and zeros at the
-        other free columns, which makes the basis canonical.
-        """
-        red, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis: List[Vector] = []
-        for j in free:
-            vec = [QZERO] * self.ncols
-            vec[j] = QONE
-            for r, pc in enumerate(pivots):
-                vec[pc] = -red.rows[r][j]
-            basis.append(vec)
-        return basis
+        """Canonical basis of the null space: `Echelon.kernel` of the rows, made dense."""
+        return [_dense(v, self.ncols) for v in self.echelon().kernel()]
 
     def image_basis(self) -> List[Vector]:
         """Basis of the column space: the original pivot columns."""
@@ -200,13 +190,15 @@ class Echelon:
     negative columns, for coordinates to eliminate: they order before every
     other column, and `dense_rows` leaves out the rows pivoted there, so
     its rows are the reduced basis of the part of the span that vanishes
-    at those coordinates.
+    at those coordinates.  The initial sparse rows are consumed.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):
         self.dim = dim
         self.pivots: List[int] = []
         self._rows: Dict[int, SparseRow] = {}      # pivot -> row
+        for row in rows:
+            self.add_sparse(row)
 
     def _reduce(self, v: SparseRow) -> SparseRow:
         """Residual of v against the span, computed in place.
@@ -240,7 +232,7 @@ class Echelon:
 
     def reduce(self, vec: Sequence) -> Vector:
         """Residual of vec after elimination against the current span."""
-        return self._dense(self._reduce(_sparse(vec)))
+        return _dense(self._reduce(_sparse(vec)), self.dim)
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec into the span; True if it enlarged the span."""
@@ -248,13 +240,23 @@ class Echelon:
 
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
-        return [self._dense(self._rows[p]) for p in self.pivots if p >= 0]
+        return [_dense(self._rows[p], self.dim) for p in self.pivots if p >= 0]
 
-    def _dense(self, v: SparseRow) -> Vector:
-        out = [QZERO] * self.dim
-        for c, x in v.items():
-            out[c] = x
-        return out
+    def kernel(self) -> List[SparseRow]:
+        """Canonical basis of the null space of `dense_rows`, as sparse vectors.
+
+        One vector per free column in 0..dim-1, in column order: 1 at its
+        free column, 0 at the other free columns and minus the row entries
+        at the pivots.  A row pivoted at p >= 0 holds only columns >= p, so
+        each entry besides its pivot sits at a free column.
+        """
+        basis = {j: {j: QONE} for j in range(self.dim) if j not in self._rows}
+        for p in self.pivots:
+            if p >= 0:
+                for c, x in self._rows[p].items():
+                    if c != p:
+                        basis[c][p] = -x
+        return list(basis.values())
 
     @property
     def rank(self) -> int:
@@ -263,6 +265,13 @@ class Echelon:
 
 def _sparse(vec: Sequence) -> SparseRow:
     return {j: Fraction(x) for j, x in enumerate(vec) if x}
+
+
+def _dense(v: SparseRow, dim: int) -> Vector:
+    out = [QZERO] * dim
+    for c, x in v.items():
+        out[c] = x
+    return out
 
 
 def _axpy(v: SparseRow, f: Fraction, row: SparseRow) -> None:
@@ -278,29 +287,24 @@ def _axpy(v: SparseRow, f: Fraction, row: SparseRow) -> None:
             v[c] = f * x
 
 
-def quotient_dim_and_reps(cycles: List[Vector], boundaries: List[Vector], dim: int
+def quotient_dim_and_reps(cycles: Iterable[SparseRow], boundaries: "Echelon"
                           ) -> Tuple[int, List[Vector]]:
     """Dimension and canonical representatives of span(cycles)/span(boundaries).
 
-    Boundaries must lie inside the cycle span (not checked here).  The
-    representatives are the residuals of the cycle basis vectors after
-    reduction modulo the boundary span, taken in order, each reduced
-    against the previously accepted ones and scaled to leading entry 1.
-    One reduced echelon holds both, so each residual is the unique vector
-    of its coset that vanishes at every pivot.
+    The cycles are sparse vectors over the columns 0..dim-1 of the
+    boundary echelon; both are consumed.  Boundaries must lie inside the
+    cycle span (not checked here).  The representatives are the residuals
+    of the cycles after reduction modulo the boundary span, taken in
+    order, each reduced against the previously accepted ones and scaled to
+    leading entry 1.  One reduced echelon holds both, so each residual is
+    the unique vector of its coset that vanishes at every pivot; only the
+    accepted residuals are made dense.
     """
-    ech = Echelon(dim)
-    for b in boundaries:
-        ech.add(b)
     reps: List[Vector] = []
     for z in cycles:
-        resid = ech.reduce(z)
-        pivot = next((i for i, x in enumerate(resid) if x != 0), None)
-        if pivot is None:
-            continue
-        inv = 1 / resid[pivot]
-        reps.append([x * inv for x in resid])
-        ech.add(reps[-1])
+        pivot = boundaries.add_sparse(z)
+        if pivot is not None:
+            reps.append(_dense(boundaries._rows[pivot], boundaries.dim))
     return len(reps), reps
 
 
@@ -318,10 +322,10 @@ def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
         for j, v in enumerate(row):
             if v != 0:
                 raise NotAComplexError((i, j, v))
-    kernel = d_out.kernel_basis()
+    cocycles = d_out.echelon().kernel()
+    kernel = [_dense(v, d_out.ncols) for v in cocycles]
     image = d_in.image_basis()
-    dim = d_out.ncols
-    betti, reps = quotient_dim_and_reps(kernel, image, dim)
+    betti, reps = quotient_dim_and_reps(cocycles, Echelon(d_out.ncols, map(_sparse, image)))
     return {
         "kernel_dim": len(kernel),
         "image_dim": len(image),

@@ -25,10 +25,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import (CEComplex, _weight_cohomology, _window_betti, _window_boundaries,
-                         weight_cohomology)
+from .cohomology import (CEComplex, _cocycles, _weight_cohomology, _window_betti,
+                         _window_boundaries, weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix
+from .linalg import QMatrix, SparseRow
 from .ratpoly import (
     TruncatedPoly,
     WeightAssignment,
@@ -633,21 +633,20 @@ class TransversalIsoReport:
     window: Tuple[int, int, int]
 
 
-def _restrict_cochain(a: LieAlgebroidPatch, vec: Sequence[Fraction],
+def _restrict_cochain(a: LieAlgebroidPatch, vec: SparseRow,
                       basis: List, q: int, keep: Sequence[int],
                       frame: List[List[TruncatedPoly]],
-                      slice_basis: List) -> List[Fraction]:
-    """Evaluate a degree-q cochain on the slice kernel frame and restrict
-    coefficients to the slice ring."""
+                      slice_basis: List) -> SparseRow:
+    """Evaluate a sparse degree-q cochain on the slice kernel frame and
+    restrict coefficients to the slice ring, as a sparse cochain."""
     from itertools import combinations as _comb
 
     nk = len(keep)
     index = {e: i for i, e in enumerate(slice_basis)}
-    out = [Fraction(0)] * len(slice_basis)
+    out: SparseRow = {}
     r2 = len(frame)
-    for coeff, (mono, wedge, beta) in zip(vec, basis):
-        if coeff == 0:
-            continue
+    for j, coeff in vec.items():
+        mono, wedge, beta = basis[j]
         mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).restrict(keep)
         if mono_slice.is_zero():
             continue
@@ -663,8 +662,8 @@ def _restrict_cochain(a: LieAlgebroidPatch, vec: Sequence[Fraction],
                 key = (m2, jt, beta)
                 if key not in index:
                     raise StructuralError("restricted cochain leaves the window")
-                out[index[key]] += coeff * v
-    return out
+                out[index[key]] = out.get(index[key], 0) + coeff * v
+    return {i: x for i, x in out.items() if x}
 
 
 def _poly_det(mat: List[List[TruncatedPoly]], n_vars: int) -> TruncatedPoly:
@@ -710,18 +709,13 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # total side: sum the weight strata at the same degree
         wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
-        # restriction surjectivity on representatives
+        # restriction surjectivity on representatives: the rank of the
+        # restricted cocycles modulo the slice boundaries at this window
         basis_big = cx.window_basis(q, end)
-        big_up = cx.window_basis(q + 1, end + shift)
-        d_q = cx.d_matrix(basis_big, big_up)
-        cocycles = d_q.kernel_basis()
-        # boundary span on the slice at this window, then the rank of the
-        # restricted cocycles modulo it
-        bnd_ech = Echelon(len(basis_s))
-        for vec in _window_boundaries(slice_cx, q, end, None, basis_s, shift):
-            bnd_ech.add(vec)
-        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep,
-                                                     frame, basis_s))
+        cocycles = _cocycles(cx, basis_big, cx.window_basis(q + 1, end + shift))
+        bnd_ech = _window_boundaries(slice_cx, q, end, None, basis_s, shift)
+        img_rank = sum(bnd_ech.add_sparse(_restrict_cochain(a, zvec, basis_big, q, keep,
+                                                            frame, basis_s)) is not None
                        for zvec in cocycles)
         surjective = img_rank >= betti_s
         rows.append(TransversalIsoRow(q, betti_a, betti_s, betti_a == betti_s, surjective))

@@ -133,10 +133,27 @@ def test_kernel_quotient_rejects_non_complex_with_witness():
     assert err.value.witness == (0, 0, Fraction(1))
 
 
+def _sparse_rows(vectors, shift=0):
+    """Dense vectors as sparse rows, with dense column j at column j - shift."""
+    return [{j - shift: Fraction(x) for j, x in enumerate(v) if x} for v in vectors]
+
+
+def _to_dense(v, dim):
+    out = [Fraction(0)] * dim
+    for c, x in v.items():
+        out[c] = x
+    return out
+
+
+def _quotient(cycles, boundaries, dim):
+    """quotient_dim_and_reps on dense cycles and a boundary list."""
+    return quotient_dim_and_reps(_sparse_rows(cycles), Echelon(dim, _sparse_rows(boundaries)))
+
+
 def test_quotient_representatives_reduced():
     cycles = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     boundaries = [[Fraction(1), Fraction(1)]]
-    betti, reps = quotient_dim_and_reps(cycles, boundaries, 2)
+    betti, reps = _quotient(cycles, boundaries, 2)
     assert betti == 1
     assert len(reps) == 1
 
@@ -173,8 +190,9 @@ def _combination(rng, vectors, dim):
 
 
 def _check_quotient(cycles, boundaries, dim):
-    got = quotient_dim_and_reps(cycles, boundaries, dim)
+    got = _quotient(cycles, boundaries, dim)
     assert got == _two_echelon_quotient(cycles, boundaries, dim)
+    assert _all_fractions(got[1])
     assert got[0] == len(got[1])
 
 
@@ -469,3 +487,86 @@ def test_echelon_rows_stay_reduced_and_sparse():
                    for row in ech._rows.values() for x in row.values())
         for v in vecs:
             assert not any(ech.reduce(v))
+
+
+# -- Echelon.kernel against the dense Gauss-Jordan kernel --------------------------
+
+
+def _oracle_echelon_kernel(rows, n_neg, dim):
+    """Null space of the part of span(rows) that vanishes at the first n_neg
+    coordinates, by dense Gauss-Jordan: those coordinates lead, and the
+    reduced rows pivoted there are dropped."""
+    red, pivots = _gauss_jordan(rows, n_neg + dim)
+    return _oracle_kernel([row[n_neg:] for row, p in zip(red, pivots) if p >= n_neg], dim)
+
+
+def _check_kernel(rows, n_neg, dim):
+    """rows are dense over n_neg + dim coordinates; the first n_neg go to
+    the negative columns -n_neg..-1 of the echelon."""
+    ech = Echelon(dim, _sparse_rows(rows, n_neg))
+    ker = ech.kernel()
+    assert all(x != 0 and type(x) is Fraction for v in ker for x in v.values())
+    assert [_to_dense(v, dim) for v in ker] == _oracle_echelon_kernel(rows, n_neg, dim)
+    return ker
+
+
+def _shaped(rows, width, shape, column=0):
+    """Add a zero row, zero one column, or append the identity (full rank)."""
+    rows = [list(row) for row in rows]
+    if shape == "zero_row":
+        rows.append([0] * width)
+    elif shape == "zero_column" and width:
+        for row in rows:
+            row[column % width] = 0
+    elif shape == "full_rank":
+        rows += [[int(i == j) for j in range(width)] for i in range(width)]
+    return rows
+
+
+_SHAPES = ("plain", "zero_row", "zero_column", "full_rank")
+
+
+def test_echelon_kernel_matches_gauss_jordan_seeded():
+    rng = random.Random(4711)
+    seen = {"empty": 0, "nonempty": 0, "negative": 0}
+    for _ in range(400):
+        n_neg, dim = rng.randrange(0, 4), rng.randrange(0, 8)
+        width = n_neg + dim
+        rows = [[_sparse_entry(rng) for _ in range(width)] for _ in range(rng.randrange(0, 8))]
+        if len(rows) > 1 and rng.random() < 0.3:
+            i, k = rng.sample(range(len(rows)), 2)              # dependent row
+            rows[i] = [a + 2 * b for a, b in zip(rows[i], rows[k])]
+        rows = _shaped(rows, width, rng.choice(_SHAPES), rng.randrange(max(width, 1)))
+        ker = _check_kernel(rows, n_neg, dim)
+        seen["empty" if not ker else "nonempty"] += 1
+        seen["negative"] += bool(n_neg and rows)
+    assert all(seen.values()), seen
+    # the sparse differentials' shape
+    for nr, nc in ((12, 30), (30, 12), (40, 60)):
+        _check_kernel(_sparse_matrix(rng, nr, nc, 0.05).rows, 0, nc)
+        _check_kernel(_sparse_matrix(rng, nr, nc, 0.05).rows, 5, nc - 5)
+
+
+def test_echelon_kernel_edge_shapes():
+    assert Echelon(0).kernel() == []
+    assert Echelon(3).kernel() == [{0: 1}, {1: 1}, {2: 1}]
+    assert Echelon(2, [{0: Fraction(1)}, {1: Fraction(3)}]).kernel() == []
+    # a row pivoted at an eliminated column does not constrain the kernel
+    assert Echelon(2, [{-1: Fraction(1), 0: Fraction(2)}]).kernel() == [{0: 1}, {1: 1}]
+    ech = Echelon(3, [{-1: Fraction(1), 1: Fraction(1)}, {-1: Fraction(1), 2: Fraction(-1)}])
+    assert ech.kernel() == [{0: 1}, {1: -1, 2: 1}]      # row {1: 1, 2: 1} inside
+
+
+@st.composite
+def _echelon_rows(draw):
+    n_neg, dim = draw(st.integers(0, 3)), draw(st.integers(0, 6))
+    width = n_neg + dim
+    rows = draw(st.lists(st.lists(_sparse_q, min_size=width, max_size=width), max_size=6))
+    shape = draw(st.sampled_from(_SHAPES))
+    return _shaped(rows, width, shape, draw(st.integers(0, 5))), n_neg, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(_echelon_rows())
+def test_echelon_kernel_matches_gauss_jordan_hypothesis(case):
+    _check_kernel(*case)

@@ -8,17 +8,20 @@ from fractions import Fraction as F
 import pytest
 
 from algebroidlab.algebroid import LieAlgebroidPatch, adjoint_representation
-from algebroidlab.cohomology import CEComplex, _boundaries, _window_boundaries, jet_cohomology
+from algebroidlab.cohomology import (CEComplex, _boundaries, _window_boundaries, format_cochain,
+                                     jet_cohomology, weight_cohomology)
 from algebroidlab.errors import StructuralError
 from algebroidlab.library import (
     heisenberg_patch,
     poisson_disc_patch,
     product_with_tangent,
     sl2_patch,
+    tangent_patch,
 )
 from algebroidlab.linalg import Echelon, QMatrix
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
+from test_linalg import _oracle_kernel, _two_echelon_quotient
 
 SLOPES = (F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
 
@@ -87,7 +90,7 @@ def _check_boundaries(a, weights=(None,), extra_shifts=(0,)):
                     cx, oracle_cx = CEComplex(a), CEComplex(a)
                     shift = cx.degree_shift() + extra
                     basis_q = cx.window_basis(q, n_deg, weight)
-                    got = _window_boundaries(cx, q, n_deg, weight, basis_q, shift)
+                    got = _window_boundaries(cx, q, n_deg, weight, basis_q, shift).dense_rows()
                     want = _kernel_then_apply(oracle_cx, q, n_deg, weight, basis_q, shift)
                     assert got == _rref(want, len(basis_q)), (a.name, weight, extra, q, n_deg)
                     cases += bool(got)
@@ -127,11 +130,65 @@ def test_stratum_boundaries_match_image_of_d_matrix():
             for w in range(-3, 4):
                 cx, oracle_cx = CEComplex(a, rho), CEComplex(a, rho)
                 basis_pre, basis_q = cx.stratum_basis(q - 1, w), cx.stratum_basis(q, w)
-                got = _boundaries(cx, basis_pre, basis_q)
+                got = _boundaries(cx, basis_pre, basis_q).dense_rows()
                 image = oracle_cx.d_matrix(basis_pre, basis_q).image_basis()
                 assert got == _rref(image, len(basis_q)), (a.name, q, w)
                 cases += bool(got)
     assert cases
+
+
+def _dense_classes(cx, basis_q, d_up, boundaries):
+    """The earlier dense construction, kept as the oracle: the dense
+    Gauss-Jordan kernel of d, then the two-echelon quotient; the
+    representatives formatted as in the reports."""
+    cocycles = _oracle_kernel(d_up.rows, d_up.ncols)
+    betti, reps = _two_echelon_quotient(cocycles, boundaries, len(basis_q))
+    return betti, [format_cochain(v, basis_q, cx.a.var_names, cx.rho.rank) for v in reps]
+
+
+def _dense_window(cx, q, n_deg, weight):
+    shift = cx.degree_shift()
+    basis_q = cx.window_basis(q, n_deg, weight)
+    d_up = cx.d_matrix(basis_q, cx.window_basis(q + 1, n_deg + shift, weight))
+    return _dense_classes(cx, basis_q, d_up,
+                          _kernel_then_apply(cx, q, n_deg, weight, basis_q, shift))
+
+
+def _dense_stratum(cx, q, w):
+    basis_q = cx.stratum_basis(q, w)
+    d_up = cx.d_matrix(basis_q, cx.stratum_basis(q + 1, w))
+    image = cx.d_matrix(cx.stratum_basis(q - 1, w), basis_q).image_basis() if q else []
+    return _dense_classes(cx, basis_q, d_up, image)
+
+
+def _check_against_dense(rep, cx):
+    classes = 0
+    for row in rep.rows:
+        if row.exact:
+            assert (row.betti, row.representatives) == _dense_stratum(cx, row.degree, row.weight)
+        else:
+            for n_deg, betti in row.history:
+                want = _dense_window(cx, row.degree, n_deg, row.weight)
+                assert betti == want[0], (cx.a.name, row.degree, row.weight, n_deg)
+            assert row.representatives == want[1], (cx.a.name, row.degree, row.weight)
+        classes += row.betti
+    assert classes, f"{cx.a.name}: no class to compare"
+
+
+def test_jet_cohomology_matches_dense_construction():
+    for a in (_affine_patch([F(2)], 6), _affine_patch([F(-1, 2), F(1)], 5),
+              product_with_tangent(sl2_patch(), ("y",), 5, (1,)),
+              tangent_patch(("x", "y"), 6)):
+        _check_against_dense(jet_cohomology(a, window=(1, 3, 2)), CEComplex(a))
+
+
+def test_weight_cohomology_matches_dense_construction():
+    heis = heisenberg_patch()
+    for a, rho in ((_affine_patch([F(2)], 6), None),
+                   (product_with_tangent(heisenberg_patch(), ("y",), 5, (1,)), None),
+                   (tangent_patch(("x", "y"), 6, (1, 2)), None),
+                   (sl2_patch(), None), (heis, adjoint_representation(heis))):
+        _check_against_dense(weight_cohomology(a, rho, window=(1, 3, 2)), CEComplex(a, rho))
 
 
 def _count_builds(monkeypatch):
