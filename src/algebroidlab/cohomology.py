@@ -23,7 +23,8 @@ Two computation modes:
   of every basis element, so the elements shared by windows, degrees and
   the cocycle and boundary steps are differentiated once.  Everything
   stays on sparse rows until a representative is printed.  The cocycles
-  are the kernel read off the reduced sparse rows of d (`d_rows`).  The
+  are the kernel read off the reduced sparse rows of d (`d_matrix`, which
+  is built sparse and made dense only for a reader of its rows).  The
   boundaries of one window come from one sparse elimination: the rows
   d(eta) of all windowed primitives, with the coordinates outside the
   window ordered first, so the reduced rows pivoted inside the window
@@ -47,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, _dense, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
@@ -222,10 +223,9 @@ class CEComplex:
                     add(c_uv_k * poly_mono, wedge2, beta, sigma * (-1) ** (pa + pb))
         return out
 
-    def d_rows(self, source: List[BasisElement], target: List[BasisElement]
-               ) -> List[SparseRow]:
-        """The differential from span(source) to span(target) as sparse
-        rows, one per target element, with columns indexing source."""
+    def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
+        """The differential from span(source) to span(target), one row per
+        target element and one column per source element, built sparse."""
         index = {elem: i for i, elem in enumerate(target)}
         rows: List[SparseRow] = [{} for _ in target]
         for j, elem in enumerate(source):
@@ -235,12 +235,7 @@ class CEComplex:
                     raise StructuralError(
                         f"differential leaves the target window at {key}")
                 rows[i][j] = val
-        return rows
-
-    def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
-        """`d_rows` as a dense matrix."""
-        return QMatrix.of_fractions([_dense(row, len(source))
-                                     for row in self.d_rows(source, target)], len(source))
+        return QMatrix.of_sparse(rows, len(source))
 
     # -- interior contraction (for the scaling homotopy) ------------------------------
 
@@ -329,13 +324,6 @@ def format_cochain(vec: Sequence[Fraction], basis: List[BasisElement],
 # -- betti computations ----------------------------------------------------------------
 
 
-def _cocycles(cx: CEComplex, basis_q: List[BasisElement],
-              basis_up: List[BasisElement]) -> List[SparseRow]:
-    """Canonical basis of the cocycles in span(basis_q), as sparse rows in
-    basis_q coordinates; the differential must land inside span(basis_up)."""
-    return Echelon(len(basis_q), cx.d_rows(basis_q, basis_up)).kernel()
-
-
 def _boundaries(cx: CEComplex, primitives: List[BasisElement],
                 basis_q: List[BasisElement]) -> Echelon:
     """Reduced row echelon span, in basis_q coordinates, of the boundaries
@@ -353,7 +341,7 @@ def _boundaries(cx: CEComplex, primitives: List[BasisElement],
         for key, val in cx.d_of_element(eta).items():
             col = inside.get(key)
             row[~outside.setdefault(key, len(outside)) if col is None else col] = val
-        ech.add_sparse(row)
+        ech.add(row)
     return ech
 
 
@@ -373,9 +361,9 @@ def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
     inside the window."""
     shift = cx.degree_shift()
     basis_q = cx.window_basis(q, n_deg, weight)
-    cocycles = _cocycles(cx, basis_q, cx.window_basis(q + 1, n_deg + shift, weight))
+    d = cx.d_matrix(basis_q, cx.window_basis(q + 1, n_deg + shift, weight))
     betti, reps = quotient_dim_and_reps(
-        cocycles, _window_boundaries(cx, q, n_deg, weight, basis_q, shift))
+        d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis_q, shift))
     return betti, reps, basis_q
 
 
@@ -450,7 +438,7 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
             if finite:
                 basis = cx.stratum_basis(q, w)
                 betti, reps = quotient_dim_and_reps(
-                    _cocycles(cx, basis, cx.stratum_basis(q + 1, w)),
+                    cx.d_matrix(basis, cx.stratum_basis(q + 1, w)).echelon().kernel(),
                     _boundaries(cx, cx.stratum_basis(q - 1, w) if q else [], basis))
                 if not basis and betti == 0 and w != 0:
                     continue
@@ -525,8 +513,8 @@ def lie_algebra_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] =
     betti: List[int] = []
     reps: List[List[List[Fraction]]] = []
     for q in range(r + 1):
-        b, rp = quotient_dim_and_reps(_cocycles(cx, bases[q], bases[q + 1]),
-                                      _boundaries(cx, bases[q - 1] if q else [], bases[q]))
+        boundaries = mats[q - 1].column_echelon() if q else Echelon(len(bases[0]))
+        b, rp = quotient_dim_and_reps(mats[q].echelon().kernel(), boundaries)
         betti.append(b)
         reps.append(rp)
     return LieCohomology(betti, bases[:r + 1], mats, reps)

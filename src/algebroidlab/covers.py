@@ -564,9 +564,9 @@ def _filtration_pairs(dc: CechDoubleComplex, n: int) -> List[Tuple[int, int]]:
     ech = Echelon(dmat.nrows)
     pairs = []
     for j in reversed(range(dmat.ncols)):
-        pivot = ech.add_sparse({i: row[j] for i, row in enumerate(dmat.rows) if row[j]})
-        if pivot is not None:
-            pairs.append((j, pivot))
+        new = ech.add({i: row[j] for i, row in enumerate(dmat.rows) if row[j]})
+        if new is not None:
+            pairs.append((j, min(new)))
     return pairs
 
 
@@ -731,18 +731,18 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
                                   -1, fibre_dim, None)
     dc = build_double_complex(f, c)
     # classes: total cocycles modulo the column span of D_{n-1}
-    boundaries = dc.total_matrix(n - 1).transpose().echelon() if n > 0 \
+    boundaries = dc.total_matrix(n - 1).column_echelon() if n > 0 \
         else Echelon(dc.total_dim(n))
     total_dim, total_reps = quotient_dim_and_reps(dc.total_matrix(n).echelon().kernel(),
                                                   boundaries)
 
     # chart-x component of the (0, n) block, which opens the degree-n basis
     own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
-    restricted = [[v[i] for i in own] for v in total_reps]
+    restricted = [{k: v[i] for k, i in enumerate(own) if v[i]} for v in total_reps]
     # kernel of the induced map on classes: restrict, then reduce modulo
     # chart coboundaries
-    fib_b = lc.matrices[n - 1].transpose().echelon() if n > 0 else Echelon(len(own))
-    kernel_dim = total_dim - sum(fib_b.add(v) for v in restricted)
+    fib_b = lc.matrices[n - 1].column_echelon() if n > 0 else Echelon(len(own))
+    kernel_dim = total_dim - sum(fib_b.add(v) is not None for v in restricted)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"
     return LocalizationReport(verdict, hyps, branch, n, chart,
                               total_dim, fibre_dim, kernel_dim)

@@ -5,9 +5,11 @@ this module.  There is one elimination engine, `Echelon`: a reduced row
 echelon span whose rows are sparse {column: Fraction} dicts.  Kernels and
 subquotients are computed there on sparse rows: `Echelon.kernel` reads the
 null space off the reduced rows, and `quotient_dim_and_reps` reduces sparse
-cycles against a boundary echelon.  `QMatrix` keeps dense rows for its
-readers; its rank, kernel, image, solve and inverse feed those rows into an
-`Echelon` and densify the answer.  The reduced row echelon form of a matrix
+cycles against a boundary echelon.  `QMatrix` gives its readers dense
+rows; its rank, kernel, image, solve and inverse feed its rows into an
+`Echelon` and densify the answer.  A `QMatrix` made from sparse rows keeps
+them, so its eliminations never scan a dense row, and makes its dense rows
+only when a reader asks for them.  The reduced row echelon form of a matrix
 is unique, so pivots, kernel and image bases, solutions, inverses and
 quotient representatives do not depend on the order of elimination and are
 reproducible byte for byte.
@@ -40,16 +42,21 @@ class NotAComplexError(ValueError):
 
 
 class QMatrix:
-    """Dense rational matrix; rows of Fractions."""
+    """Rational matrix; `rows` are its dense rows of Fractions.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    A matrix made by `of_sparse` holds sparse rows and makes its dense rows
+    on first use.  A matrix is not changed after it is made.
+    """
+
+    __slots__ = ("_rows", "_sparse", "nrows", "ncols")
 
     def __init__(self, rows: Sequence[Sequence] , ncols: Optional[int] = None):
-        self.rows = [[Fraction(v) for v in row] for row in rows]
-        self.nrows = len(self.rows)
+        self._rows = [[Fraction(v) for v in row] for row in rows]
+        self._sparse: Optional[List[SparseRow]] = None
+        self.nrows = len(self._rows)
         if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+            self.ncols = len(self._rows[0])
+            if any(len(r) != self.ncols for r in self._rows):
                 raise ValueError("ragged rows")
         else:
             self.ncols = 0 if ncols is None else ncols
@@ -58,10 +65,27 @@ class QMatrix:
     def of_fractions(cls, rows: List[Vector], ncols: int) -> "QMatrix":
         """Wrap rows whose entries are already Fractions, without copying."""
         out = cls.__new__(cls)
-        out.rows = rows
-        out.nrows = len(rows)
-        out.ncols = ncols
+        out._rows, out._sparse, out.nrows, out.ncols = rows, None, len(rows), ncols
         return out
+
+    @classmethod
+    def of_sparse(cls, rows: List[SparseRow], ncols: int) -> "QMatrix":
+        """Wrap sparse rows over the columns 0..ncols-1, without copying."""
+        out = cls.__new__(cls)
+        out._rows, out._sparse, out.nrows, out.ncols = None, rows, len(rows), ncols
+        return out
+
+    @property
+    def rows(self) -> List[Vector]:
+        if self._rows is None:
+            self._rows = [_dense(row, self.ncols) for row in self._sparse]
+        return self._rows
+
+    def sparse_rows(self) -> List[SparseRow]:
+        """The rows as new sparse vectors."""
+        if self._sparse is not None:
+            return [dict(row) for row in self._sparse]
+        return [{j: x for j, x in enumerate(row) if x} for row in self._rows]
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
@@ -73,19 +97,15 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, cols: Sequence[Vector], nrows: Optional[int] = None) -> "QMatrix":
-        if not cols:
-            return cls.zeros(nrows or 0, 0)
-        height = len(cols[0])
-        if height == 0:
-            return cls.zeros(0, len(cols))
-        return cls([[col[i] for col in cols] for i in range(height)])
+        return cls(cols, nrows or 0).transpose()
 
     def column(self, j: int) -> Vector:
         return [row[j] for row in self.rows]
 
     def transpose(self) -> "QMatrix":
-        return QMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)], self.nrows)
+        rows = self.rows
+        return QMatrix.of_fractions([[row[j] for row in rows] for j in range(self.ncols)],
+                                    self.nrows)
 
     def is_zero(self) -> bool:
         return all(v == 0 for row in self.rows for v in row)
@@ -108,17 +128,8 @@ class QMatrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         bt = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in bt:
-                acc = QZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc += a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return QMatrix(out, other.ncols)
+        return QMatrix.of_fractions([[sum((a * b for a, b in zip(row, col) if a and b), QZERO)
+                                      for col in bt] for row in self.rows], other.ncols)
 
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.ncols:
@@ -141,7 +152,15 @@ class QMatrix:
 
     def echelon(self) -> "Echelon":
         """The reduced row echelon span of the rows."""
-        return Echelon(self.ncols, ({j: x for j, x in enumerate(row) if x} for row in self.rows))
+        return Echelon(self.ncols, self.sparse_rows())
+
+    def column_echelon(self) -> "Echelon":
+        """The reduced row echelon span of the columns."""
+        cols: List[SparseRow] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.sparse_rows()):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Echelon(self.nrows, cols)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -198,10 +217,10 @@ class Echelon:
         self.pivots: List[int] = []
         self._rows: Dict[int, SparseRow] = {}      # pivot -> row
         for row in rows:
-            self.add_sparse(row)
+            self.add(row)
 
-    def _reduce(self, v: SparseRow) -> SparseRow:
-        """Residual of v against the span, computed in place.
+    def reduce(self, v: SparseRow) -> SparseRow:
+        """Residual of the sparse vector v against the span, computed in place.
 
         Subtracting the row of one pivot leaves v unchanged at every other
         pivot, so the factors are the entries of v at the pivots.
@@ -211,12 +230,13 @@ class Echelon:
             _axpy(v, -v[p], rows[p])
         return v
 
-    def add_sparse(self, v: SparseRow) -> Optional[int]:
+    def add(self, v: SparseRow) -> Optional[SparseRow]:
         """Insert the sparse vector v (consumed).
 
-        Returns the pivot of its new row if v enlarged the span, else None.
+        Returns the new reduced row if v enlarged the span, else None.  The
+        row is the echelon's own: later insertions back-substitute into it.
         """
-        v = self._reduce(v)
+        v = self.reduce(v)
         if not v:
             return None
         pivot = min(v)
@@ -228,15 +248,7 @@ class Echelon:
                 _axpy(row, -row[pivot], v)
         insort(self.pivots, pivot)
         self._rows[pivot] = v
-        return pivot
-
-    def reduce(self, vec: Sequence) -> Vector:
-        """Residual of vec after elimination against the current span."""
-        return _dense(self._reduce(_sparse(vec)), self.dim)
-
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec into the span; True if it enlarged the span."""
-        return self.add_sparse(_sparse(vec)) is not None
+        return v
 
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
@@ -261,10 +273,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _sparse(vec: Sequence) -> SparseRow:
-    return {j: Fraction(x) for j, x in enumerate(vec) if x}
 
 
 def _dense(v: SparseRow, dim: int) -> Vector:
@@ -302,9 +310,9 @@ def quotient_dim_and_reps(cycles: Iterable[SparseRow], boundaries: "Echelon"
     """
     reps: List[Vector] = []
     for z in cycles:
-        pivot = boundaries.add_sparse(z)
-        if pivot is not None:
-            reps.append(_dense(boundaries._rows[pivot], boundaries.dim))
+        row = boundaries.add(z)
+        if row is not None:
+            reps.append(_dense(row, boundaries.dim))
     return len(reps), reps
 
 
@@ -325,7 +333,8 @@ def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
     cocycles = d_out.echelon().kernel()
     kernel = [_dense(v, d_out.ncols) for v in cocycles]
     image = d_in.image_basis()
-    betti, reps = quotient_dim_and_reps(cocycles, Echelon(d_out.ncols, map(_sparse, image)))
+    boundaries = d_in.column_echelon() if d_in.ncols else Echelon(d_out.ncols)
+    betti, reps = quotient_dim_and_reps(cocycles, boundaries)
     return {
         "kernel_dim": len(kernel),
         "image_dim": len(image),

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import (CEComplex, _cocycles, _weight_cohomology, _window_betti,
-                         _window_boundaries, weight_cohomology)
+from .cohomology import (CEComplex, _weight_cohomology, _window_betti, _window_boundaries,
+                         weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix, SparseRow
 from .ratpoly import (
@@ -712,10 +712,10 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # restriction surjectivity on representatives: the rank of the
         # restricted cocycles modulo the slice boundaries at this window
         basis_big = cx.window_basis(q, end)
-        cocycles = _cocycles(cx, basis_big, cx.window_basis(q + 1, end + shift))
+        cocycles = cx.d_matrix(basis_big, cx.window_basis(q + 1, end + shift)).echelon().kernel()
         bnd_ech = _window_boundaries(slice_cx, q, end, None, basis_s, shift)
-        img_rank = sum(bnd_ech.add_sparse(_restrict_cochain(a, zvec, basis_big, q, keep,
-                                                            frame, basis_s)) is not None
+        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep,
+                                                     frame, basis_s)) is not None
                        for zvec in cocycles)
         surjective = img_rank >= betti_s
         rows.append(TransversalIsoRow(q, betti_a, betti_s, betti_a == betti_s, surjective))

@@ -29,6 +29,7 @@ from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
 from algebroidlab.linalg import Echelon, QMatrix
 from algebroidlab.ratpoly import TruncatedPoly
+from test_linalg import _sparse
 
 
 def _const_rep(a, mat_list):
@@ -417,11 +418,11 @@ class _Staircase:
         """Echelon of A_{r-1}^{p+1} plus d(A_{r-1}^{p-r+1}) inside degree n."""
         ech = Echelon(self.dc.total_dim(n))
         for v in self.a_basis(r - 1, p + 1, n):
-            ech.add(v)
+            ech.add(_sparse(v))
         if n - 1 >= 0:
             dmat = self.dc.total_matrix(n - 1)
             for v in self.a_basis(r - 1, p - r + 1, n - 1):
-                ech.add(dmat.apply(v))
+                ech.add(_sparse(dmat.apply(v)))
         return ech
 
     def page_dim(self, r: int, p: int, q: int) -> int:
@@ -432,7 +433,7 @@ class _Staircase:
         if not z:
             return 0
         bnd = self.boundary_span(r, p, n)
-        return sum(bnd.add(v) for v in z)
+        return sum(bnd.add(_sparse(v)) is not None for v in z)
 
     def d_rank(self, r: int, p: int, q: int) -> int:
         """Rank of the induced page differential out of (p, q), for a
@@ -443,7 +444,7 @@ class _Staircase:
         n = p + q
         dmat = self.dc.total_matrix(n)
         bnd = self.boundary_span(r, tp, n + 1)
-        return sum(bnd.add(dmat.apply(v)) for v in self.a_basis(r, p, n))
+        return sum(bnd.add(_sparse(dmat.apply(v))) is not None for v in self.a_basis(r, p, n))
 
 
 

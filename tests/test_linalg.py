@@ -13,6 +13,7 @@ from algebroidlab.linalg import (
     Echelon,
     NotAComplexError,
     QMatrix,
+    _dense,
     kernel_quotient_dims,
     quotient_dim_and_reps,
 )
@@ -82,11 +83,11 @@ def test_matmul():
 
 def test_echelon_membership_and_reduction():
     ech = Echelon(3)
-    assert ech.add([1, 1, 0])
-    assert ech.add([0, 1, 1])
-    assert not ech.add([1, 2, 1])     # dependent
-    assert not any(ech.reduce([2, 3, 1]))
-    assert any(ech.reduce([0, 0, 1]))
+    assert ech.add(_sparse([1, 1, 0]))
+    assert ech.add(_sparse([0, 1, 1]))
+    assert not ech.add(_sparse([1, 2, 1]))     # dependent
+    assert not ech.reduce(_sparse([2, 3, 1]))
+    assert ech.reduce(_sparse([0, 0, 1]))
     assert ech.rank == 2
 
 
@@ -133,16 +134,13 @@ def test_kernel_quotient_rejects_non_complex_with_witness():
     assert err.value.witness == (0, 0, Fraction(1))
 
 
+def _sparse(v, shift=0):
+    """A dense vector as a sparse row, with dense column j at column j - shift."""
+    return {j - shift: Fraction(x) for j, x in enumerate(v) if x}
+
+
 def _sparse_rows(vectors, shift=0):
-    """Dense vectors as sparse rows, with dense column j at column j - shift."""
-    return [{j - shift: Fraction(x) for j, x in enumerate(v) if x} for v in vectors]
-
-
-def _to_dense(v, dim):
-    out = [Fraction(0)] * dim
-    for c, x in v.items():
-        out[c] = x
-    return out
+    return [_sparse(v, shift) for v in vectors]
 
 
 def _quotient(cycles, boundaries, dim):
@@ -166,17 +164,17 @@ def _two_echelon_quotient(cycles, boundaries, dim):
     boundary echelon, then modulo a second echelon of accepted residuals."""
     ech = Echelon(dim)
     for b in boundaries:
-        ech.add(b)
+        ech.add(_sparse(b))
     reps = []
     rep_ech = Echelon(dim)
     for z in cycles:
-        resid = rep_ech.reduce(ech.reduce(z))
+        resid = _dense(rep_ech.reduce(ech.reduce(_sparse(z))), dim)
         pivot = next((i for i, x in enumerate(resid) if x != 0), None)
         if pivot is None:
             continue
         inv = 1 / resid[pivot]
         resid = [x * inv for x in resid]
-        rep_ech.add(resid)
+        rep_ech.add(_sparse(resid))
         reps.append(resid)
     return len(reps), reps
 
@@ -479,14 +477,14 @@ def test_echelon_rows_stay_reduced_and_sparse():
         ech = Echelon(dim)
         vecs = [[_sparse_entry(rng) for _ in range(dim)] for _ in range(rng.randrange(0, 8))]
         for v in vecs:
-            ech.add(v)
+            ech.add(_sparse(v))
         rows, pivots = _gauss_jordan(vecs, dim)
         assert ech.pivots == pivots
         assert ech.dense_rows() == rows[:len(pivots)]
         assert all(x != 0 and type(x) is Fraction
                    for row in ech._rows.values() for x in row.values())
         for v in vecs:
-            assert not any(ech.reduce(v))
+            assert not ech.reduce(_sparse(v))
 
 
 # -- Echelon.kernel against the dense Gauss-Jordan kernel --------------------------
@@ -506,7 +504,7 @@ def _check_kernel(rows, n_neg, dim):
     ech = Echelon(dim, _sparse_rows(rows, n_neg))
     ker = ech.kernel()
     assert all(x != 0 and type(x) is Fraction for v in ker for x in v.values())
-    assert [_to_dense(v, dim) for v in ker] == _oracle_echelon_kernel(rows, n_neg, dim)
+    assert [_dense(v, dim) for v in ker] == _oracle_echelon_kernel(rows, n_neg, dim)
     return ker
 
 
@@ -545,6 +543,26 @@ def test_echelon_kernel_matches_gauss_jordan_seeded():
     for nr, nc in ((12, 30), (30, 12), (40, 60)):
         _check_kernel(_sparse_matrix(rng, nr, nc, 0.05).rows, 0, nc)
         _check_kernel(_sparse_matrix(rng, nr, nc, 0.05).rows, 5, nc - 5)
+
+
+def test_sparse_backed_matrix_matches_dense():
+    """A matrix made from sparse rows reads, reduces and spans its columns
+    like the same matrix made dense, and hands out copies of its rows."""
+    rng = random.Random(515)
+    for _ in range(200):
+        nr, nc = rng.randrange(0, 9), rng.randrange(0, 9)
+        dense = _sparse_matrix(rng, nr, nc, rng.choice((0.1, 0.4, 0.9)))
+        m = QMatrix.of_sparse(_sparse_rows(dense.rows), nc)
+        assert (m.nrows, m.ncols) == (dense.nrows, dense.ncols)
+        assert m.sparse_rows() == dense.sparse_rows()
+        for row in m.sparse_rows():
+            row[nc] = Fraction(1)                         # copies: m is unchanged
+        assert m.echelon().dense_rows() == dense.rref()[0].rows[:dense.rank()]
+        assert m.kernel_basis() == m.kernel_basis() == dense.kernel_basis()
+        assert m.column_echelon().dense_rows() == dense.transpose().echelon().dense_rows()
+        assert m.column_echelon().pivots == dense.transpose().echelon().pivots
+        assert m.rows == dense.rows and _all_fractions(m.rows)
+        assert m.transpose() == dense.transpose() and m.transpose().transpose() == m
 
 
 def test_echelon_kernel_edge_shapes():

@@ -21,7 +21,7 @@ from algebroidlab.library import (
 from algebroidlab.linalg import Echelon, QMatrix
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
-from test_linalg import _oracle_kernel, _two_echelon_quotient
+from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient
 
 SLOPES = (F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
 
@@ -77,7 +77,7 @@ def _kernel_then_apply(cx, q, n_deg, weight, basis_q, shift):
 def _rref(vectors, dim):
     ech = Echelon(dim)
     for v in vectors:
-        ech.add(v)
+        ech.add(_sparse(v))
     return ech.dense_rows()
 
 
