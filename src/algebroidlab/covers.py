@@ -7,7 +7,8 @@ representation); overlaps carry rational transition pairs (P, Q) acting
 on the two frames.  The double complex places the fibre cochains of the
 smallest chart index on each simplex; the horizontal differential is the
 alternating face sum, transporting through (P, Q) exactly when the face
-drops the smallest vertex.
+drops the smallest vertex.  Every block and every total differential is
+assembled as sparse rows.
 
 The pages of the filtration-by-column spectral sequence come from one
 reduction per total degree: the columns of the total differential enter
@@ -37,7 +38,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, _axpy, quotient_dim_and_reps
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -199,16 +200,14 @@ def _bracket_vec(a: LieAlgebroidPatch, u: Sequence[Fraction], v: Sequence[Fracti
 
 def _gamma_action(cd: ChartData, u: Sequence[Fraction]) -> QMatrix:
     m = cd.rep.rank
-    out = [[Fraction(0)] * m for _ in range(m)]
+    out: List[SparseRow] = [{} for _ in range(m)]
     for i in range(cd.algebra.rank):
         if u[i] == 0:
             continue
         for al in range(m):
-            for be in range(m):
-                val = cd.rep.gammas[i][al][be].constant_term()
-                if val:
-                    out[al][be] += u[i] * val
-    return QMatrix(out)
+            _axpy(out[al], u[i], {be: val for be in range(m)
+                                  if (val := cd.rep.gammas[i][al][be].constant_term())})
+    return QMatrix.of_sparse(out, m)
 
 
 def validate_family(f: LocalSystemFamily) -> ValidationReport:
@@ -273,20 +272,10 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
 # -- cochain transport --------------------------------------------------------------------
 
 
-def _chart_complex(cd: ChartData) -> CEComplex:
-    return CEComplex(cd.algebra, cd.rep)
-
-
-def _chart_basis(cd: ChartData, q: int) -> List[BasisElement]:
-    return _chart_complex(cd).window_basis(q, 0)
-
-
-def _minor(m: QMatrix, rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    k = len(rows)
-    if k == 0:
+def _minor(m: List[List[Fraction]], rows: Sequence[int], cols: Sequence[int]) -> Fraction:
+    if not rows:
         return Fraction(1)
-    sub = [[m.rows[r][c] for c in cols] for r in rows]
-    return _det(sub)
+    return _det([[m[r][c] for c in cols] for r in rows])
 
 
 def _det(rows: List[List[Fraction]]) -> Fraction:
@@ -308,14 +297,11 @@ def _det(rows: List[List[Fraction]]) -> Fraction:
     return det
 
 
-def _add_block(rows: List[List[Fraction]], block: QMatrix, r0: int, c0: int,
+def _add_block(rows: List[SparseRow], block: QMatrix, r0: int, c0: int,
                sign: int = 1) -> None:
-    """Add sign * block into rows with its top-left entry at (r0, c0)."""
-    for r, brow in enumerate(block.rows):
-        out = rows[r0 + r]
-        for c, v in enumerate(brow):
-            if v:
-                out[c0 + c] += sign * v
+    """Add sign * block into sparse rows with its top-left entry at (r0, c0)."""
+    for r, brow in enumerate(block.sparse_rows()):
+        _axpy(rows[r0 + r], sign, {c0 + c: v for c, v in brow.items()})
 
 
 def _face_sum(faces: List[Tuple[int, ...]], cofaces: List[Tuple[int, ...]],
@@ -331,7 +317,7 @@ def _face_sum(faces: List[Tuple[int, ...]], cofaces: List[Tuple[int, ...]],
     for alpha in faces:
         src_off[alpha] = ncols
         ncols += size(alpha[0])
-    rows = [[Fraction(0)] * ncols for _ in range(sum(size(b[0]) for b in cofaces))]
+    rows: List[SparseRow] = [{} for _ in range(sum(size(b[0]) for b in cofaces))]
     roff = 0
     for beta in cofaces:
         nb = size(beta[0])
@@ -345,28 +331,27 @@ def _face_sum(faces: List[Tuple[int, ...]], cofaces: List[Tuple[int, ...]],
                 _add_block(rows, transport(beta[0], face[0]), roff, coff, sign)
             else:
                 for rr in range(nb):
-                    rows[roff + rr][coff + rr] += sign
+                    rows[roff + rr][coff + rr] = Fraction(sign)
         roff += nb
-    return QMatrix.of_fractions(rows, ncols)
+    return QMatrix.of_sparse(rows, ncols)
 
 
 def cochain_transport(p: QMatrix, q_mat: QMatrix,
                       src: List[BasisElement], dst: List[BasisElement]) -> QMatrix:
     """Matrix of omega |-> q . omega(p^{-1} ., ..., p^{-1} .) on CE bases."""
-    pinv = p.inverse()
-    index = {e: i for i, e in enumerate(dst)}
-    cols: List[List[Fraction]] = []
+    pinv, q_rows = p.inverse().rows, q_mat.rows
+    cols: List[SparseRow] = []
     for (_, wedge, beta) in src:
-        col = [Fraction(0)] * len(dst)
-        for (_, wedge2, gamma) in dst:
-            qv = q_mat.rows[gamma][beta]
+        col: SparseRow = {}
+        for k, (_, wedge2, gamma) in enumerate(dst):
+            qv = q_rows[gamma][beta]
             if qv == 0:
                 continue
-            det = _minor(pinv, list(wedge), list(wedge2))
+            det = _minor(pinv, wedge, wedge2)
             if det:
-                col[index[((), wedge2, gamma)]] += qv * det
+                col[k] = qv * det
         cols.append(col)
-    return QMatrix.from_columns(cols, len(dst))
+    return QMatrix.of_sparse(cols, len(dst)).transpose()
 
 
 # -- the double complex -------------------------------------------------------------------
@@ -410,7 +395,7 @@ class CechDoubleComplex:
             return self._total[n]
         dst_off = {p: off for p, off, _ in self.total_basis_slices(n + 1)}
         ncols = self.total_dim(n)
-        rows = [[Fraction(0)] * ncols for _ in range(self.total_dim(n + 1))]
+        rows: List[SparseRow] = [{} for _ in range(self.total_dim(n + 1))]
         for p, off, size in self.total_basis_slices(n):
             if size == 0:
                 continue
@@ -420,7 +405,7 @@ class CechDoubleComplex:
             vm = self.vert.get((p, n - p))
             if vm is not None and p in dst_off:
                 _add_block(rows, vm, dst_off[p], off, -1 if p % 2 else 1)
-        self._total[n] = QMatrix.of_fractions(rows, ncols)
+        self._total[n] = QMatrix.of_sparse(rows, ncols)
         return self._total[n]
 
     def total_betti(self) -> List[int]:
@@ -447,9 +432,13 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
     q_max = max(f.fibre_rank(i) for i in range(len(f.charts)))
     bases: Dict[Tuple[int, int], List] = {}
     chart_bases: Dict[Tuple[int, int], List[BasisElement]] = {}
-    for i in range(len(f.charts)):
+    chart_d: Dict[Tuple[int, int], QMatrix] = {}
+    for i, cd in enumerate(f.charts):
+        cx = CEComplex(cd.algebra, cd.rep)
         for q in range(q_max + 2):
-            chart_bases[(i, q)] = _chart_basis(f.charts[i], q)
+            chart_bases[(i, q)] = cx.window_basis(q, 0)
+        for q in range(q_max + 1):
+            chart_d[(i, q)] = cx.d_matrix(chart_bases[(i, q)], chart_bases[(i, q + 1)])
     for p, level in enumerate(simpl):
         for q in range(q_max + 2):
             entries = []
@@ -460,22 +449,17 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
 
     # vertical differential, blockwise per simplex
     vert: Dict[Tuple[int, int], QMatrix] = {}
-    chart_d: Dict[Tuple[int, int], QMatrix] = {}
-    for i in range(len(f.charts)):
-        cx = _chart_complex(f.charts[i])
-        for q in range(q_max + 1):
-            chart_d[(i, q)] = cx.d_matrix(chart_bases[(i, q)], chart_bases[(i, q + 1)])
     for p, level in enumerate(simpl):
         for q in range(q_max + 1):
             ncols = len(bases[(p, q)])
-            rows = [[Fraction(0)] * ncols for _ in range(len(bases[(p, q + 1)]))]
+            rows: List[SparseRow] = [{} for _ in range(len(bases[(p, q + 1)]))]
             r0 = c0 = 0
             for alpha in level:
                 dm = chart_d[(alpha[0], q)]
                 _add_block(rows, dm, r0, c0)
                 r0 += dm.nrows
                 c0 += dm.ncols
-            vert[(p, q)] = QMatrix.of_fractions(rows, ncols)
+            vert[(p, q)] = QMatrix.of_sparse(rows, ncols)
 
     # horizontal differential with min-vertex twisting
     delta: Dict[Tuple[int, int], QMatrix] = {}
@@ -514,20 +498,20 @@ def _verify_complex(dc: CechDoubleComplex) -> None:
     for k = 0, the commutator of the vertical and horizontal maps for k = 1
     and the face-sum square for k = 2, so a vanishing total square is the
     three block identities at once.  A failure names the identity from the
-    blocks of its first nonzero entry, at the source (p, q) of that entry.
+    blocks of its least nonzero entry by (column, row), at the source (p, q)
+    of that entry.
     """
     for n in range(dc.p_max() + dc.q_max + 1):
         m1, m2 = dc.total_matrix(n), dc.total_matrix(n + 1)
         if not (m1.nrows and m2.nrows):
             continue
-        src_p, dst_p = dc.column_of(n), dc.column_of(n + 2)
-        for j in range(m1.ncols):
-            img = m2.apply(m1.column(j))
-            i = next((i for i, v in enumerate(img) if v), None)
-            if i is not None:
-                p = src_p[j]
-                raise ValidationFailure(_IDENTITY_BY_COLUMN_STEP[dst_p[i] - p],
-                                        {"kind": "not_complex", "at": (p, n - p)})
+        square = (m2 @ m1).sparse_rows()
+        nonzero = [(j, i) for i, row in enumerate(square) for j in row]
+        if nonzero:
+            j, i = min(nonzero)
+            p = dc.column_of(n)[j]
+            raise ValidationFailure(_IDENTITY_BY_COLUMN_STEP[dc.column_of(n + 2)[i] - p],
+                                    {"kind": "not_complex", "at": (p, n - p)})
 
 
 # -- spectral sequence engine ------------------------------------------------------------
@@ -561,10 +545,11 @@ def _filtration_pairs(dc: CechDoubleComplex, n: int) -> List[Tuple[int, int]]:
     image can reach: its partner.
     """
     dmat = dc.total_matrix(n)
+    cols = dmat.sparse_columns()
     ech = Echelon(dmat.nrows)
     pairs = []
     for j in reversed(range(dmat.ncols)):
-        new = ech.add({i: row[j] for i, row in enumerate(dmat.rows) if row[j]})
+        new = ech.add(cols[j])
         if new is not None:
             pairs.append((j, min(new)))
     return pairs
@@ -655,6 +640,14 @@ def _induced_on_cohomology(lc_src, lc_dst, tmat: QMatrix, q: int,
     return QMatrix.from_columns(cols, len(reps_dst))
 
 
+def _edge_induced(f: LocalSystemFamily, lcs, i: int, j: int, q: int) -> QMatrix:
+    """Map on degree-q cohomology carrying chart j classes to chart i."""
+    pm, qm = f.transition(i, j)
+    tm = cochain_transport(pm, qm, lcs[j].bases[q], lcs[i].bases[q])
+    dpd = lcs[i].matrices[q - 1] if q > 0 else None
+    return _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
+
+
 def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
                          ) -> Dict[Tuple[int, int], int]:
     """Second page by a separate route: per-chart cohomology first, then the
@@ -664,20 +657,12 @@ def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
     out: Dict[Tuple[int, int], int] = {}
     for q in range(dc.q_max + 1):
         dims_h = [len(lc.representatives[q]) if q < len(lc.betti) else 0 for lc in lcs]
-        ind_cache: Dict[Tuple[int, int], QMatrix] = {}
-
-        def induced(i: int, j: int) -> QMatrix:
-            if (i, j) not in ind_cache:
-                pm, qm = f.transition(i, j)
-                tm = cochain_transport(pm, qm, _chart_basis(f.charts[j], q),
-                                       _chart_basis(f.charts[i], q))
-                dpd = lcs[i].matrices[q - 1] if q > 0 else None
-                ind_cache[(i, j)] = _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
-            return ind_cache[(i, j)]
-
+        # every face sum transports along a nerve edge (coface min, face min)
+        induced = {e: _edge_induced(f, lcs, *e, q) for edges in simpl[1:2] for e in edges}
         # simplicial cochain spaces with H^q coefficients at the min vertex
         sizes = [sum(dims_h[alpha[0]] for alpha in level) for level in simpl]
-        deltas = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i], induced)
+        deltas = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i],
+                            lambda i, j: induced[(i, j)])
                   for p in range(len(simpl) - 1)]
         for p in range(len(simpl)):
             d_out = deltas[p] if p < len(deltas) else QMatrix.zeros(0, sizes[p])
@@ -708,7 +693,7 @@ class LocalizationReport:
 
 def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
                        ) -> LocalizationReport:
-    """Restriction of total degree-n classes to one chart fibre.
+    """Restriction of total degree-n classes (n >= 0) to one chart fibre.
 
     Hypotheses: fibre cohomology vanishes below n-1; connected base; and
     either the (n-1)-st fibre cohomology vanishes or the base is simply
@@ -716,6 +701,8 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
     """
     if not 0 <= chart < len(f.charts):
         raise StructuralError("chart index out of range")
+    if n < 0:
+        raise StructuralError("negative degree")
     lc = lie_algebra_cohomology(f.charts[chart].algebra, f.charts[chart].rep)
     hyp_a = all(lc.betti[q] == 0 for q in range(min(max(n - 1, 0), len(lc.betti))))
     hyp_b = len(nerve_components(c)) == 1
@@ -740,8 +727,9 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
     own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
     restricted = [{k: v[i] for k, i in enumerate(own) if v[i]} for v in total_reps]
     # kernel of the induced map on classes: restrict, then reduce modulo
-    # chart coboundaries
-    fib_b = lc.matrices[n - 1].column_echelon() if n > 0 else Echelon(len(own))
+    # chart coboundaries, of which there are none in degree 0 or above the top
+    fib_b = lc.matrices[n - 1].column_echelon() if 0 < n <= len(lc.matrices) \
+        else Echelon(len(own))
     kernel_dim = total_dim - sum(fib_b.add(v) is not None for v in restricted)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"
     return LocalizationReport(verdict, hyps, branch, n, chart,

@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
 All computations run on Fraction entries; there is no floating point in
-this module.  There is one elimination engine, `Echelon`: a reduced row
-echelon span whose rows are sparse {column: Fraction} dicts.  Kernels and
-subquotients are computed there on sparse rows: `Echelon.kernel` reads the
-null space off the reduced rows, and `quotient_dim_and_reps` reduces sparse
-cycles against a boundary echelon.  `QMatrix` gives its readers dense
-rows; its rank, kernel, image, solve and inverse feed its rows into an
-`Echelon` and densify the answer.  A `QMatrix` made from sparse rows keeps
-them, so its eliminations never scan a dense row, and makes its dense rows
-only when a reader asks for them.  The reduced row echelon form of a matrix
-is unique, so pivots, kernel and image bases, solutions, inverses and
+this module.  There is one stored form and one elimination engine.  A
+`QMatrix` holds only sparse rows, {column: Fraction} dicts of the nonzero
+entries; its products, differences and applications accumulate those rows,
+and its dense `rows` are a read-out for reports.  `Echelon` is a reduced
+row echelon span over the same sparse rows: rank, kernel, image, rref,
+solve and inverse of a `QMatrix` are all one `Echelon` pass over its rows
+(augmented for solve and inverse).  `Echelon.kernel` reads the null space
+off the reduced rows, and `quotient_dim_and_reps` reduces sparse cycles
+against a boundary echelon.  The reduced row echelon form of a matrix is
+unique, so pivots, kernel and image bases, solutions, inverses and
 quotient representatives do not depend on the order of elimination and are
 reproducible byte for byte.
 """
@@ -42,78 +42,76 @@ class NotAComplexError(ValueError):
 
 
 class QMatrix:
-    """Rational matrix; `rows` are its dense rows of Fractions.
+    """Rational matrix stored as sparse rows.
 
-    A matrix made by `of_sparse` holds sparse rows and makes its dense rows
-    on first use.  A matrix is not changed after it is made.
+    Each row is a {column: Fraction} dict of its nonzero entries; no zero
+    is stored, so two matrices are equal exactly when their shapes and
+    sparse rows are.  `rows` reads the matrix out as dense rows, made anew
+    on every read, for reports and other readers outside this module.  A
+    matrix is not changed after it is made.
     """
 
-    __slots__ = ("_rows", "_sparse", "nrows", "ncols")
+    __slots__ = ("_sparse", "nrows", "ncols")
 
-    def __init__(self, rows: Sequence[Sequence] , ncols: Optional[int] = None):
-        self._rows = [[Fraction(v) for v in row] for row in rows]
-        self._sparse: Optional[List[SparseRow]] = None
-        self.nrows = len(self._rows)
-        if self.nrows:
-            self.ncols = len(self._rows[0])
-            if any(len(r) != self.ncols for r in self._rows):
-                raise ValueError("ragged rows")
-        else:
-            self.ncols = 0 if ncols is None else ncols
-
-    @classmethod
-    def of_fractions(cls, rows: List[Vector], ncols: int) -> "QMatrix":
-        """Wrap rows whose entries are already Fractions, without copying."""
-        out = cls.__new__(cls)
-        out._rows, out._sparse, out.nrows, out.ncols = rows, None, len(rows), ncols
-        return out
+    def __init__(self, rows: Sequence[Sequence], ncols: Optional[int] = None):
+        dense = [[Fraction(v) for v in row] for row in rows]
+        self.nrows = len(dense)
+        self.ncols = len(dense[0]) if dense else (0 if ncols is None else ncols)
+        if any(len(r) != self.ncols for r in dense):
+            raise ValueError("ragged rows")
+        self._sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
 
     @classmethod
     def of_sparse(cls, rows: List[SparseRow], ncols: int) -> "QMatrix":
-        """Wrap sparse rows over the columns 0..ncols-1, without copying."""
+        """Wrap sparse rows over the columns 0..ncols-1, without copying.
+
+        The rows must hold no zero entry."""
         out = cls.__new__(cls)
-        out._rows, out._sparse, out.nrows, out.ncols = None, rows, len(rows), ncols
+        out._sparse, out.nrows, out.ncols = rows, len(rows), ncols
         return out
 
     @property
     def rows(self) -> List[Vector]:
-        if self._rows is None:
-            self._rows = [_dense(row, self.ncols) for row in self._sparse]
-        return self._rows
+        return [_dense(row, self.ncols) for row in self._sparse]
 
     def sparse_rows(self) -> List[SparseRow]:
         """The rows as new sparse vectors."""
-        if self._sparse is not None:
-            return [dict(row) for row in self._sparse]
-        return [{j: x for j, x in enumerate(row) if x} for row in self._rows]
+        return [dict(row) for row in self._sparse]
+
+    def sparse_columns(self) -> List[SparseRow]:
+        """The columns as new sparse vectors."""
+        cols: List[SparseRow] = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self._sparse):
+            for j, x in row.items():
+                cols[j][i] = x
+        return cols
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls([[QZERO] * ncols for _ in range(nrows)], ncols)
+        return cls.of_sparse([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls([[QONE if i == j else QZERO for j in range(n)] for i in range(n)], n)
+        return cls.of_sparse([{i: QONE} for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, cols: Sequence[Vector], nrows: Optional[int] = None) -> "QMatrix":
         return cls(cols, nrows or 0).transpose()
 
     def column(self, j: int) -> Vector:
-        return [row[j] for row in self.rows]
+        return [row.get(j, QZERO) for row in self._sparse]
 
     def transpose(self) -> "QMatrix":
-        rows = self.rows
-        return QMatrix.of_fractions([[row[j] for row in rows] for j in range(self.ncols)],
-                                    self.nrows)
+        return QMatrix.of_sparse(self.sparse_columns(), self.nrows)
 
     def is_zero(self) -> bool:
-        return all(v == 0 for row in self.rows for v in row)
+        return not any(self._sparse)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QMatrix):
             return NotImplemented
-        return (self.nrows, self.ncols) == (other.nrows, other.ncols) and self.rows == other.rows
+        return (self.nrows, self.ncols) == (other.nrows, other.ncols) \
+            and self._sparse == other._sparse
 
     def __repr__(self) -> str:
         return f"QMatrix({self.nrows}x{self.ncols})"
@@ -121,22 +119,28 @@ class QMatrix:
     def __sub__(self, other: "QMatrix") -> "QMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        return QMatrix([[a - b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)], self.ncols)
+        out = self.sparse_rows()
+        for v, row in zip(out, other._sparse):
+            _axpy(v, -QONE, row)
+        return QMatrix.of_sparse(out, self.ncols)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        bt = other.transpose().rows
-        return QMatrix.of_fractions([[sum((a * b for a, b in zip(row, col) if a and b), QZERO)
-                                      for col in bt] for row in self.rows], other.ncols)
+        out: List[SparseRow] = []
+        for row in self._sparse:
+            v: SparseRow = {}
+            for k, x in row.items():
+                _axpy(v, x, other._sparse[k])
+            out.append(v)
+        return QMatrix.of_sparse(out, other.ncols)
 
     def apply(self, vec: Sequence) -> Vector:
         if len(vec) != self.ncols:
             raise ValueError("vector arity mismatch")
-        # differentials are sparse: convert and multiply only nonzero pairs
-        support = [(j, Fraction(b)) for j, b in enumerate(vec) if b]
-        return [sum((row[j] * b for j, b in support if row[j]), QZERO) for row in self.rows]
+        support = {j: Fraction(b) for j, b in enumerate(vec) if b}
+        return [sum((x * support[j] for j, x in row.items() if j in support), QZERO)
+                for row in self._sparse]
 
     # -- reductions -------------------------------------------------------------
 
@@ -147,8 +151,8 @@ class QMatrix:
         in pivot order, followed by zero rows up to the original height.
         """
         ech = self.echelon()
-        rows = ech.dense_rows() + [[QZERO] * self.ncols for _ in range(self.nrows - ech.rank)]
-        return QMatrix.of_fractions(rows, self.ncols), list(ech.pivots)
+        rows = [ech._row_at[p] for p in ech.pivots] + [{} for _ in range(self.nrows - ech.rank)]
+        return QMatrix.of_sparse(rows, self.ncols), list(ech.pivots)
 
     def echelon(self) -> "Echelon":
         """The reduced row echelon span of the rows."""
@@ -156,14 +160,10 @@ class QMatrix:
 
     def column_echelon(self) -> "Echelon":
         """The reduced row echelon span of the columns."""
-        cols: List[SparseRow] = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.sparse_rows()):
-            for j, x in row.items():
-                cols[j][i] = x
-        return Echelon(self.nrows, cols)
+        return Echelon(self.nrows, self.sparse_columns())
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return self.echelon().rank
 
     def kernel_basis(self) -> List[Vector]:
         """Canonical basis of the null space: `Echelon.kernel` of the rows, made dense."""
@@ -171,33 +171,44 @@ class QMatrix:
 
     def image_basis(self) -> List[Vector]:
         """Basis of the column space: the original pivot columns."""
-        _, pivots = self.rref()
-        return [self.column(j) for j in pivots]
+        return [self.column(j) for j in self.echelon().pivots]
 
     def solve(self, b: Sequence) -> Optional[Vector]:
-        """One solution x of self @ x = b, or None if inconsistent."""
+        """One solution x of self @ x = b, or None if inconsistent.
+
+        The rows augmented by b are eliminated in one Echelon; b is
+        consistent when no pivot lands in its column, and then x is that
+        column read at the pivots."""
         bb = [Fraction(v) for v in b]
         if len(bb) != self.nrows:
             raise ValueError("rhs arity mismatch")
-        aug = QMatrix([row + [val] for row, val in zip(self.rows, bb)], self.ncols + 1)
-        red, pivots = aug.rref()
-        if self.ncols in pivots:
+        n = self.ncols
+        aug = self.sparse_rows()
+        for row, val in zip(aug, bb):
+            if val:
+                row[n] = val
+        ech = Echelon(n + 1, aug)
+        if n in ech._row_at:
             return None
-        x = [QZERO] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.rows[r][self.ncols]
+        x = [QZERO] * n
+        for p in ech.pivots:
+            x[p] = ech._row_at[p].get(n, QZERO)
         return x
 
     def inverse(self) -> Optional["QMatrix"]:
+        """The inverse, or None if singular: the rows augmented by the
+        identity are eliminated in one Echelon."""
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        aug = QMatrix([self.rows[i] + [QONE if j == i else QZERO for j in range(n)]
-                       for i in range(n)], 2 * n)
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
+        aug = self.sparse_rows()
+        for i, row in enumerate(aug):
+            row[n + i] = QONE
+        ech = Echelon(2 * n, aug)
+        if ech.pivots != list(range(n)):
             return None
-        return QMatrix([red.rows[i][n:] for i in range(n)], n)
+        return QMatrix.of_sparse([{c - n: x for c, x in ech._row_at[p].items() if c >= n}
+                                  for p in ech.pivots], n)
 
 
 class Echelon:
@@ -215,7 +226,7 @@ class Echelon:
     def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):
         self.dim = dim
         self.pivots: List[int] = []
-        self._rows: Dict[int, SparseRow] = {}      # pivot -> row
+        self._row_at: Dict[int, SparseRow] = {}      # pivot -> row
         for row in rows:
             self.add(row)
 
@@ -225,7 +236,7 @@ class Echelon:
         Subtracting the row of one pivot leaves v unchanged at every other
         pivot, so the factors are the entries of v at the pivots.
         """
-        rows = self._rows
+        rows = self._row_at
         for p in [p for p in v if p in rows]:
             _axpy(v, -v[p], rows[p])
         return v
@@ -243,16 +254,20 @@ class Echelon:
         inv = 1 / v[pivot]
         v = {c: x * inv for c, x in v.items()}
         # Back-substitute into existing rows to keep the echelon reduced.
-        for row in self._rows.values():
+        for row in self._row_at.values():
             if pivot in row:
                 _axpy(row, -row[pivot], v)
         insort(self.pivots, pivot)
-        self._rows[pivot] = v
+        self._row_at[pivot] = v
         return v
+
+    def copy(self) -> "Echelon":
+        """An independent echelon with the same rows."""
+        return Echelon(self.dim, [dict(self._row_at[p]) for p in self.pivots])
 
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
-        return [_dense(self._rows[p], self.dim) for p in self.pivots if p >= 0]
+        return [_dense(self._row_at[p], self.dim) for p in self.pivots if p >= 0]
 
     def kernel(self) -> List[SparseRow]:
         """Canonical basis of the null space of `dense_rows`, as sparse vectors.
@@ -262,10 +277,10 @@ class Echelon:
         at the pivots.  A row pivoted at p >= 0 holds only columns >= p, so
         each entry besides its pivot sits at a free column.
         """
-        basis = {j: {j: QONE} for j in range(self.dim) if j not in self._rows}
+        basis = {j: {j: QONE} for j in range(self.dim) if j not in self._row_at}
         for p in self.pivots:
             if p >= 0:
-                for c, x in self._rows[p].items():
+                for c, x in self._row_at[p].items():
                     if c != p:
                         basis[c][p] = -x
         return list(basis.values())
@@ -325,11 +340,10 @@ def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
     """
     if d_in.ncols and d_out.ncols != d_in.nrows:
         raise ValueError("chain maps are not composable")
-    comp = d_out @ d_in
-    for i, row in enumerate(comp.rows):
-        for j, v in enumerate(row):
-            if v != 0:
-                raise NotAComplexError((i, j, v))
+    for i, row in enumerate((d_out @ d_in)._sparse):
+        if row:
+            j = min(row)
+            raise NotAComplexError((i, j, row[j]))
     cocycles = d_out.echelon().kernel()
     kernel = [_dense(v, d_out.ncols) for v in cocycles]
     image = d_in.image_basis()

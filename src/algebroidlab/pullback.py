@@ -25,10 +25,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import (CEComplex, _weight_cohomology, _window_betti, _window_boundaries,
-                         weight_cohomology)
+from .cohomology import CEComplex, _weight_cohomology, _window_boundaries, weight_cohomology
 from .errors import LabError, StructuralError, ValidationFailure
-from .linalg import QMatrix, SparseRow
+from .linalg import QMatrix, SparseRow, quotient_dim_and_reps
 from .ratpoly import (
     TruncatedPoly,
     WeightAssignment,
@@ -705,7 +704,12 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     rows: List[TransversalIsoRow] = []
     shift = max(cx.degree_shift(), slice_cx.degree_shift())
     for q in range(max(a.rank, sliced.rank) + 1):
-        betti_s, _reps_s, basis_s = _window_betti(slice_cx, q, end, None)
+        # slice side: one boundary echelon at the larger shift serves both
+        # the slice betti number (on a copy) and the restriction rank
+        basis_s = slice_cx.window_basis(q, end)
+        bnd_ech = _window_boundaries(slice_cx, q, end, None, basis_s, shift)
+        d_s = slice_cx.d_matrix(basis_s, slice_cx.window_basis(q + 1, end + shift))
+        betti_s, _ = quotient_dim_and_reps(d_s.echelon().kernel(), bnd_ech.copy())
         # total side: sum the weight strata at the same degree
         wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
@@ -713,7 +717,6 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # restricted cocycles modulo the slice boundaries at this window
         basis_big = cx.window_basis(q, end)
         cocycles = cx.d_matrix(basis_big, cx.window_basis(q + 1, end + shift)).echelon().kernel()
-        bnd_ech = _window_boundaries(slice_cx, q, end, None, basis_s, shift)
         img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep,
                                                      frame, basis_s)) is not None
                        for zvec in cocycles)

@@ -528,8 +528,7 @@ def poly_matrix_inverse_unit(rows: List[List[TruncatedPoly]], cap: int) -> List[
     if b0_inv is None:
         raise ValueError("matrix value at the origin is singular")
     # G = I - B0^{-1} B has entries with zero constant term.
-    b0i_rows = [[TruncatedPoly.const(n_vars, b0_inv.rows[i][j], cap) for j in range(k)]
-                for i in range(k)]
+    b0i_rows = [[TruncatedPoly.const(n_vars, x, cap) for x in row] for row in b0_inv.rows]
     prod = _poly_mat_mul(b0i_rows, [[e.truncate(cap) for e in row] for row in rows])
     gmat = [[(TruncatedPoly.const(n_vars, 1 if i == j else 0, cap) - prod[i][j])
              for j in range(k)] for i in range(k)]

@@ -19,7 +19,7 @@ import numpy as np
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
-from .covers import (CoverDatum, LocalSystemFamily, _induced_on_cohomology,
+from .covers import (CoverDatum, LocalSystemFamily, _edge_induced, _induced_on_cohomology,
                      cochain_transport, validate_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
@@ -541,14 +541,6 @@ class MonodromyReport:
     steps: int
 
 
-def _edge_induced(lsf: LocalSystemFamily, lcs, i: int, j: int, q: int) -> QMatrix:
-    """Map on degree-q cohomology carrying chart j classes to chart i."""
-    pm, qm = lsf.transition(i, j)
-    tm = cochain_transport(pm, qm, lcs[j].bases[q], lcs[i].bases[q])
-    dpd = lcs[i].matrices[q - 1] if q > 0 else None
-    return _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
-
-
 def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
                     tol: float = 1e-8) -> MonodromyReport:
     """Loop holonomy computed two ways and compared degree by degree.
@@ -592,7 +584,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
             hol = _edge_induced(lsf, lcs, nxt, cur, q) @ hol
         monq = tr.mon[q]
         by_deg[q] = (hol, monq)
-        if len(hol.rows) != len(monq.rows):
+        if hol.nrows != monq.nrows:
             match = False
             exactly = False
             continue
@@ -601,7 +593,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
             for x, y in zip(ra, rb):
                 diff = max(diff, abs(float(x - y)))
         max_diff = max(max_diff, diff)
-        exactly = exactly and hol.rows == monq.rows
+        exactly = exactly and hol == monq
         match = match and diff <= tol
     return MonodromyReport(match, exactly, tr.exact, max_diff, loop, by_deg,
                            tr.steps)
@@ -659,7 +651,7 @@ def gauss_manin(lsf: LocalSystemFamily,
             hol = _edge_induced(lsf, lcs, i, k, q) @ \
                 _edge_induced(lsf, lcs, k, j, q) @ \
                 _edge_induced(lsf, lcs, j, i, q)
-            if not (hol - QMatrix.identity(len(hol.rows))).is_zero():
+            if not (hol - QMatrix.identity(hol.nrows)).is_zero():
                 flat = False
     cycles = _cycle_basis(ncharts, cover.overlaps)
     cycle_hol = []

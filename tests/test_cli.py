@@ -172,6 +172,58 @@ def test_localize_exit_taxonomy(capsysbinary):
     assert b"verdict: injective" in out
 
 
+SL2_ADJOINT_PAIR = """version 1
+
+algebroid sl2 {
+  rank = 3
+  bracket[0][1] = 0, 2, 0
+  bracket[0][2] = 0, 0, -2
+  bracket[1][2] = 1, 0, 0
+}
+
+representation adjoint {
+  of = sl2
+  rank = 3
+  gamma[0] = 0, 0, 0 ; 0, 2, 0 ; 0, 0, -2
+  gamma[1] = 0, 0, 1 ; -2, 0, 0 ; 0, 0, 0
+  gamma[2] = 0, -1, 0 ; 0, 0, 0 ; 2, 0, 0
+}
+
+cover pair {
+  charts = U, V
+  overlaps = (0,1)
+}
+
+family adjoint_pair {
+  cover = pair
+  fibre[0] = sl2
+  fibre[1] = sl2
+  rep[0] = adjoint
+  rep[1] = adjoint
+}
+"""
+
+
+def test_localize_degrees_outside_the_fibre_range(tmp_path, capsysbinary):
+    # sl2 with its adjoint coefficients has no cohomology at all, so every
+    # degree past the fibre rank has no classes and the verdict holds
+    model = tmp_path / "sl2_adjoint_pair.alab"
+    model.write_text(SL2_ADJOINT_PAIR)
+    for deg in ("4", "5", "7"):
+        code, out = run(["localize", str(model), "--at", "0", "--deg", deg,
+                         "--format", "structured"], capsysbinary)
+        assert code == 0, out
+        rep = parse_structured(out)
+        assert rep.verdict == "injective"
+        row = next(t for t in rep.tables if t.name == "localization").rows[0]
+        assert row[:5] == (deg, "0", "0", "0", "0")
+    # a negative degree is rejected like a chart index out of range
+    for path in (str(model), CIRCLE):
+        code, out = run(["localize", path, "--at", "0", "--deg", "-1"], capsysbinary)
+        assert code == 2
+        assert b"negative degree" in out and b"internal error" not in out
+
+
 def test_transport_command(capsysbinary):
     code, out = run(["transport", CIRCLE, "--format", "structured"],
                     capsysbinary)

@@ -396,13 +396,13 @@ class _Staircase:
         if not support:
             self._a_cache[key] = []
             return []
-        dmat = self.dc.total_matrix(n)
+        drows = self.dc.total_matrix(n).rows          # a dense read-out: read it once
         # rows of the image that must vanish: columns below p + r
         con_rows = []
         if r >= 0 and n + 1 <= self.n_top:
             allowed = set(self._column_mask(n + 1, max(p + r, 0)))
             con_rows = [rr for rr in self._column_mask(n + 1, 0) if rr not in allowed]
-        sub = QMatrix([[dmat.rows[rr][cc] for cc in support] for rr in con_rows],
+        sub = QMatrix([[drows[rr][cc] for cc in support] for rr in con_rows],
                       len(support))
         dim_n = self.dc.total_dim(n)
         out = []
@@ -549,8 +549,11 @@ def test_verify_complex_names_a_failing_block_identity():
     named = set()
     for fibre, which, key in corruptions:
         dc = build_double_complex(_constant_family(triangle, fibre), triangle)
-        block = getattr(dc, which)[key]
-        block.rows[rng.randrange(block.nrows)][rng.randrange(block.ncols)] += 1
+        blocks = getattr(dc, which)
+        block = blocks[key]
+        rows_with_bump = block.rows
+        rows_with_bump[rng.randrange(block.nrows)][rng.randrange(block.ncols)] += 1
+        blocks[key] = QMatrix(rows_with_bump, block.ncols)
         dc._total.clear()
         with pytest.raises(ValidationFailure) as ei:
             _verify_complex(dc)

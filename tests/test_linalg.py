@@ -482,7 +482,7 @@ def test_echelon_rows_stay_reduced_and_sparse():
         assert ech.pivots == pivots
         assert ech.dense_rows() == rows[:len(pivots)]
         assert all(x != 0 and type(x) is Fraction
-                   for row in ech._rows.values() for x in row.values())
+                   for row in ech._row_at.values() for x in row.values())
         for v in vecs:
             assert not ech.reduce(_sparse(v))
 
@@ -545,24 +545,83 @@ def test_echelon_kernel_matches_gauss_jordan_seeded():
         _check_kernel(_sparse_matrix(rng, nr, nc, 0.05).rows, 5, nc - 5)
 
 
+def _stores_no_zero(m: QMatrix) -> bool:
+    return all(x != 0 and type(x) is Fraction for row in m.sparse_rows() for x in row.values())
+
+
+def _dense_matmul(a, b, ncols):
+    return [[sum((x * b[k][j] for k, x in enumerate(row)), Fraction(0)) for j in range(ncols)]
+            for row in a]
+
+
 def test_sparse_backed_matrix_matches_dense():
-    """A matrix made from sparse rows reads, reduces and spans its columns
-    like the same matrix made dense, and hands out copies of its rows."""
-    rng = random.Random(515)
-    for _ in range(200):
-        nr, nc = rng.randrange(0, 9), rng.randrange(0, 9)
-        dense = _sparse_matrix(rng, nr, nc, rng.choice((0.1, 0.4, 0.9)))
-        m = QMatrix.of_sparse(_sparse_rows(dense.rows), nc)
-        assert (m.nrows, m.ncols) == (dense.nrows, dense.ncols)
-        assert m.sparse_rows() == dense.sparse_rows()
+    """A matrix made from sparse rows reads, multiplies, reduces, solves and
+    inverts like the dense computation on its rows, hands out copies of its
+    rows, and never stores a zero in a result."""
+    rng, extra = random.Random(515), random.Random(516)
+    seen = {"consistent": 0, "inconsistent": 0, "invertible": 0, "singular": 0,
+            "cancelling product": 0}
+    for shape in [None] * 200 + [(0, 0), (0, 5), (5, 0), (0, 1), (3, 0)]:
+        nr, nc = shape or (rng.randrange(0, 9), rng.randrange(0, 9))
+        rows = _sparse_matrix(rng, nr, nc, rng.choice((0.1, 0.4, 0.9))).rows
+        m = QMatrix.of_sparse(_sparse_rows(rows), nc)
+        assert (m.nrows, m.ncols) == (nr, nc)
+        assert m.rows == rows and _all_fractions(m.rows)
+        assert m == QMatrix(rows, nc) and m.sparse_rows() == _sparse_rows(rows)
         for row in m.sparse_rows():
             row[nc] = Fraction(1)                         # copies: m is unchanged
-        assert m.echelon().dense_rows() == dense.rref()[0].rows[:dense.rank()]
-        assert m.kernel_basis() == m.kernel_basis() == dense.kernel_basis()
-        assert m.column_echelon().dense_rows() == dense.transpose().echelon().dense_rows()
-        assert m.column_echelon().pivots == dense.transpose().echelon().pivots
-        assert m.rows == dense.rows and _all_fractions(m.rows)
-        assert m.transpose() == dense.transpose() and m.transpose().transpose() == m
+        assert m.rows == rows
+        red, pivots = _gauss_jordan(rows, nc)
+        assert m.echelon().dense_rows() == red[:len(pivots)]
+        assert m.rank() == len(pivots)
+        assert m.kernel_basis() == m.kernel_basis() == _oracle_kernel(rows, nc)
+        cols = [[row[j] for row in rows] for j in range(nc)]
+        col_red, col_pivots = _gauss_jordan(cols, nr)
+        ce = m.column_echelon()
+        assert ce.pivots == col_pivots and ce.dense_rows() == col_red[:len(col_pivots)]
+        assert m.transpose().rows == cols and m.transpose().transpose() == m
+        assert m.image_basis() == [[row[j] for row in rows] for j in pivots]
+        assert m.is_zero() == all(x == 0 for row in rows for x in row)
+        # products and differences, including ones that cancel to zero
+        k = extra.randrange(0, 6)
+        other = _sparse_matrix(extra, nc, k, extra.choice((0.2, 0.6)))
+        prod = m @ other
+        want = _dense_matmul(rows, other.rows, k)
+        assert (prod.nrows, prod.ncols) == (nr, k) and prod.rows == want
+        assert _stores_no_zero(prod) and prod.is_zero() == all(x == 0 for r in want for x in r)
+        seen["cancelling product"] += any(
+            not want[i][j] and any(rows[i][c] and other.rows[c][j] for c in range(nc))
+            for i in range(nr) for j in range(k))
+        assert m @ QMatrix.identity(nc) == m == QMatrix.identity(nr) @ m
+        twin = _sparse_matrix(extra, nr, nc, 0.5)
+        diff = m - twin
+        assert diff.rows == [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(rows, twin.rows)]
+        assert _stores_no_zero(diff) and (m - m).is_zero() and _stores_no_zero(m - m)
+        assert (m == twin) == (rows == twin.rows) and (diff.is_zero() == (m == twin))
+        assert m - m == QMatrix.zeros(nr, nc) != QMatrix.zeros(nr, nc + 1)
+        vec = [_sparse_entry(extra) for _ in range(nc)]
+        assert m.apply(vec) == _dense_apply(m, vec) and _all_fractions([m.apply(vec)])
+        # solve, on a consistent and on an arbitrary right-hand side
+        x0 = [Fraction(extra.randrange(-3, 4)) for _ in range(nc)]
+        for b in (_dense_apply(m, x0), [_sparse_entry(extra) for _ in range(nr)]):
+            x = m.solve(b)
+            assert x == _oracle_solve(rows, nc, [Fraction(v) for v in b])
+            seen["inconsistent" if x is None else "consistent"] += 1
+            if x is not None:
+                assert m.apply(x) == b and _all_fractions([x])
+        # inverse, on the leading square block and on that block plus 3 I
+        n = min(nr, nc)
+        for sq_rows in ([row[:n] for row in rows[:n]],
+                        [[x + 3 * (i == j) for j, x in enumerate(row[:n])]
+                         for i, row in enumerate(rows[:n])]):
+            sq = QMatrix.of_sparse(_sparse_rows(sq_rows), n)
+            inv, want_inv = sq.inverse(), _oracle_inverse(sq_rows)
+            assert (inv is None) == (want_inv is None)
+            seen["singular" if inv is None else "invertible"] += 1
+            if inv is not None:
+                assert inv.rows == want_inv and _stores_no_zero(inv)
+                assert inv @ sq == QMatrix.identity(n) == sq @ inv
+    assert all(seen.values()), seen
 
 
 def test_echelon_kernel_edge_shapes():
