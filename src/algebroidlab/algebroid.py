@@ -86,11 +86,21 @@ class LieAlgebroidPatch:
                 out = out + self.anchor[i][l] * f.deriv(l)
         return out
 
+    def section_field(self, coeffs: Sequence[TruncatedPoly]) -> List[TruncatedPoly]:
+        """Coordinate components of the vector field of a section."""
+        out = [TruncatedPoly.zero(self.n_vars) for _ in range(self.n_vars)]
+        for i, u in enumerate(coeffs):
+            if u.is_zero():
+                continue
+            for l, e in enumerate(self.anchor[i]):
+                if not e.is_zero():
+                    out[l] = out[l] + u * e
+        return out
+
     def section_field_apply(self, coeffs: Sequence[TruncatedPoly], f: TruncatedPoly) -> TruncatedPoly:
         out = TruncatedPoly.zero(self.n_vars, f.cap)
-        for i, u in enumerate(coeffs):
-            if not u.is_zero():
-                out = out + u * self.anchor_apply(i, f)
+        for l, x in enumerate(self.section_field(coeffs)):
+            out = out + x * f.deriv(l)
         return out
 
     def bracket_sections(self, u: Sequence[TruncatedPoly], v: Sequence[TruncatedPoly]
@@ -111,8 +121,11 @@ class LieAlgebroidPatch:
                     ck = self.structure[i][j][k]
                     if not ck.is_zero():
                         out[k] = out[k] + uv * ck
+        # the vector fields of u and v serve every component
+        xu, xv = self.section_field(u), self.section_field(v)
         for k in range(r):
-            out[k] = out[k] + self.section_field_apply(u, v[k]) - self.section_field_apply(v, u[k])
+            for l in range(self.n_vars):
+                out[k] = out[k] + xu[l] * v[k].deriv(l) - xv[l] * u[k].deriv(l)
         return out
 
     def anchor_at(self, point: Sequence) -> QMatrix:
@@ -436,6 +449,66 @@ class TauKernelReport:
     certified_order: int
 
 
+@dataclass
+class KernelSubalgebroid:
+    """The kernel of an anchor block as a subalgebroid, in a solved frame."""
+
+    pivots: List[int]                                 # frame indices solved for
+    free: List[int]                                   # frame index of each kernel element
+    frame: List[List[TruncatedPoly]]                  # coefficients in the big frame
+    structure: List[List[List[TruncatedPoly]]]
+    anchor: List[List[TruncatedPoly]]                 # kernel rank x n_vars
+    gammas: Optional[List[List[List[TruncatedPoly]]]]  # connections on the kernel frame
+
+
+def kernel_subalgebroid(big: LieAlgebroidPatch, block: List[List[TruncatedPoly]],
+                        certified: int,
+                        gammas: Optional[List[List[List[TruncatedPoly]]]] = None
+                        ) -> KernelSubalgebroid:
+    """The kernel of a submersion by the algebroid big: the sections that
+    an anchor block annihilates, with their induced structure.
+
+    block (one row per annihilated anchor component, one column per frame
+    element of big, over big's ring) must be surjective at the origin.  The
+    pivot_kernel_frame has 1 at its own free column and 0 at the others, so
+    the structure constants are the free components of each frame bracket,
+    and the pivot residual must vanish up to the certified order (else
+    ValidationFailure "not_closed").  gammas, one connection matrix per
+    frame element of big, are carried to the kernel frame.
+    """
+    r = big.rank
+    pivots, free, frame = pivot_kernel_frame(block, r, big.n_vars, big.jet_order)
+    kr = len(frame)
+    z = TruncatedPoly.zero(big.n_vars, big.jet_order)
+    structure = [[[z for _ in range(kr)] for _ in range(kr)] for _ in range(kr)]
+    for ti in range(kr):
+        for tj in range(kr):
+            if tj == ti:
+                continue
+            br = big.bracket_sections(frame[ti], frame[tj])
+            structure[ti][tj] = [br[t] for t in free]
+            # the residual vanishes at the free components by construction
+            for i in pivots:
+                resid = br[i]
+                for tk, coeff in enumerate(structure[ti][tj]):
+                    if not coeff.is_zero():
+                        resid = resid - coeff * frame[tk][i]
+                w = _lowest_nonzero_witness(resid, certified)
+                if w:
+                    raise ValidationFailure(
+                        "kernel is not closed under the bracket",
+                        {"kind": "not_closed", "pair": (ti + 1, tj + 1),
+                         "frame_component": i + 1, "monomial": w[0],
+                         "coefficient": w[1]})
+    carried = None
+    if gammas is not None:
+        m = len(gammas[0]) if gammas else 0
+        flat = _poly_mat_mul(frame, [[g for row in gam for g in row] for gam in gammas])
+        carried = [[row[al * m:(al + 1) * m] for al in range(m)] for row in flat]
+    return KernelSubalgebroid(pivots, free, frame, structure,
+                              _poly_mat_mul(frame, big.anchor), carried)
+
+
 def tau_and_kernel(s: SubmersionDatum) -> TauKernelReport:
     """Base component of the anchor, its kernel subalgebroid, and the
     induced vertical structure.
@@ -465,60 +538,23 @@ def tau_and_kernel(s: SubmersionDatum) -> TauKernelReport:
                 f"base anchor block is not surjective at {label}: rank {rk} < {nb}",
                 {"kind": "not_surjective", "where": label, "rank": rk, "needed": nb})
 
-    # Solve for a pivot set using the origin value; the pivot submatrix is a
-    # unit in the jet ring, so the kernel is a free module with an explicit frame.
-    pivots, free, kernel_frame = pivot_kernel_frame(tau_cols, r, a.n_vars, a.jet_order)
-    z = TruncatedPoly.zero(a.n_vars, a.jet_order)
+    # The pivot submatrix is a unit in the jet ring, so the kernel is a free
+    # module with an explicit frame.
+    certified = a.certified_order()
+    k = kernel_subalgebroid(a, tau_cols, certified)
 
     # Residual of the base block on the kernel frame must vanish within the cap.
-    for idx, coeffs in enumerate(kernel_frame):
-        for l in range(nb):
-            acc = z
-            for i in range(r):
-                acc = acc + coeffs[i] * tau_cols[l][i]
+    resid = _poly_mat_mul(k.frame, [[col[i] for col in tau_cols] for i in range(r)])
+    for idx, row in enumerate(resid):
+        for l, acc in enumerate(row):
             if not acc.is_zero():
                 raise ValidationFailure(
                     "kernel frame is not annihilated by the base anchor block",
                     {"kind": "rank_jump", "frame_element": idx + 1,
                      "coordinate": a.var_names[s.base_vars[l]]})
 
-    certified = a.certified_order()
-    kr = len(kernel_frame)
-    vert_structure = [[[z for _ in range(kr)] for _ in range(kr)] for _ in range(kr)]
-    for ti in range(kr):
-        for tj in range(kr):
-            if tj == ti:
-                continue
-            br = a.bracket_sections(kernel_frame[ti], kernel_frame[tj])
-            # Kernel coordinates are the free components; the pivot components
-            # of the residual must vanish up to the certified order.
-            resid = list(br)
-            for tk in range(kr):
-                coeff = br[free[tk]]
-                vert_structure[ti][tj][tk] = coeff
-                for i in range(r):
-                    resid[i] = resid[i] - coeff * kernel_frame[tk][i]
-            for i in range(r):
-                w = _lowest_nonzero_witness(resid[i], certified)
-                if w:
-                    raise ValidationFailure(
-                        "kernel is not closed under the bracket",
-                        {"kind": "not_closed", "pair": (ti + 1, tj + 1),
-                         "frame_component": i + 1, "monomial": w[0],
-                         "coefficient": w[1]})
-
-    vert_anchor = []
-    for coeffs in kernel_frame:
-        row = []
-        for l in range(a.n_vars):
-            acc = z
-            for i in range(r):
-                acc = acc + coeffs[i] * a.anchor[i][l]
-            row.append(acc)
-        vert_anchor.append(row)
-
-    return TauKernelReport(True, kr, kernel_frame, vert_structure, vert_anchor,
-                           [p for p in pivots], certified)
+    return TauKernelReport(True, len(k.frame), k.frame, k.structure, k.anchor,
+                           list(k.pivots), certified)
 
 
 def vertical_subalgebroid(s: SubmersionDatum) -> Tuple[LieAlgebroidPatch, TauKernelReport]:

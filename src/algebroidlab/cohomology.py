@@ -367,6 +367,14 @@ def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
     return betti, reps, basis_q
 
 
+def _check_window(window: Tuple[int, int, int]) -> None:
+    """A window a:b:s runs N = a..b with 0 <= a <= b and flags a value as
+    stabilized over the last s >= 1 of them."""
+    start, end, span = window
+    if start < 0 or end < start or span < 1:
+        raise StructuralError(f"bad window {window}")
+
+
 def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
                    window: Tuple[int, int, int] = (2, 5, 3),
                    degrees: Optional[Sequence[int]] = None) -> CohomologyReport:
@@ -376,9 +384,8 @@ def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
     a degree as stabilized when the last `span` values agree.
     """
     cx = CEComplex(a, rho)
+    _check_window(window)
     start, end, span = window
-    if start < 0 or end < start or span < 1:
-        raise StructuralError(f"bad window {window}")
     degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
     rows: List[CohomologyRow] = []
     dims: Dict[int, int] = {}
@@ -417,6 +424,7 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
                        ) -> CohomologyReport:
     """weight_cohomology on a graded complex, so callers can share its
     differential cache."""
+    _check_window(window)
     a = cx.a
     degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
     if weights is None:

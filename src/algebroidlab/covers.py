@@ -469,8 +469,13 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
         key = (i, j, q)
         if key not in tr_cache:
             pmat, qmat = f.transition(i, j)
-            tr_cache[key] = cochain_transport(pmat, qmat,
-                                              chart_bases[(j, q)], chart_bases[(i, q)])
+            if pmat == QMatrix.identity(pmat.nrows) and qmat == QMatrix.identity(qmat.nrows):
+                # the identity on the equal chart bases (validate_family has
+                # checked that the ranks agree), e.g. with no declared transition
+                tr_cache[key] = QMatrix.identity(len(chart_bases[(i, q)]))
+            else:
+                tr_cache[key] = cochain_transport(pmat, qmat,
+                                                  chart_bases[(j, q)], chart_bases[(i, q)])
         return tr_cache[key]
 
     for p in range(len(simpl) - 1):

@@ -6,12 +6,18 @@ Supported map shapes, each with an explicit pullback construction:
 * projection: add fibre coordinates; the pullback is the original frame
   lifted horizontally plus the tangent frame of the new fibre directions.
 * slice (coordinate inclusion): set a declared set of coordinates to zero;
-  the pullback frame is the kernel of the removed anchor block, solved
-  explicitly through a unit submatrix at the origin.
-* point: inclusion of a rational point; the pullback is the isotropy Lie
-  algebra, the kernel of the evaluated anchor.
+  the pullback is the vertical subalgebroid of the normal anchor block
+  (the removed coordinates), over the slice ring.
+* point: inclusion of a rational point; the pullback is the vertical
+  subalgebroid of the normal anchor block of the patch evaluated there
+  (every coordinate is normal), i.e. the isotropy Lie algebra.
 * rescale: fix base coordinates and scale the positive-weight ones by a
   rational t; for t = 0 this is the composite slice-then-projection.
+
+Slice and point pullbacks are both the kernel of a submersion by the
+algebroid, computed by algebroid.kernel_subalgebroid: a frame solved
+through a unit pivot submatrix at the origin, its bracket closure up to
+the certified order, its anchor and the carried connection.
 
 Transversality at a point is the exact rank condition: image of the map
 differential plus image of the anchor spans the tangent space.  Along a
@@ -24,16 +30,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import LieAlgebroidPatch, Representation
-from .cohomology import CEComplex, _weight_cohomology, _window_boundaries, weight_cohomology
+from .algebroid import LieAlgebroidPatch, Representation, kernel_subalgebroid
+from .cohomology import (CEComplex, _check_window, _weight_cohomology, _window_boundaries,
+                         weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix, SparseRow, quotient_dim_and_reps
-from .ratpoly import (
-    TruncatedPoly,
-    WeightAssignment,
-    pivot_kernel_frame,
-    poly_matrix_rank,
-)
+from .ratpoly import TruncatedPoly, WeightAssignment, poly_matrix_rank
 
 
 @dataclass
@@ -150,7 +152,7 @@ def pullback_structured(phi: StructuredMap, a: LieAlgebroidPatch,
         return _pullback_projection(phi, a, rho)
 
     if phi.kind == "slice":
-        return _pullback_slice(phi, a, rho)
+        return _pullback_slice(phi, a, rho)[:3]
 
     if phi.kind == "point":
         return _pullback_point(phi, a, rho)
@@ -206,6 +208,7 @@ def _pullback_projection(phi: StructuredMap, a: LieAlgebroidPatch,
 
 def _pullback_slice(phi: StructuredMap, a: LieAlgebroidPatch,
                     rho: Optional[Representation]):
+    """Slice pullback, and the kernel frame in the big frame as a fourth value."""
     n = a.n_vars
     keep = list(phi.keep)
     if any(not 0 <= l < n for l in keep) or len(set(keep)) != len(keep):
@@ -217,75 +220,31 @@ def _pullback_slice(phi: StructuredMap, a: LieAlgebroidPatch,
                                 {"kind": "not_transverse", "details": trans.details})
     cap = a.jet_order
     r = a.rank
-    block = _slice_block(a, removed, keep)       # len(removed) x r over the slice ring
-    nk = len(keep)
-    pivot_frames, free, frame = pivot_kernel_frame(block, r, nk, cap)
-    zs = TruncatedPoly.zero(nk, cap)
+    names = tuple(a.var_names[l] for l in keep)
+
+    def res(p: TruncatedPoly) -> TruncatedPoly:
+        return p.restrict(keep).truncate(cap)
 
     # Restricted big algebroid over the slice ring: anchor keeps only slice
     # columns (kernel sections have no removed components on the slice).
-    anchor_s = [[a.anchor[i][l].restrict(keep).truncate(cap) for l in keep] for i in range(r)]
-    struct_s = [[[a.structure[i][j][k].restrict(keep).truncate(cap) for k in range(r)]
-                 for j in range(r)] for i in range(r)]
-    big = LieAlgebroidPatch(tuple(a.var_names[l] for l in keep), cap, r, anchor_s, struct_s)
-
-    r2 = len(free)
-    structure = [[[zs for _ in range(r2)] for _ in range(r2)] for _ in range(r2)]
-    certified = a.certified_order()
-    for ti in range(r2):
-        for tj in range(r2):
-            if ti == tj:
-                continue
-            br = big.bracket_sections(frame[ti], frame[tj])
-            resid = list(br)
-            for tk in range(r2):
-                coeff = br[free[tk]]
-                structure[ti][tj][tk] = coeff
-                for i in range(r):
-                    resid[i] = resid[i] - coeff * frame[tk][i]
-            for i in range(r):
-                bad = [(m, v) for m, v in resid[i].c.items() if sum(m) <= certified]
-                if bad:
-                    raise ValidationFailure(
-                        "pullback frame does not close under the bracket",
-                        {"kind": "not_closed", "pair": (ti + 1, tj + 1),
-                         "component": i + 1})
-    anchor2 = []
-    for coeffs in frame:
-        row = []
-        for lk in range(nk):
-            acc = zs
-            for i in range(r):
-                acc = acc + coeffs[i] * anchor_s[i][lk]
-            row.append(acc)
-        anchor2.append(row)
+    big = LieAlgebroidPatch(
+        names, cap, r, [[res(a.anchor[i][l]) for l in keep] for i in range(r)],
+        [[[res(e) for e in col] for col in plane] for plane in a.structure])
+    k = kernel_subalgebroid(
+        big, _slice_block(a, removed, keep), a.certified_order(),
+        None if rho is None else [[[res(g) for g in row] for row in gam]
+                                  for gam in rho.gammas])
     weights = WeightAssignment(tuple(a.weights.weights[l] for l in keep)) \
         if a.weights is not None else None
-    fw = tuple(a.frame_weight(t) for t in free) if a.frame_weights is not None else None
-    out = LieAlgebroidPatch(tuple(a.var_names[l] for l in keep), cap, r2, anchor2,
-                            structure, weights=weights, frame_weights=fw,
+    fw = tuple(a.frame_weight(t) for t in k.free) if a.frame_weights is not None else None
+    out = LieAlgebroidPatch(names, cap, len(k.frame), k.anchor, k.structure,
+                            weights=weights, frame_weights=fw,
                             name=(a.name + ".slice") if a.name else "slice")
-    rho2 = None
-    if rho is not None:
-        m = rho.rank
-        gam = []
-        for ti in range(r2):
-            coeffs = frame[ti]
-            mat = [[zs for _ in range(m)] for _ in range(m)]
-            for i in range(r):
-                if coeffs[i].is_zero():
-                    continue
-                gi = rho.gammas[i]
-                for al in range(m):
-                    for be in range(m):
-                        g = gi[al][be].restrict(keep).truncate(cap)
-                        if not g.is_zero():
-                            mat[al][be] = mat[al][be] + coeffs[i] * g
-            gam.append(mat)
-        rho2 = Representation(out, m, gam, fibre_weights=rho.fibre_weights, name=rho.name)
+    rho2 = None if rho is None else Representation(
+        out, rho.rank, k.gammas, fibre_weights=rho.fibre_weights, name=rho.name)
     note = [f"kernel frame solved through pivot frame elements "
-            f"{[p + 1 for p in pivot_frames]}"]
-    return out, rho2, PullbackReport("slice", r2, trans, note)
+            f"{[p + 1 for p in k.pivots]}"]
+    return out, rho2, PullbackReport("slice", out.rank, trans, note), k.frame
 
 
 def _pullback_point(phi: StructuredMap, a: LieAlgebroidPatch,
@@ -296,55 +255,26 @@ def _pullback_point(phi: StructuredMap, a: LieAlgebroidPatch,
     if not trans.transverse:
         raise ValidationFailure("anchor is not surjective at the point",
                                 {"kind": "not_transverse", "details": trans.details})
-    anchor0 = a.anchor_at(pt)                   # frame x coords
-    m = anchor0.transpose()                     # coords x frame
-    basis = m.kernel_basis()                    # isotropy inside the frame space
-    r2 = len(basis)
+
+    r = a.rank
     z0 = TruncatedPoly.zero(0, 0)
-    structure = [[[z0 for _ in range(r2)] for _ in range(r2)] for _ in range(r2)]
-    span = QMatrix.from_columns(basis, a.rank)
-    for ai in range(r2):
-        for bj in range(r2):
-            if ai == bj:
-                continue
-            vec = [Fraction(0)] * a.rank
-            for i in range(a.rank):
-                ui = basis[ai][i]
-                if ui == 0:
-                    continue
-                for j in range(a.rank):
-                    vj = basis[bj][j]
-                    if vj == 0:
-                        continue
-                    for k in range(a.rank):
-                        cval = a.structure[i][j][k].evaluate(pt)
-                        if cval:
-                            vec[k] += ui * vj * cval
-            sol = span.solve(vec)
-            if sol is None:
-                raise ValidationFailure(
-                    "isotropy kernel is not closed under the evaluated bracket",
-                    {"kind": "not_closed", "pair": (ai + 1, bj + 1)})
-            for k in range(r2):
-                if sol[k]:
-                    structure[ai][bj][k] = TruncatedPoly.const(0, sol[k], 0)
-    out = LieAlgebroidPatch((), 0, r2, [[] for _ in range(r2)], structure,
+
+    def at_pt(p: TruncatedPoly) -> TruncatedPoly:
+        return TruncatedPoly.const(0, p.evaluate(pt), 0) if p else z0
+
+    # The patch evaluated at the point: a Lie algebra whose isotropy is the
+    # kernel of the evaluated anchor (one block row per coordinate).
+    big = LieAlgebroidPatch((), 0, r, [[] for _ in range(r)],
+                            [[[at_pt(e) for e in col] for col in plane]
+                             for plane in a.structure])
+    k = kernel_subalgebroid(
+        big, [[at_pt(a.anchor[i][l]) for i in range(r)] for l in range(n)], 0,
+        None if rho is None else [[[at_pt(g) for g in row] for row in gam]
+                                  for gam in rho.gammas])
+    r2 = len(k.frame)
+    out = LieAlgebroidPatch((), 0, r2, k.anchor, k.structure,
                             name=(a.name + ".isotropy") if a.name else "isotropy")
-    rho2 = None
-    if rho is not None:
-        mr = rho.rank
-        gam = []
-        for ai in range(r2):
-            mat = [[Fraction(0)] * mr for _ in range(mr)]
-            for i in range(a.rank):
-                ui = basis[ai][i]
-                if ui == 0:
-                    continue
-                for al in range(mr):
-                    for be in range(mr):
-                        mat[al][be] += ui * rho.gammas[i][al][be].evaluate(pt)
-            gam.append([[TruncatedPoly.const(0, v, 0) for v in row] for row in mat])
-        rho2 = Representation(out, mr, gam, name=rho.name)
+    rho2 = None if rho is None else Representation(out, rho.rank, k.gammas, name=rho.name)
     note = [f"isotropy rank {r2} at {tuple(str(v) for v in pt)}"]
     return out, rho2, PullbackReport("point", r2, trans, note)
 
@@ -357,7 +287,7 @@ def _pullback_rescale(phi: StructuredMap, a: LieAlgebroidPatch,
         [] if a.weights is None else [l for l, w in enumerate(a.weights.weights) if w > 0])
     if phi.t == 0:
         keep = tuple(l for l in range(a.n_vars) if l not in set(scaled))
-        sliced, rho_s, rep_s = _pullback_slice(StructuredMap("slice", keep=keep), a, rho)
+        sliced, rho_s, rep_s, _ = _pullback_slice(StructuredMap("slice", keep=keep), a, rho)
         names = tuple(a.var_names[l] for l in scaled)
         fibw = tuple(a.weights.weights[l] for l in scaled) if a.weights is not None else None
         proj = StructuredMap("projection", fibre_names=names, fibre_weights=fibw)
@@ -458,14 +388,11 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
     rank_sym = poly_matrix_rank(m2)
     strata.append({"check": "scale_maps", "stratum": "generic (x, y, t)",
                    "rank": rank_sym, "needed": n})
-    # t = 0 exactly: dm_0 has the base unit columns only; anchor at (x, 0).
-    block0 = _slice_block(a, scaled, base)
-    r0b = QMatrix([[e.evaluate(origin) for e in row] for row in block0]).rank() \
-        if scaled else 0
-    rgb = poly_matrix_rank(block0) if scaled else 0
-    verdict_ii = (rank_sym == n) and (r0b == len(scaled)) and (rgb == len(scaled))
+    # t = 0 exactly: dm_0 has the base unit columns only and the anchor is
+    # taken at (x, 0), which leaves the zero-section block and its ranks.
+    verdict_ii = (rank_sym == n) and (r0 == len(scaled)) and (rg == len(scaled))
     strata.append({"check": "scale_maps", "stratum": "t = 0",
-                   "origin_rank": r0b, "generic_rank": rgb, "needed": len(scaled)})
+                   "origin_rank": r0, "generic_rank": rg, "needed": len(scaled)})
 
     # (iii) fibrewise transversality over the t-line: the time direction is
     # reachable iff the fibre coordinate vector lies in the span of t-scaled
@@ -603,7 +530,7 @@ def euler_homotopy_verify(a: LieAlgebroidPatch, rho: Optional[Representation],
                 failures.append({"kind": "cartan", "element": elem, "weight": w,
                                  "got": sorted(lhs.items())[:3]})
     vanish_ok = True
-    wrep = weight_cohomology(a, rho, window=(max(1, max_deg - 2), max_deg, 2))
+    wrep = weight_cohomology(a, rho, window=(max(min(1, max_deg), max_deg - 2), max_deg, 2))
     for row in wrep.rows:
         if row.weight != 0 and row.betti != 0 and (row.exact or row.stabilized):
             vanish_ok = False
@@ -687,15 +614,10 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
                           ) -> TransversalIsoReport:
     """Restriction to a transversal slice: equal betti numbers per degree
     and surjectivity of the restriction on representative cocycles."""
-    phi = StructuredMap("slice", keep=tuple(keep))
-    sliced, rho_s, _rep = pullback_structured(phi, a, rho)
-
-    # Pullback frame in big coordinates, for evaluating cochains.
-    n = a.n_vars
-    keep = list(keep)
-    removed = [l for l in range(n) if l not in keep]
-    block = _slice_block(a, removed, keep)
-    _, _, frame = pivot_kernel_frame(block, a.rank, len(keep), a.jet_order)
+    _check_window(window)
+    # the pullback frame in big coordinates evaluates cochains on the slice
+    sliced, rho_s, _rep, frame = _pullback_slice(
+        StructuredMap("slice", keep=tuple(keep)), a, rho)
 
     cx = CEComplex(a, rho)
     cx.require_graded()

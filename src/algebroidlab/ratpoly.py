@@ -14,6 +14,7 @@ semantics (the degree <= N part of a product is determined by the degree
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -83,6 +84,17 @@ class TruncatedPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _wrap(cls, n_vars: int, coeffs: Dict[Exponent, Fraction], cap: Optional[int]
+              ) -> "TruncatedPoly":
+        """Adopt a fresh dict of nonzero Fractions already within the cap.
+
+        Arithmetic results meet these conditions by construction, so they
+        skip the coefficient checks of __init__."""
+        p = cls.__new__(cls)
+        p.n, p.cap, p.c = n_vars, cap, coeffs
+        return p
+
+    @classmethod
     def zero(cls, n_vars: int, cap: Optional[int] = None) -> "TruncatedPoly":
         return cls(n_vars, None, cap)
 
@@ -139,35 +151,35 @@ class TruncatedPoly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "TruncatedPoly") -> "TruncatedPoly":
-        self._check_arity(other)
-        out = dict(self.c)
-        for mono, val in other.c.items():
-            s = out.get(mono, QZERO) + val
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return TruncatedPoly(self.n, out, _merge_cap(self.cap, other.cap))
+        return self._sum(other, operator.add)
 
     def __sub__(self, other: "TruncatedPoly") -> "TruncatedPoly":
+        return self._sum(other, operator.sub)
+
+    def _sum(self, other: "TruncatedPoly", op) -> "TruncatedPoly":
+        """self op other at the smaller cap; only a summand with a larger
+        cap can bring terms above it."""
         self._check_arity(other)
         out = dict(self.c)
         for mono, val in other.c.items():
-            s = out.get(mono, QZERO) - val
+            s = op(out.get(mono, QZERO), val)
             if s == 0:
                 out.pop(mono, None)
             else:
                 out[mono] = s
-        return TruncatedPoly(self.n, out, _merge_cap(self.cap, other.cap))
+        cap = _merge_cap(self.cap, other.cap)
+        if cap is not None and (self.cap != cap or other.cap != cap):
+            out = {m: v for m, v in out.items() if sum(m) <= cap}
+        return TruncatedPoly._wrap(self.n, out, cap)
 
     def __neg__(self) -> "TruncatedPoly":
-        return TruncatedPoly(self.n, {m: -v for m, v in self.c.items()}, self.cap)
+        return TruncatedPoly._wrap(self.n, {m: -v for m, v in self.c.items()}, self.cap)
 
     def scale(self, value) -> "TruncatedPoly":
         v = Fraction(value)
         if v == 0:
             return TruncatedPoly.zero(self.n, self.cap)
-        return TruncatedPoly(self.n, {m: c * v for m, c in self.c.items()}, self.cap)
+        return TruncatedPoly._wrap(self.n, {m: c * v for m, c in self.c.items()}, self.cap)
 
     def __mul__(self, other: "TruncatedPoly") -> "TruncatedPoly":
         self._check_arity(other)
@@ -184,7 +196,7 @@ class TruncatedPoly:
                     out.pop(mono, None)
                 else:
                     out[mono] = s
-        return TruncatedPoly(self.n, out, cap)
+        return TruncatedPoly._wrap(self.n, out, cap)
 
     def __pow__(self, k: int) -> "TruncatedPoly":
         if k < 0:
@@ -214,7 +226,7 @@ class TruncatedPoly:
             new = list(mono)
             new[idx] = e - 1
             out[tuple(new)] = val * e
-        return TruncatedPoly(self.n, out, self.cap)
+        return TruncatedPoly._wrap(self.n, out, self.cap)
 
     def truncate(self, cap: Optional[int]) -> "TruncatedPoly":
         return TruncatedPoly(self.n, self.c, cap)

@@ -377,6 +377,26 @@ def _best_rational(m: np.ndarray) -> List[List[Fraction]]:
             for row in m]
 
 
+def _certified_maps(pf: PathFamily, t: Fraction, phi_f: np.ndarray,
+                    q_f: Optional[np.ndarray]
+                    ) -> Tuple[QMatrix, Optional[QMatrix], bool, bool]:
+    """Float frame (and fibre) maps at time t as exact matrices, certified
+    exact when they rationalize and satisfy the exact identities at t, else
+    the nearest bounded-denominator fractions; with both verdicts
+    (exact, invertible)."""
+    phi_rows = _rationalize_matrix(phi_f)
+    q_rows = _rationalize_matrix(q_f) if q_f is not None else None
+    exact = (phi_rows is not None and (q_f is None or q_rows is not None)
+             and _exact_iso(pf, t, phi_rows, q_rows))
+    if not exact:
+        phi_rows = _best_rational(phi_f)
+        q_rows = _best_rational(q_f) if q_f is not None else None
+    phi_q = QMatrix(phi_rows)
+    q_q = QMatrix(q_rows) if q_rows is not None else None
+    inv = phi_q.rank() == pf.rank and (q_q is None or q_q.rank() == pf.rep_rank)
+    return phi_q, q_q, exact, inv
+
+
 # -- transport ------------------------------------------------------------------------------
 
 
@@ -411,16 +431,7 @@ def parallel_transport(pf: PathFamily, tol: float = 1e-8,
                                                   max_steps)
     phi_f = saved[n][0]
     q_f = saved[n][1] if pf.omega_rep is not None else None
-    phi_rows = _rationalize_matrix(phi_f)
-    q_rows = _rationalize_matrix(q_f) if q_f is not None else None
-    exact = (phi_rows is not None and (q_f is None or q_rows is not None)
-             and _exact_iso(pf, Fraction(1), phi_rows, q_rows))
-    if not exact:
-        phi_rows = _best_rational(phi_f)
-        q_rows = _best_rational(q_f) if q_f is not None else None
-    phi_q = QMatrix(phi_rows)
-    q_q = QMatrix(q_rows) if q_rows is not None else None
-    det_ok = phi_q.rank() == pf.rank and (q_q is None or q_q.rank() == pf.rep_rank)
+    phi_q, q_q, exact, det_ok = _certified_maps(pf, Fraction(1), phi_f, q_f)
     loop = pf.is_loop()
     mon = _loop_monodromy(pf, phi_q, q_q) if loop and det_ok else None
     return TransportResult(n, tol, defect, exact, loop, phi_q,
@@ -511,16 +522,7 @@ def trivialize_via_transport(pf: PathFamily, tol: float = 1e-8,
         phi_f = state[0]
         q_f = state[1] if pf.omega_rep is not None else None
         defect = _iso_defect(pf, t, phi_f, q_f, c0, g0)
-        phi_rows = _rationalize_matrix(phi_f)
-        q_rows = _rationalize_matrix(q_f) if q_f is not None else None
-        exact = (phi_rows is not None and (q_f is None or q_rows is not None)
-                 and _exact_iso(pf, t, phi_rows, q_rows))
-        if not exact:
-            phi_rows = _best_rational(phi_f)
-            q_rows = _best_rational(q_f) if q_f is not None else None
-        phi_q = QMatrix(phi_rows)
-        q_q = QMatrix(q_rows) if q_rows is not None else None
-        inv = phi_q.rank() == pf.rank and (q_q is None or q_q.rank() == pf.rep_rank)
+        phi_q, q_q, exact, inv = _certified_maps(pf, t, phi_f, q_f)
         ok = defect <= tol and inv
         all_ok = all_ok and ok
         rows_out.append(TrivializationCheckpoint(t, phi_q, q_q, defect, exact, inv))

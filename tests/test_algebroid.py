@@ -102,7 +102,8 @@ def test_certified_order_accounts_for_data_degree():
 
 
 def test_bracket_sections_leibniz_random():
-    # [u, f v] = f [u, v] + (anchor(u) f) v on random sections of a tangent patch.
+    # [u, f v] = f [u, v] + (anchor(u) f) v on random sections of a tangent
+    # patch, and [v, u] = -[u, v] exactly.
     rng = random.Random(55)
     a = tangent_patch(("x", "y"), 5)
 
@@ -116,6 +117,7 @@ def test_bracket_sections_leibniz_random():
         f = rand_poly()
         lhs = a.bracket_sections(u, [f * vi for vi in v])
         fv = a.bracket_sections(u, v)
+        assert a.bracket_sections(v, u) == [-w for w in fv]
         rho_u_f = a.section_field_apply(u, f)
         rhs = [f * w + rho_u_f * vi for w, vi in zip(fv, v)]
         # Compare up to the certified order; products shift the reliable window.

@@ -5,12 +5,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from algebroidlab.cli import main, run_command
 from algebroidlab.modelfile import parse_model
 from algebroidlab.report import (Report, Table, cell, emit_report,
                                  parse_structured)
 from fractions import Fraction
+from test_golden_reports import _run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 SL2 = str(MODELS / "sl2_demo.alab")
@@ -131,6 +134,50 @@ def test_bad_window_rejected(capsysbinary):
                     capsysbinary)
     assert code == 2
     assert b"window must" in out
+
+
+WEIGHT_ZERO_PLANE = """version 1
+
+algebroid plane {
+  vars = x, y
+  jet_order = 6
+  rank = 2
+  weights = 0, 1
+  frame_weights = 0, -1
+  anchor[0] = 1, 0
+  anchor[1] = 0, 1
+}
+"""
+
+# the three commands that take a window, on the weight-0 plane
+WINDOW_COMMANDS = (["cohomology"], ["cohomology", "--mode", "jet"],
+                   ["transversal", "--slice", "0"])
+
+
+def test_bad_windows_rejected_on_every_path(tmp_path, capsysbinary):
+    # a weight-0 coordinate makes weight mode and the transversal check
+    # slide a window too; an empty window or a zero span is refused there
+    # just as in jet mode
+    model = tmp_path / "plane.alab"
+    model.write_text(WEIGHT_ZERO_PLANE)
+    for cmd, *rest in WINDOW_COMMANDS:
+        for window in ("5:3:3", "3:5:0", "-1:2:1"):
+            code, out = run([cmd, str(model), *rest, f"--window={window}"], capsysbinary)
+            assert code == 2, (cmd, rest, window, out)
+            assert b"bad window" in out and b"internal error" not in out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(WINDOW_COMMANDS), st.integers(-1, 4), st.integers(-1, 4),
+       st.integers(-1, 3))
+def test_window_fuzz_keeps_the_exit_taxonomy(tmp_path, command, start, end, span):
+    model = tmp_path / "plane.alab"
+    model.write_text(WEIGHT_ZERO_PLANE)
+    cmd, *rest = command
+    code, out = _run([cmd, str(model), *rest, f"--window={start}:{end}:{span}"])
+    assert code in (0, 1, 2, 3), (command, start, end, span)
+    assert b"internal error" not in out, (command, start, end, span, out)
 
 
 def test_pullback_point_and_rescale(capsysbinary):

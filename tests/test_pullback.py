@@ -2,19 +2,24 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from algebroidlab.algebroid import (
     LieAlgebroidPatch,
+    Representation,
+    SubmersionDatum,
     adjoint_representation,
+    tau_and_kernel,
     trivial_representation,
     validate_algebroid,
     validate_representation,
 )
 from algebroidlab.cohomology import CEComplex, lie_algebra_cohomology, weight_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
+from algebroidlab.linalg import QMatrix
 from algebroidlab.library import (
     abelian_patch,
     euler_vector_field_patch,
@@ -44,8 +49,6 @@ def _poly(n, cap, text):
 
 def _lift_rep(rho_g, big):
     """Constant-coefficient representation lifted to a product patch."""
-    from algebroidlab.algebroid import Representation
-
     m = rho_g.rank
     n = big.n_vars
     z = TruncatedPoly.zero(n, big.jet_order)
@@ -206,6 +209,154 @@ def test_point_pullback_with_representation():
             for be in range(3):
                 assert rho0.gammas[i][al][be].constant_term() == \
                     rho.gammas[i][al][be].constant_term()
+
+
+# -- isotropy against dense linear algebra -----------------------------------------------
+
+
+def _isotropy_oracle(a, rho, pt):
+    """Isotropy at a point by dense rational linear algebra: the kernel_basis
+    of the evaluated anchor, and one solve per frame pair for the bracket
+    coordinates.  Returns the nonzero structure constants and the carried
+    connection matrices, or None when the kernel is not closed under the
+    evaluated bracket."""
+    basis = a.anchor_at(pt).transpose().kernel_basis()
+    span = QMatrix.from_columns(basis, a.rank)
+    structure = {}
+    for ai, bj in product(range(len(basis)), repeat=2):
+        if ai == bj:
+            continue
+        vec = [Fraction(0)] * a.rank
+        for i, j, k in product(range(a.rank), repeat=3):
+            vec[k] += basis[ai][i] * basis[bj][j] * a.structure[i][j][k].evaluate(pt)
+        sol = span.solve(vec)
+        if sol is None:
+            return None
+        structure.update({(ai, bj, k): v for k, v in enumerate(sol) if v})
+    gammas = None
+    if rho is not None:
+        gammas = [[[sum(u[i] * rho.gammas[i][al][be].evaluate(pt) for i in range(a.rank))
+                    for be in range(rho.rank)] for al in range(rho.rank)] for u in basis]
+    return structure, gammas
+
+
+def _assert_isotropy_matches_oracle(a, rho, pt):
+    structure, gammas = _isotropy_oracle(a, rho, pt)
+    iso, rho0, rep = pullback_structured(StructuredMap("point", at=pt), a, rho)
+    got = {(i, j, k): e.constant_term() for i, plane in enumerate(iso.structure)
+           for j, col in enumerate(plane) for k, e in enumerate(col) if e}
+    assert got == structure, pt
+    assert iso.n_vars == 0 and iso.anchor == [[] for _ in range(rep.rank)]
+    if rho is not None:
+        assert [[[e.constant_term() for e in row] for row in g]
+                for g in rho0.gammas] == gammas, pt
+
+
+def _gl2_plane_action(rng, jet=3):
+    """gl2 acting on the plane by linear vector fields, in a random constant
+    frame f_a = sum_b P[b][a] E_b over the matrix units E_b.
+
+    E_(i,j) has anchor -x_j d/dx_i, so the anchor is a bracket morphism; at
+    a nonzero point the isotropy is the non-abelian stabilizer of a vector.
+    """
+    units = [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def unit_bracket(p, q):
+        (i, j), (k, l) = units[p], units[q]
+        out = [Fraction(0)] * 4
+        if j == k:
+            out[units.index((i, l))] += 1
+        if l == i:
+            out[units.index((k, j))] -= 1
+        return out
+
+    while True:
+        pm = QMatrix([[Fraction(rng.randint(-2, 2)) for _ in range(4)] for _ in range(4)])
+        if pm.rank() == 4:
+            break
+    p, pinv = pm.rows, pm.inverse().rows
+    zero = TruncatedPoly.zero(2, jet)
+    anchor = []
+    for a in range(4):
+        row = [zero, zero]
+        for b, (i, j) in enumerate(units):
+            if p[b][a]:
+                row[i] = row[i] - TruncatedPoly.var(2, j, jet).scale(p[b][a])
+        anchor.append(row)
+    c = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
+    for a, b in product(range(4), repeat=2):
+        vec = [Fraction(0)] * 4
+        for e, f in product(range(4), repeat=2):
+            if p[e][a] and p[f][b]:
+                for g, v in enumerate(unit_bracket(e, f)):
+                    vec[g] += p[e][a] * p[f][b] * v
+        c[a][b] = [TruncatedPoly.const(2, sum(pinv[k][g] * vec[g] for g in range(4)), jet)
+                   for k in range(4)]
+    return LieAlgebroidPatch(("x", "y"), jet, 4, anchor, c)
+
+
+def test_point_pullback_matches_dense_isotropy_on_sl2_line():
+    _, a = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+    rho = _lift_rep(adjoint_representation(sl2_patch()), a)
+    for x in (Fraction(0), Fraction(1, 2), Fraction(-3), Fraction(7, 5)):
+        _assert_isotropy_matches_oracle(a, rho, (x,))
+        _assert_isotropy_matches_oracle(a, None, (x,))
+
+
+def test_point_pullback_matches_dense_isotropy_rank_one():
+    # frame (d/dx, x d/dx); the rank-1 connection (0, 1) is flat
+    jet = 4
+    one, x, zero = _poly(1, jet, "1"), _poly(1, jet, "x"), _poly(1, jet, "0")
+    c = [[[zero, zero], [one, zero]], [[_poly(1, jet, "-1"), zero], [zero, zero]]]
+    a = LieAlgebroidPatch(("x",), jet, 2, [[one], [x]], c)
+    rho = Representation(a, 1, [[[zero]], [[one]]])
+    assert validate_algebroid(a).ok and validate_representation(rho).ok
+    for pt in (Fraction(0), Fraction(2), Fraction(-1, 3)):
+        _assert_isotropy_matches_oracle(a, rho, (pt,))
+
+
+def test_point_pullback_matches_dense_isotropy_on_seeded_actions():
+    rng = random.Random(4711)
+    for _ in range(8):
+        a = _gl2_plane_action(rng)
+        rho = adjoint_representation(a)
+        assert validate_algebroid(a).ok and validate_representation(rho).ok
+        for _ in range(2):
+            pt = (Fraction(0), Fraction(0))
+            while not any(pt):
+                pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+            _assert_isotropy_matches_oracle(a, rho, pt)
+            iso, _, _ = pullback_structured(StructuredMap("point", at=pt), a)
+            assert iso.rank == 2 and validate_algebroid(iso).ok
+
+
+def _unclosed_patch(jet=4):
+    """Frame (d/dx, 0, 0) with [e2, e3] = (1 + x) e1.  The anchor is not a
+    bracket morphism, so the kernel of its x-component is not closed except
+    where 1 + x vanishes."""
+    one, zero = _poly(1, jet, "1"), _poly(1, jet, "0")
+    c = [[[zero] * 3 for _ in range(3)] for _ in range(3)]
+    c[1][2] = [_poly(1, jet, "1 + x"), zero, zero]
+    c[2][1] = [_poly(1, jet, "-1 - x"), zero, zero]
+    return LieAlgebroidPatch(("x",), jet, 3, [[one], [zero], [zero]], c)
+
+
+def test_unclosed_kernel_rejected_by_every_construction():
+    a = _unclosed_patch()
+    assert not validate_algebroid(a).ok
+    witness = {"kind": "not_closed", "pair": (1, 2), "frame_component": 1}
+    cases = [
+        (lambda: tau_and_kernel(SubmersionDatum(a, (0,))), (0,), 1),
+        (lambda: pullback_structured(StructuredMap("slice", keep=()), a), (), 1),
+        (lambda: pullback_structured(StructuredMap("point", at=(Fraction(1, 2),)), a),
+         (), Fraction(3, 2)),
+    ]
+    for build, mono, coeff in cases:
+        with pytest.raises(ValidationFailure, match="kernel is not closed") as ei:
+            build()
+        assert ei.value.witness == dict(witness, monomial=mono, coefficient=coeff)
+    iso, _, rep = pullback_structured(StructuredMap("point", at=(Fraction(-1),)), a)
+    assert rep.rank == 2 and iso.structure[0][1][0].is_zero()
 
 
 def test_projection_pullback_extends_frame():

@@ -58,6 +58,19 @@ def test_product_mixed_caps_takes_smaller_cap():
     assert (a * b).cap == 2
 
 
+def test_sum_mixed_caps_drops_terms_above_the_smaller_cap():
+    # the summand with the larger cap (or none) brings terms above the
+    # smaller one, which are unknown in the sum
+    a = _p("1 + x^2 + x^3*y + y^5")
+    b = _p("x - y^2", cap=2)
+    for s, want in ((a + b, "1 + x + x^2 - y^2"), (b + a, "1 + x + x^2 - y^2"),
+                    (a - b, "1 - x + x^2 + y^2"), (b - a, "-1 + x - x^2 - y^2")):
+        assert s.cap == 2 and s == _p(want, cap=2)
+        assert all(sum(m) <= 2 for m in s.c)
+    same = _p("x^2", cap=2) + b
+    assert same.cap == 2 and same == _p("x + x^2 - y^2", cap=2)
+
+
 def test_zero_polynomial_is_empty_map():
     z = _p("x") - _p("x")
     assert z.is_zero() and z.c == {}
