@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import StructuralError, ValidationFailure
@@ -162,8 +163,16 @@ def _lowest_nonzero_witness(p: TruncatedPoly, up_to: int) -> Optional[Tuple[tupl
     return mono, val
 
 
-def _poly_str(p: TruncatedPoly, names: Sequence[str]) -> str:
-    return format_poly(p, names)
+def _first_witness(name: str, residuals, certified: int) -> CheckResult:
+    """Result of the check `name` over its (fields, residual) pairs, taken
+    in order: the first residual with a monomial of total degree up to
+    certified fails the check, witnessed by its fields plus its
+    lowest-order such monomial and that monomial's coefficient."""
+    for fields, residual in residuals:
+        w = _lowest_nonzero_witness(residual, certified)
+        if w:
+            return CheckResult(name, False, {**fields, "monomial": w[0], "coefficient": w[1]})
+    return CheckResult(name, True)
 
 
 def validate_algebroid(a: LieAlgebroidPatch, order: Optional[int] = None) -> ValidationReport:
@@ -196,52 +205,31 @@ def validate_algebroid(a: LieAlgebroidPatch, order: Optional[int] = None) -> Val
             break
     checks.append(CheckResult("antisymmetry", witness is None, witness))
 
-    witness = None
-    for i in range(r):
-        for j in range(i + 1, r):
-            for k in range(j + 1, r):
-                for m in range(r):
-                    acc = TruncatedPoly.zero(a.n_vars, a.jet_order)
-                    for l in range(r):
-                        acc = acc + a.structure[i][j][l] * a.structure[l][k][m]
-                        acc = acc + a.structure[j][k][l] * a.structure[l][i][m]
-                        acc = acc + a.structure[k][i][l] * a.structure[l][j][m]
-                    acc = acc - a.anchor_apply(k, a.structure[i][j][m])
-                    acc = acc - a.anchor_apply(i, a.structure[j][k][m])
-                    acc = acc - a.anchor_apply(j, a.structure[k][i][m])
-                    w = _lowest_nonzero_witness(acc, certified)
-                    if w:
-                        witness = {"indices": (i + 1, j + 1, k + 1, m + 1),
-                                   "monomial": w[0], "coefficient": w[1],
-                                   "identity": "Jacobi"}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(CheckResult("jacobi", witness is None, witness))
+    def jacobi():
+        for i, j, k in combinations(range(r), 3):
+            for m in range(r):
+                acc = TruncatedPoly.zero(a.n_vars, a.jet_order)
+                for l in range(r):
+                    acc = acc + a.structure[i][j][l] * a.structure[l][k][m]
+                    acc = acc + a.structure[j][k][l] * a.structure[l][i][m]
+                    acc = acc + a.structure[k][i][l] * a.structure[l][j][m]
+                acc = acc - a.anchor_apply(k, a.structure[i][j][m])
+                acc = acc - a.anchor_apply(i, a.structure[j][k][m])
+                acc = acc - a.anchor_apply(j, a.structure[k][i][m])
+                yield {"indices": (i + 1, j + 1, k + 1, m + 1), "identity": "Jacobi"}, acc
 
-    witness = None
-    for i in range(r):
-        for j in range(i + 1, r):
+    def anchor_bracket():
+        for i, j in combinations(range(r), 2):
             for l in range(a.n_vars):
                 lhs = TruncatedPoly.zero(a.n_vars, a.jet_order)
                 for k in range(r):
                     lhs = lhs + a.structure[i][j][k] * a.anchor[k][l]
                 rhs = a.anchor_apply(i, a.anchor[j][l]) - a.anchor_apply(j, a.anchor[i][l])
-                w = _lowest_nonzero_witness(lhs - rhs, certified)
-                if w:
-                    witness = {"indices": (i + 1, j + 1), "coordinate": a.var_names[l],
-                               "monomial": w[0], "coefficient": w[1],
-                               "identity": "anchor([a,b]) = [anchor(a), anchor(b)]"}
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(CheckResult("anchor_bracket", witness is None, witness))
+                yield {"indices": (i + 1, j + 1), "coordinate": a.var_names[l],
+                       "identity": "anchor([a,b]) = [anchor(a), anchor(b)]"}, lhs - rhs
+
+    checks.append(_first_witness("jacobi", jacobi(), certified))
+    checks.append(_first_witness("anchor_bracket", anchor_bracket(), certified))
 
     return ValidationReport(all(c.ok for c in checks), certified, checks)
 
@@ -311,10 +299,9 @@ def validate_representation(rho: Representation, order: Optional[int] = None) ->
         raise StructuralError(f"requested order {order} exceeds jet order {a.jet_order}")
     certified = rho.certified_order() if order is None else min(order, rho.certified_order())
     m = rho.rank
-    checks: List[CheckResult] = []
-    witness = None
-    for i in range(a.rank):
-        for j in range(i + 1, a.rank):
+
+    def curvature():
+        for i, j in combinations(range(a.rank), 2):
             gi, gj = rho.gammas[i], rho.gammas[j]
             comm = _poly_mat_mul(gi, gj)
             comm2 = _poly_mat_mul(gj, gi)
@@ -326,20 +313,11 @@ def validate_representation(rho: Representation, order: Optional[int] = None) ->
                         ck = a.structure[i][j][k]
                         if not ck.is_zero():
                             acc = acc - ck * rho.gammas[k][al][be]
-                    w = _lowest_nonzero_witness(acc, certified)
-                    if w:
-                        witness = {"indices": (i + 1, j + 1), "entry": (al + 1, be + 1),
-                                   "monomial": w[0], "coefficient": w[1],
-                                   "identity": "curvature = 0"}
-                        break
-                if witness:
-                    break
-            if witness:
-                break
-        if witness:
-            break
-    checks.append(CheckResult("flatness", witness is None, witness))
-    return ValidationReport(all(c.ok for c in checks), certified, checks)
+                    yield {"indices": (i + 1, j + 1), "entry": (al + 1, be + 1),
+                           "identity": "curvature = 0"}, acc
+
+    flatness = _first_witness("flatness", curvature(), certified)
+    return ValidationReport(flatness.ok, certified, [flatness])
 
 
 def semidirect(a: LieAlgebroidPatch, rho: Representation) -> LieAlgebroidPatch:
@@ -392,7 +370,7 @@ def grading_violations(a: LieAlgebroidPatch, rho: Optional[Representation] = Non
             if not entry.is_zero() and entry.homogeneous_weight(w) != want:
                 out.append({"kind": "anchor", "indices": (i + 1, a.var_names[l]),
                             "expected_weight": want,
-                            "entry": _poly_str(entry, a.var_names)})
+                            "entry": format_poly(entry, a.var_names)})
     for i in range(a.rank):
         for j in range(a.rank):
             for k in range(a.rank):
@@ -401,7 +379,7 @@ def grading_violations(a: LieAlgebroidPatch, rho: Optional[Representation] = Non
                 if not entry.is_zero() and entry.homogeneous_weight(w) != want:
                     out.append({"kind": "structure", "indices": (i + 1, j + 1, k + 1),
                                 "expected_weight": want,
-                                "entry": _poly_str(entry, a.var_names)})
+                                "entry": format_poly(entry, a.var_names)})
     if rho is not None:
         for i in range(a.rank):
             for al in range(rho.rank):
@@ -411,7 +389,7 @@ def grading_violations(a: LieAlgebroidPatch, rho: Optional[Representation] = Non
                     if not entry.is_zero() and entry.homogeneous_weight(w) != want:
                         out.append({"kind": "connection", "indices": (i + 1, al + 1, be + 1),
                                     "expected_weight": want,
-                                    "entry": _poly_str(entry, a.var_names)})
+                                    "entry": format_poly(entry, a.var_names)})
     return out
 
 

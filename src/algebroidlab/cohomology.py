@@ -19,18 +19,19 @@ Two computation modes:
   differential is computed exactly from window N into window N + shift,
   so d after d is exactly zero; boundaries are intersected back into the
   window.  Betti numbers are reported per window with a stabilization
-  flag over the requested span.  Each complex memoizes the differential
-  of every basis element, so the elements shared by windows, degrees and
-  the cocycle and boundary steps are differentiated once.  Everything
-  stays on sparse rows until a representative is printed.  The cocycles
-  are the kernel read off the reduced sparse rows of d (`d_matrix`, which
-  is built sparse and made dense only for a reader of its rows).  The
-  boundaries of one window come from one sparse elimination: the rows
-  d(eta) of all windowed primitives, with the coordinates outside the
-  window ordered first, so the reduced rows pivoted inside the window
-  span the images that vanish outside it.  The cocycles are then reduced
-  into that same echelon, and only the accepted residuals, the
-  representatives, are made dense.
+  flag over the requested span.  One routine, `_windowed_row`, runs this
+  window loop N = a..b for jet mode and for the windowed weight strata
+  alike.  Each complex memoizes the differential of every basis element,
+  so the elements shared by windows, degrees and the cocycle and boundary
+  steps are differentiated once.  Everything stays on sparse rows until a
+  representative is printed.  The cocycles are the kernel read off the
+  reduced sparse rows of d (`d_matrix`, which is built sparse and made
+  dense only for a reader of its rows).  The boundaries of one window
+  come from one sparse elimination: the rows d(eta) of all windowed
+  primitives, with the coordinates outside the window ordered first, so
+  the reduced rows pivoted inside the window span the images that vanish
+  outside it.  The cocycles are then reduced into that same echelon, and
+  only the accepted residuals, the representatives, are made dense.
 
 The basis order is canonical: wedge tuple (lexicographic), then fibre
 index, then monomial in graded-lex order.  All representative cocycles
@@ -354,17 +355,28 @@ def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
     return _boundaries(cx, primitives, basis_q)
 
 
-def _window_betti(cx: CEComplex, q: int, n_deg: int, weight: Optional[int]
-                  ) -> Tuple[int, List[List[Fraction]], List[BasisElement]]:
-    """Betti estimate on one degree window: cocycles with coefficients of
-    degree <= n_deg modulo boundaries of windowed primitives that land
-    inside the window."""
+def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
+                  window: Tuple[int, int, int]) -> Tuple[CohomologyRow, int]:
+    """Degree-q row over the jet windows N = a..b of window (a, b, s), and
+    the basis size of the last window.
+
+    The betti estimate on window N counts cocycles with coefficients of
+    degree <= N modulo the boundaries of windowed primitives that land
+    inside the window.  The row is stabilized when the last s estimates
+    agree, and carries the representatives of the last window."""
+    start, end, span = window
     shift = cx.degree_shift()
-    basis_q = cx.window_basis(q, n_deg, weight)
-    d = cx.d_matrix(basis_q, cx.window_basis(q + 1, n_deg + shift, weight))
-    betti, reps = quotient_dim_and_reps(
-        d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis_q, shift))
-    return betti, reps, basis_q
+    history: List[Tuple[int, int]] = []
+    for n_deg in range(start, end + 1):
+        basis = cx.window_basis(q, n_deg, weight)
+        d = cx.d_matrix(basis, cx.window_basis(q + 1, n_deg + shift, weight))
+        betti, reps = quotient_dim_and_reps(
+            d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis, shift))
+        history.append((n_deg, betti))
+    tail = [b for _, b in history[-span:]]
+    reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
+    return CohomologyRow(q, betti, weight, window, len(tail) == span and len(set(tail)) == 1,
+                         exact=False, history=history, representatives=reps_str), len(basis)
 
 
 def _check_window(window: Tuple[int, int, int]) -> None:
@@ -385,22 +397,12 @@ def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
     """
     cx = CEComplex(a, rho)
     _check_window(window)
-    start, end, span = window
     degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
     rows: List[CohomologyRow] = []
     dims: Dict[int, int] = {}
     for q in degrees:
-        history: List[Tuple[int, int]] = []
-        last_reps: List[str] = []
-        for n_deg in range(start, end + 1):
-            betti, reps, basis = _window_betti(cx, q, n_deg, None)
-            history.append((n_deg, betti))
-            last_reps = [format_cochain(v, basis, a.var_names, cx.rho.rank) for v in reps]
-            dims[q] = len(basis)
-        tail = [b for _, b in history[-span:]]
-        stabilized = len(tail) == span and len(set(tail)) == 1
-        rows.append(CohomologyRow(q, history[-1][1], None, window, stabilized,
-                                  exact=False, history=history, representatives=last_reps))
+        row, dims[q] = _windowed_row(cx, q, None, window)
+        rows.append(row)
     return CohomologyReport("jet", rows, dims)
 
 
@@ -456,24 +458,11 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
                                      for v in reps]))
                 dims[q] = dims.get(q, 0) + len(basis)
             else:
-                start, end, span = window
-                history = []
-                last_reps: List[str] = []
-                basis_len = 0
-                for n_deg in range(start, end + 1):
-                    betti, reps, basis = _window_betti(cx, q, n_deg, w)
-                    history.append((n_deg, betti))
-                    last_reps = [format_cochain(v, basis, a.var_names, cx.rho.rank)
-                                 for v in reps]
-                    basis_len = len(basis)
-                if basis_len == 0 and all(b == 0 for _, b in history) and w != 0:
+                row, size = _windowed_row(cx, q, w, window)
+                if size == 0 and all(b == 0 for _, b in row.history) and w != 0:
                     continue
-                tail = [b for _, b in history[-span:]]
-                rows.append(CohomologyRow(
-                    q, history[-1][1], w, window,
-                    len(tail) == span and len(set(tail)) == 1,
-                    exact=False, history=history, representatives=last_reps))
-                dims[q] = dims.get(q, 0) + basis_len
+                rows.append(row)
+                dims[q] = dims.get(q, 0) + size
     return CohomologyReport("weight", rows, dims)
 
 

@@ -85,9 +85,6 @@ class Nerve:
     def dim(self) -> int:
         return len(self.simplices) - 1
 
-    def all(self) -> List[Tuple[int, ...]]:
-        return [s for level in self.simplices for s in level]
-
 
 def nerve(c: CoverDatum) -> Nerve:
     verts = [(i,) for i in range(len(c.charts))]
@@ -360,7 +357,6 @@ def cochain_transport(p: QMatrix, q_mat: QMatrix,
 @dataclass
 class CechDoubleComplex:
     family: LocalSystemFamily
-    nerve: Nerve
     simplices: List[List[Tuple[int, ...]]]
     q_max: int
     bases: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], BasisElement]]]
@@ -427,8 +423,7 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
     if not rep.ok:
         bad = rep.failing()[0]
         raise ValidationFailure(f"family data invalid: {bad.name}", bad.witness or {})
-    nv = nerve(c)
-    simpl = nv.simplices
+    simpl = nerve(c).simplices
     q_max = max(f.fibre_rank(i) for i in range(len(f.charts)))
     bases: Dict[Tuple[int, int], List] = {}
     chart_bases: Dict[Tuple[int, int], List[BasisElement]] = {}
@@ -484,7 +479,7 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
                                       lambda i: len(chart_bases[(i, q)]),
                                       lambda i, j: tr_matrix(i, j, q))
 
-    dc = CechDoubleComplex(f, nv, simpl, q_max, bases, delta, vert)
+    dc = CechDoubleComplex(f, simpl, q_max, bases, delta, vert)
     _verify_complex(dc)
     return dc
 
@@ -651,6 +646,15 @@ def _edge_induced(f: LocalSystemFamily, lcs, i: int, j: int, q: int) -> QMatrix:
     tm = cochain_transport(pm, qm, lcs[j].bases[q], lcs[i].bases[q])
     dpd = lcs[i].matrices[q - 1] if q > 0 else None
     return _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
+
+
+def _holonomy(f: LocalSystemFamily, lcs, nodes: Sequence[int], q: int) -> QMatrix:
+    """Map on degree-q cohomology carrying chart nodes[0] classes along the
+    chart path nodes to chart nodes[-1]: the edge maps composed in path order."""
+    hol = _edge_induced(f, lcs, nodes[1], nodes[0], q)
+    for u, v in zip(nodes[1:], nodes[2:]):
+        hol = _edge_induced(f, lcs, v, u, q) @ hol
+    return hol
 
 
 def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex

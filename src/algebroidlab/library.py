@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-from .algebroid import LieAlgebroidPatch, Representation, trivial_representation
+from .algebroid import LieAlgebroidPatch, Representation
 from .ratpoly import TruncatedPoly, WeightAssignment
 
 

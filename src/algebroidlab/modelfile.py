@@ -130,7 +130,6 @@ class ModelFile:
     families: Dict[str, LocalSystemFamily] = field(default_factory=dict)
     path_families: Dict[str, PathFamily] = field(default_factory=dict)
     exhaustions: Dict[str, ExhaustionProblem] = field(default_factory=dict)
-    order: List[Tuple[str, str]] = field(default_factory=list)
 
     _POOLS = {"algebroid": "algebroids", "representation": "representations",
               "cover": "covers", "family": "families",
@@ -569,7 +568,6 @@ def parse_model_text(text: str, path: str = "<string>") -> ModelFile:
             model.path_families[sec.name] = _build_path_family(r)
         elif sec.kind == "exhaustion":
             model.exhaustions[sec.name] = _build_exhaustion(r)
-        model.order.append((sec.kind, sec.name))
     for sec in sections:
         r = _Reader(sec, path)
         if sec.kind == "representation":

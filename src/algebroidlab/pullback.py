@@ -34,7 +34,7 @@ from .algebroid import LieAlgebroidPatch, Representation, kernel_subalgebroid
 from .cohomology import (CEComplex, _check_window, _weight_cohomology, _window_boundaries,
                          weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
-from .linalg import QMatrix, SparseRow, quotient_dim_and_reps
+from .linalg import QMatrix, SparseRow, _axpy, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, WeightAssignment, poly_matrix_rank
 
 
@@ -508,21 +508,10 @@ def euler_homotopy_verify(a: LieAlgebroidPatch, rho: Optional[Representation],
         for elem in cx.window_basis(q, max_deg):
             w = cx.element_weight(elem)
             lhs: Dict = {}
-            target = cx.contract_with(euler.coeffs, elem)
-            for key, val in target.items():
-                for key2, val2 in cx.d_of_element(key).items():
-                    s = lhs.get(key2, Fraction(0)) + val * val2
-                    if s == 0:
-                        lhs.pop(key2, None)
-                    else:
-                        lhs[key2] = s
+            for key, val in cx.contract_with(euler.coeffs, elem).items():
+                _axpy(lhs, val, cx.d_of_element(key))
             for key, val in cx.d_of_element(elem).items():
-                for key2, val2 in cx.contract_with(euler.coeffs, key).items():
-                    s = lhs.get(key2, Fraction(0)) + val * val2
-                    if s == 0:
-                        lhs.pop(key2, None)
-                    else:
-                        lhs[key2] = s
+                _axpy(lhs, val, cx.contract_with(euler.coeffs, key))
             want = {elem: Fraction(w)} if w else {}
             checked += 1
             if lhs != want:

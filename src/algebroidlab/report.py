@@ -16,7 +16,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import StructuralError
 from .ratpoly import format_rational

@@ -19,8 +19,8 @@ import numpy as np
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
-from .covers import (CoverDatum, LocalSystemFamily, _edge_induced, _induced_on_cohomology,
-                     cochain_transport, validate_family)
+from .covers import (CoverDatum, LocalSystemFamily, _edge_induced, _holonomy,
+                     _induced_on_cohomology, cochain_transport, validate_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
 from .linalg import QMatrix
@@ -543,6 +543,13 @@ class MonodromyReport:
     steps: int
 
 
+def _require_valid_family(lsf: LocalSystemFamily) -> None:
+    failing = validate_family(lsf).failing()
+    if failing:
+        raise ValidationFailure("family fails its compatibility checks",
+                                {"kind": "bad_family", "failures": [c.name for c in failing]})
+
+
 def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
                     tol: float = 1e-8) -> MonodromyReport:
     """Loop holonomy computed two ways and compared degree by degree.
@@ -554,11 +561,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     tr = parallel_transport(pf, tol)
     if not tr.is_loop:
         raise StructuralError("path family endpoints carry different structure")
-    fam_rep = validate_family(lsf)
-    if fam_rep.failing():
-        raise ValidationFailure("family fails its compatibility checks",
-                                {"kind": "bad_family",
-                                 "failures": [c.name for c in fam_rep.failing()]})
+    _require_valid_family(lsf)
     cover = lsf.cover
     ncharts = len(cover.charts)
     if ncharts < 3:
@@ -580,10 +583,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     match = True
     exactly = True
     for q in range(pf.rank + 1):
-        hol = QMatrix.identity(len(lcs[0].representatives[q]))
-        for s in range(ncharts):
-            cur, nxt = loop[s], loop[s + 1]
-            hol = _edge_induced(lsf, lcs, nxt, cur, q) @ hol
+        hol = _holonomy(lsf, lcs, loop, q)
         monq = tr.mon[q]
         by_deg[q] = (hol, monq)
         if hol.nrows != monq.nrows:
@@ -624,11 +624,7 @@ def gauss_manin(lsf: LocalSystemFamily,
     if cover is not None and cover != lsf.cover:
         raise StructuralError("cover disagrees with the family's cover")
     cover = lsf.cover
-    fam_rep = validate_family(lsf)
-    if fam_rep.failing():
-        raise ValidationFailure("family fails its compatibility checks",
-                                {"kind": "bad_family",
-                                 "failures": [c.name for c in fam_rep.failing()]})
+    _require_valid_family(lsf)
     ncharts = len(cover.charts)
     lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in lsf.charts]
     vertex = {i: tuple(lcs[i].betti) for i in range(ncharts)}
@@ -650,23 +646,12 @@ def gauss_manin(lsf: LocalSystemFamily,
     flat = True
     for (i, j, k) in cover.triples:
         for q in range(len(lcs[i].betti)):
-            hol = _edge_induced(lsf, lcs, i, k, q) @ \
-                _edge_induced(lsf, lcs, k, j, q) @ \
-                _edge_induced(lsf, lcs, j, i, q)
+            hol = _holonomy(lsf, lcs, (i, j, k, i), q)
             if not (hol - QMatrix.identity(hol.nrows)).is_zero():
                 flat = False
-    cycles = _cycle_basis(ncharts, cover.overlaps)
-    cycle_hol = []
-    for nodes in cycles:
-        per = {}
-        start = nodes[0]
-        for q in range(len(lcs[start].betti)):
-            hol = QMatrix.identity(lcs[start].betti[q])
-            for s in range(len(nodes) - 1):
-                u, v = nodes[s], nodes[s + 1]
-                hol = _edge_induced(lsf, lcs, v, u, q) @ hol
-            per[q] = hol
-        cycle_hol.append((nodes, per))
+    cycle_hol = [(nodes, {q: _holonomy(lsf, lcs, nodes, q)
+                          for q in range(len(lcs[nodes[0]].betti))})
+                 for nodes in _cycle_basis(ncharts, cover.overlaps)]
     return GaussManinBundle(vertex, edge_maps, deg_ok, flat, cycle_hol)
 
 

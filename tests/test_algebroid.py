@@ -89,6 +89,22 @@ def test_polynomial_anchor_bracket_violation_witnessed():
     assert not rep.ok
     names = [c.name for c in rep.failing()]
     assert "anchor_bracket" in names
+    bad = next(c for c in rep.checks if c.name == "anchor_bracket")
+    assert bad.witness == {"indices": (1, 2), "coordinate": "x", "monomial": (1,),
+                           "coefficient": 1,
+                           "identity": "anchor([a,b]) = [anchor(a), anchor(b)]"}
+
+
+def test_jacobi_violation_witnessed():
+    # an antisymmetric change of sl2: [e1,e2] and [e2,e1] each move by e2
+    a = sl2_patch()
+    one = TruncatedPoly.const(0, 1, 0)
+    a.structure[0][1][1] = a.structure[0][1][1] + one
+    a.structure[1][0][1] = a.structure[1][0][1] - one
+    rep = validate_algebroid(a)
+    assert [c.name for c in rep.failing()] == ["jacobi"]
+    assert rep.failing()[0].witness == {"indices": (1, 2, 3, 1), "monomial": (),
+                                        "coefficient": 1, "identity": "Jacobi"}
 
 
 def test_certified_order_accounts_for_data_degree():
@@ -157,7 +173,8 @@ def test_non_flat_connection_rejected():
     rho.gammas[0][0][0] = TruncatedPoly.var(2, 1, 4)
     rep = validate_representation(rho)
     assert not rep.ok
-    assert rep.checks[0].witness["identity"] == "curvature = 0"
+    assert rep.checks[0].witness == {"indices": (1, 2), "entry": (1, 1), "monomial": (0, 0),
+                                     "coefficient": -1, "identity": "curvature = 0"}
 
 
 def test_grading_violations_empty_for_weighted_tangent():

@@ -126,6 +126,16 @@ def test_jet_mode_euler_line_counts_log_class():
     assert all(row.stabilized for row in rep.rows)
 
 
+def test_jet_mode_keeps_empty_degrees():
+    # above the rank every window basis is empty; jet mode still reports the
+    # row, since only weight mode drops empty strata of nonzero weight
+    a = tangent_patch(("x",), 4)
+    rep = jet_cohomology(a, window=(1, 2, 1), degrees=[a.rank + 1])
+    assert [(row.degree, row.betti, row.history, row.stabilized) for row in rep.rows] == \
+        [(a.rank + 1, 0, [(1, 0), (2, 0)], True)]
+    assert rep.dims == {a.rank + 1: 0}
+
+
 def test_weight_mode_requires_homogeneous_data():
     a = tangent_patch(("x", "y"), 4, weights=(0, 1))
     a.anchor[0][0] = TruncatedPoly(2, {(0, 0): Fraction(1), (0, 1): Fraction(1)}, 4)
