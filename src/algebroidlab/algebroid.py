@@ -175,6 +175,15 @@ def _first_witness(name: str, residuals, certified: int) -> CheckResult:
     return CheckResult(name, True)
 
 
+def _symmetric_parts(structure: List[List[List[TruncatedPoly]]]):
+    """((i, j, k), c[i][j][k] + c[j][i][k]) for i <= j, in index order."""
+    r = len(structure)
+    for i in range(r):
+        for j in range(i, r):
+            for k in range(r):
+                yield (i, j, k), structure[i][j][k] + structure[j][i][k]
+
+
 def validate_algebroid(a: LieAlgebroidPatch, order: Optional[int] = None) -> ValidationReport:
     """Check antisymmetry, Jacobi, and anchor-bracket compatibility.
 
@@ -190,18 +199,11 @@ def validate_algebroid(a: LieAlgebroidPatch, order: Optional[int] = None) -> Val
     checks: List[CheckResult] = []
 
     witness = None
-    for i in range(r):
-        for j in range(i, r):
-            for k in range(r):
-                s = a.structure[i][j][k] + a.structure[j][i][k]
-                if not s.is_zero():
-                    mono, val = s.leading_term()
-                    witness = {"indices": (i + 1, j + 1, k + 1), "monomial": mono,
-                               "coefficient": val, "identity": "c[i][j][k] + c[j][i][k] = 0"}
-                    break
-            if witness:
-                break
-        if witness:
+    for (i, j, k), s in _symmetric_parts(a.structure):
+        if s:
+            mono, val = s.leading_term()
+            witness = {"indices": (i + 1, j + 1, k + 1), "monomial": mono,
+                       "coefficient": val, "identity": "c[i][j][k] + c[j][i][k] = 0"}
             break
     checks.append(CheckResult("antisymmetry", witness is None, witness))
 
@@ -459,9 +461,16 @@ def kernel_subalgebroid(big: LieAlgebroidPatch, block: List[List[TruncatedPoly]]
     kr = len(frame)
     z = TruncatedPoly.zero(big.n_vars, big.jet_order)
     structure = [[[z for _ in range(kr)] for _ in range(kr)] for _ in range(kr)]
+    # antisymmetric data give [v, u] = -[u, v]; other data bracket both orders
+    c = big.structure
+    antisymmetric = not any(s or c[i][j][k].cap != c[j][i][k].cap
+                            for (i, j, k), s in _symmetric_parts(c))
     for ti in range(kr):
         for tj in range(kr):
             if tj == ti:
+                continue
+            if antisymmetric and tj < ti:
+                structure[ti][tj] = [-e for e in structure[tj][ti]]
                 continue
             br = big.bracket_sections(frame[ti], frame[tj])
             structure[ti][tj] = [br[t] for t in free]

@@ -158,57 +158,38 @@ def _echo(cmd: str, path: str, flags: Dict[str, object]) -> str:
 def _cmd_check(model: ModelFile, flags, rep: Report):
     only = flags.get("name")
     t = rep.table("checks", ("name", "kind", "ok", "detail"))
+
+    def validated(vr, fine=None):
+        """(ok, detail, witness); the first failing check names the detail."""
+        bad = vr.failing()
+        return (vr.ok, bad[0].name if bad else fine or f"order {vr.certified_order}",
+                bad[0].witness if bad else None)
+
+    def flat(pf):
+        pr = validate_path_family(pf)
+        return pr.ok, "flat" if pr.ok else (
+            "frozen fibre fails axioms" if not all(ok for _, ok in pr.frozen_ok)
+            else "flatness fails"), None
+
+    kinds = (("algebroid", model.algebroids, lambda a: validated(validate_algebroid(a))),
+             ("representation", model.representations,
+              lambda rho: validated(validate_representation(rho))),
+             ("cover", model.covers, lambda c: (True, "well formed", None)),
+             ("family", model.families, lambda f: validated(validate_family(f), "compatible")),
+             ("path_family", model.path_families, flat),
+             ("exhaustion", model.exhaustions, lambda e: (True, "well formed", None)))
     all_ok = True
     found = False
-
-    def row(name, kind, ok, detail=""):
-        nonlocal all_ok, found
-        found = True
-        all_ok = all_ok and ok
-        t.add(name, kind, ok, detail)
-
-    for name in sorted(model.algebroids):
-        if only and name != only:
-            continue
-        vr = validate_algebroid(model.algebroids[name])
-        bad = vr.failing()
-        row(name, "algebroid", vr.ok,
-            bad[0].name if bad else f"order {vr.certified_order}")
-        if bad and bad[0].witness:
-            rep.witness({"name": name, **bad[0].witness})
-    for name in sorted(model.representations):
-        if only and name != only:
-            continue
-        vr = validate_representation(model.representations[name])
-        bad = vr.failing()
-        row(name, "representation", vr.ok,
-            bad[0].name if bad else f"order {vr.certified_order}")
-        if bad and bad[0].witness:
-            rep.witness({"name": name, **bad[0].witness})
-    for name in sorted(model.covers):
-        if only and name != only:
-            continue
-        row(name, "cover", True, "well formed")
-    for name in sorted(model.families):
-        if only and name != only:
-            continue
-        vr = validate_family(model.families[name])
-        bad = vr.failing()
-        row(name, "family", vr.ok, bad[0].name if bad else "compatible")
-        if bad and bad[0].witness:
-            rep.witness({"name": name, **bad[0].witness})
-    for name in sorted(model.path_families):
-        if only and name != only:
-            continue
-        pr = validate_path_family(model.path_families[name])
-        detail = "" if pr.ok else (
-            "frozen fibre fails axioms" if not all(ok for _, ok in pr.frozen_ok)
-            else "flatness fails")
-        row(name, "path_family", pr.ok, detail or "flat")
-    for name in sorted(model.exhaustions):
-        if only and name != only:
-            continue
-        row(name, "exhaustion", True, "well formed")
+    for kind, pool, check in kinds:
+        for name in sorted(pool):
+            if only and name != only:
+                continue
+            ok, detail, witness = check(pool[name])
+            found = True
+            all_ok = all_ok and ok
+            t.add(name, kind, ok, detail)
+            if witness:
+                rep.witness({"name": name, **witness})
     if not found:
         raise StructuralError(
             f"nothing named '{only}' in {model.path}" if only

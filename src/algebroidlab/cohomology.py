@@ -21,9 +21,7 @@ Two computation modes:
   window.  Betti numbers are reported per window with a stabilization
   flag over the requested span.  One routine, `_windowed_row`, runs this
   window loop N = a..b for jet mode and for the windowed weight strata
-  alike.  Each complex memoizes the differential of every basis element,
-  so the elements shared by windows, degrees and the cocycle and boundary
-  steps are differentiated once.  Everything stays on sparse rows until a
+  alike.  Everything stays on sparse rows until a
   representative is printed.  The cocycles are the kernel read off the
   reduced sparse rows of d (`d_matrix`, which is built sparse and made
   dense only for a reader of its rows).  The boundaries of one window
@@ -32,6 +30,15 @@ Two computation modes:
   the reduced rows pivoted inside the window span the images that vanish
   outside it.  The cocycles are then reduced into that same echelon, and
   only the accepted residuals, the representatives, are made dense.
+
+Each complex compiles its static data once.  d applies, to each monomial
+cochain f e^I (x) f_beta, a term table built from the uncapped data on the
+first use of (I, beta): exponent sums and one multiplication per term, no
+polynomial objects.  The Euler contraction applies a table of the same
+kind, and the degree shift is read off the tables.  The d of every basis
+element is memoized, and each window basis is built once per (degree,
+coefficient degree) and split into weight buckets when a stratum of it is
+first asked for.
 
 The basis order is canonical: wedge tuple (lexicographic), then fibre
 index, then monomial in graded-lex order.  All representative cocycles
@@ -45,6 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
@@ -55,8 +63,8 @@ from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 Exponent = Tuple[int, ...]
 BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibre)
 Cochain = Dict[BasisElement, Fraction]
-
-QZERO = Fraction(0)
+# (derivative index or None, coefficient exponent, scalar, target wedge, target fibre)
+Term = Tuple[Optional[int], Exponent, Fraction, Tuple[int, ...], int]
 
 
 def wedge_tuples(rank: int, q: int) -> List[Tuple[int, ...]]:
@@ -73,7 +81,8 @@ def _insert_sign(j: int, wedge: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...]]:
 
 
 class CEComplex:
-    """Differential engine for one patch and representation."""
+    """Differential engine for one patch and representation, with the
+    memos of the module docstring."""
 
     def __init__(self, a: LieAlgebroidPatch, rho: Optional[Representation] = None):
         if rho is None:
@@ -84,25 +93,22 @@ class CEComplex:
                 raise StructuralError("representation is over a different patch")
         self.a = a
         self.rho = rho
-        # Exact copies of the data, free of jet caps: the differential is
-        # computed in the plain polynomial ring so d o d = 0 on the nose.
-        self._anchor = [[e.truncate(None) for e in row] for row in a.anchor]
-        self._structure = [[[e.truncate(None) for e in col] for col in plane]
-                           for plane in a.structure]
-        self._gammas = [[[e.truncate(None) for e in row] for row in g] for g in rho.gammas]
-        degs = [0]
-        degs += [e.total_degree() - 1 for row in self._anchor for e in row if not e.is_zero()]
-        degs += [e.total_degree() for plane in self._structure for col in plane
-                 for e in col if not e.is_zero()]
-        degs += [e.total_degree() for g in self._gammas for row in g
-                 for e in row if not e.is_zero()]
-        self._shift = max(degs)
+        self._shift: Optional[int] = None
+        self._tables: Dict[Tuple[Tuple[int, ...], int], List[Term]] = {}
+        self._bases: Dict[Tuple[int, int], List[BasisElement]] = {}
+        self._buckets: Dict[Tuple[int, int], Dict[int, List[BasisElement]]] = {}
         self._d: Dict[BasisElement, Cochain] = {}
 
     # -- degrees and weights -----------------------------------------------------
 
     def degree_shift(self) -> int:
-        """Max increase of coefficient degree under the differential."""
+        """Max increase of coefficient degree under d, read off the tables
+        of degrees 0 and 1, which hold every data entry d uses."""
+        if self._shift is None:
+            self._shift = max([0] + [sum(t[1]) for q in (0, 1)
+                                     for wedge in wedge_tuples(self.a.rank, q)
+                                     for beta in range(self.rho.rank)
+                                     for t in self._table(wedge, beta)])
         return self._shift
 
     def element_weight(self, elem: BasisElement) -> int:
@@ -125,39 +131,38 @@ class CEComplex:
     def window_basis(self, q: int, max_deg: int, weight: Optional[int] = None
                      ) -> List[BasisElement]:
         """Canonically ordered basis of degree-q cochains with coefficient
-        degree <= max_deg, optionally restricted to one weight stratum."""
-        out: List[BasisElement] = []
-        monos = monomials_up_to(self.a.n_vars, max_deg)
-        for wedge in wedge_tuples(self.a.rank, q):
-            for beta in range(self.rho.rank):
-                for mono in monos:
-                    elem = (mono, wedge, beta)
-                    if weight is not None and self.element_weight(elem) != weight:
-                        continue
-                    out.append(elem)
-        return out
+        degree <= max_deg, optionally restricted to one weight stratum, as
+        a list the caller owns."""
+        return list(self._window(q, max_deg, weight))
+
+    def _window(self, q: int, max_deg: int, weight: Optional[int]) -> List[BasisElement]:
+        """The memoized window_basis, shared by every caller."""
+        key = (q, max_deg)
+        if key not in self._bases:
+            monos = monomials_up_to(self.a.n_vars, max_deg)
+            self._bases[key] = [(mono, wedge, beta) for wedge in wedge_tuples(self.a.rank, q)
+                                for beta in range(self.rho.rank) for mono in monos]
+        if weight is None:
+            return self._bases[key]
+        if key not in self._buckets:
+            buckets = self._buckets[key] = {}
+            for elem in self._bases[key]:
+                buckets.setdefault(self.element_weight(elem), []).append(elem)
+        return self._buckets[key].get(weight, [])
 
     def stratum_basis(self, q: int, weight: int) -> List[BasisElement]:
         """Complete basis of a finite weight stratum.
 
         Valid when every coordinate has positive weight: a monomial of
-        weight w then has total degree at most w.
+        weight w then has total degree at most w, so the stratum is a weight
+        bucket of the window as deep as the largest monomial weight it needs.
         """
         ws = self.a.weights
         if self.a.n_vars > 0 and (ws is None or min(ws.weights) < 1):
             raise StructuralError("stratum is not finite; use a degree window")
-        out: List[BasisElement] = []
-        for wedge in wedge_tuples(self.a.rank, q):
-            for beta in range(self.rho.rank):
-                need = weight + sum(self.a.frame_weight(i) for i in wedge) \
-                    - self.rho.fibre_weight(beta)
-                if need < 0:
-                    continue
-                for mono in monomials_up_to(self.a.n_vars, need):
-                    mw = ws.monomial_weight(mono) if ws is not None else 0
-                    if mw == need:
-                        out.append((mono, wedge, beta))
-        return out
+        # each (wedge, fibre) needs monomial weight `weight` minus that of its constant
+        need = weight - min(map(self.element_weight, self._window(q, 0, None)), default=weight)
+        return list(self._window(q, max(need, 0), weight))
 
     # -- the differential -------------------------------------------------------------
 
@@ -173,36 +178,28 @@ class CEComplex:
 
     def _build_d(self, elem: BasisElement) -> Cochain:
         mono, wedge, beta = elem
-        a, n = self.a, self.a.n_vars
-        poly_mono = TruncatedPoly.monomial(n, mono, 1)
-        out: Cochain = {}
+        return _apply(self._table(wedge, beta), mono)
 
-        def add(p: TruncatedPoly, wedge2: Tuple[int, ...], beta2: int, scale: int):
-            if scale == 0 or p.is_zero():
-                return
-            for m2, v in p.c.items():
-                key = (m2, wedge2, beta2)
-                s = out.get(key, QZERO) + v * scale
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-
+    def _table(self, wedge: Tuple[int, ...], beta: int) -> List[Term]:
+        """The terms of d on f e^wedge (x) f_beta, compiled once from the
+        uncapped data, so d o d = 0 holds on the nose."""
+        terms = self._tables.get((wedge, beta))
+        if terms is not None:
+            return terms
+        a = self.a
+        terms = self._tables[(wedge, beta)] = []
         # Insertions: anchor derivative and connection action.
         for j in range(a.rank):
             sign, wedge2 = _insert_sign(j, wedge)
             if sign == 0:
                 continue
-            deriv = TruncatedPoly.zero(n)
-            for l in range(n):
-                if not self._anchor[j][l].is_zero() and mono[l]:
-                    deriv = deriv + self._anchor[j][l] * poly_mono.deriv(l)
-            add(deriv, wedge2, beta, sign)
+            for l, e in enumerate(a.anchor[j]):
+                for m, v in e.c.items():
+                    exp = tuple(x - (i == l) for i, x in enumerate(m))
+                    terms.append((l, exp, sign * v, wedge2, beta))
             for gamma in range(self.rho.rank):
-                g = self._gammas[j][gamma][beta]
-                if not g.is_zero():
-                    add(g * poly_mono, wedge2, gamma, sign)
-
+                for m, v in self.rho.gammas[j][gamma][beta].c.items():
+                    terms.append((None, m, sign * v, wedge2, gamma))
         # Contractions: replace e^k inside the wedge by a structure pair.
         for pos_k, k in enumerate(wedge):
             rest = wedge[:pos_k] + wedge[pos_k + 1:]
@@ -211,18 +208,16 @@ class CEComplex:
                 if u != k and u in rest:
                     continue
                 for v in range(u + 1, a.rank):
-                    if v != k and v in rest:
-                        continue
-                    c_uv_k = self._structure[u][v][k]
-                    if c_uv_k.is_zero():
+                    c_uv_k = a.structure[u][v][k]
+                    if (v != k and v in rest) or c_uv_k.is_zero():
                         continue
                     wedge2 = tuple(sorted(rest + (u, v)))
                     if len(wedge2) != len(rest) + 2:
                         continue
-                    pa = wedge2.index(u)
-                    pb = wedge2.index(v)
-                    add(c_uv_k * poly_mono, wedge2, beta, sigma * (-1) ** (pa + pb))
-        return out
+                    sign = sigma * (-1) ** (wedge2.index(u) + wedge2.index(v))
+                    for m, c in c_uv_k.c.items():
+                        terms.append((None, m, sign * c, wedge2, beta))
+        return terms
 
     def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
         """The differential from span(source) to span(target), one row per
@@ -241,24 +236,33 @@ class CEComplex:
     # -- interior contraction (for the scaling homotopy) ------------------------------
 
     def contract_with(self, coeffs: Sequence[TruncatedPoly], elem: BasisElement) -> Cochain:
+        """Interior product of one basis element with the section coeffs."""
         mono, wedge, beta = elem
-        n = self.a.n_vars
-        poly_mono = TruncatedPoly.monomial(n, mono, 1)
-        out: Cochain = {}
-        for pos, i in enumerate(wedge):
-            u = coeffs[i]
-            if u.is_zero():
+        return _apply([(None, m, -v if pos % 2 else v, wedge[:pos] + wedge[pos + 1:], beta)
+                       for pos, i in enumerate(wedge) for m, v in coeffs[i].c.items()], mono)
+
+
+def _apply(terms: List[Term], mono: Exponent) -> Cochain:
+    """The cochain of a term table on the monomial x^mono: each term adds
+    scalar * x^(mono + exponent), times mono[l] for a derivative along x_l;
+    cancelled entries are dropped."""
+    out: Cochain = {}
+    for l, exp, val, wedge2, beta2 in terms:
+        if l is not None:
+            if not mono[l]:
                 continue
-            p = u.truncate(None) * poly_mono
-            rest = wedge[:pos] + wedge[pos + 1:]
-            for m2, v in p.c.items():
-                key = (m2, rest, beta)
-                s = out.get(key, QZERO) + v * (-1) ** pos
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return out
+            val = val * mono[l]
+        key = (tuple(map(add, mono, exp)), wedge2, beta2)
+        s = out.get(key)
+        if s is None:
+            out[key] = val
+        else:
+            s += val
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+    return out
 
 
 # -- reports ------------------------------------------------------------------------
@@ -430,14 +434,9 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
     a = cx.a
     degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
     if weights is None:
-        offsets = []
-        for q in degrees:
-            for wedge in wedge_tuples(a.rank, q):
-                for beta in range(cx.rho.rank):
-                    offsets.append(-sum(a.frame_weight(i) for i in wedge)
-                                   + cx.rho.fibre_weight(beta))
-        lo = min(offsets, default=0)
-        hi = max(offsets, default=0)
+        # the weights of the constant-coefficient elements
+        offsets = [cx.element_weight(e) for q in degrees for e in cx._window(q, 0, None)]
+        lo, hi = min(offsets, default=0), max(offsets, default=0)
         mono_w = (max(a.weights.weights, default=0) if a.weights else 0) * window[1]
         weights = list(range(lo, hi + mono_w + 1))
     finite = a.n_vars == 0 or (a.weights is not None and min(a.weights.weights) >= 1)

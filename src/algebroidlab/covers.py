@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import (
     LieAlgebroidPatch,
@@ -648,12 +649,19 @@ def _edge_induced(f: LocalSystemFamily, lcs, i: int, j: int, q: int) -> QMatrix:
     return _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
 
 
-def _holonomy(f: LocalSystemFamily, lcs, nodes: Sequence[int], q: int) -> QMatrix:
+def _edge_maps(f: LocalSystemFamily, lcs) -> Callable[[int, int, int], QMatrix]:
+    """`_edge_induced` of one family as a function of (i, j, q) that
+    computes each map once for all its callers."""
+    return lru_cache(maxsize=None)(lambda i, j, q: _edge_induced(f, lcs, i, j, q))
+
+
+def _holonomy(edge: Callable[[int, int, int], QMatrix], nodes: Sequence[int], q: int) -> QMatrix:
     """Map on degree-q cohomology carrying chart nodes[0] classes along the
-    chart path nodes to chart nodes[-1]: the edge maps composed in path order."""
-    hol = _edge_induced(f, lcs, nodes[1], nodes[0], q)
+    chart path nodes to chart nodes[-1]: the `_edge_maps` edge maps composed
+    in path order."""
+    hol = edge(nodes[1], nodes[0], q)
     for u, v in zip(nodes[1:], nodes[2:]):
-        hol = _edge_induced(f, lcs, v, u, q) @ hol
+        hol = edge(v, u, q) @ hol
     return hol
 
 

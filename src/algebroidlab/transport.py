@@ -19,7 +19,7 @@ import numpy as np
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
-from .covers import (CoverDatum, LocalSystemFamily, _edge_induced, _holonomy,
+from .covers import (CoverDatum, LocalSystemFamily, _edge_maps, _holonomy,
                      _induced_on_cohomology, cochain_transport, validate_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
@@ -578,12 +578,13 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
         raise StructuralError("basepoint chart does not carry the time-0 fibre")
     lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in lsf.charts]
     loop = tuple(range(ncharts)) + (0,)
+    edge = _edge_maps(lsf, lcs)
     by_deg: Dict[int, Tuple[QMatrix, QMatrix]] = {}
     max_diff = 0.0
     match = True
     exactly = True
     for q in range(pf.rank + 1):
-        hol = _holonomy(lsf, lcs, loop, q)
+        hol = _holonomy(edge, loop, q)
         monq = tr.mon[q]
         by_deg[q] = (hol, monq)
         if hol.nrows != monq.nrows:
@@ -628,12 +629,13 @@ def gauss_manin(lsf: LocalSystemFamily,
     ncharts = len(cover.charts)
     lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in lsf.charts]
     vertex = {i: tuple(lcs[i].betti) for i in range(ncharts)}
+    edge = _edge_maps(lsf, lcs)
     edge_maps: Dict[Tuple[int, int], Dict[int, QMatrix]] = {}
     deg_ok = True
     for (i, j) in cover.overlaps:
         per: Dict[int, QMatrix] = {}
         for q in range(len(lcs[i].betti)):
-            m = _edge_induced(lsf, lcs, i, j, q)
+            m = edge(i, j, q)
             bi = lcs[i].betti[q]
             bj = lcs[j].betti[q] if q < len(lcs[j].betti) else 0
             if bi != bj or m.rank() != bi:
@@ -646,10 +648,10 @@ def gauss_manin(lsf: LocalSystemFamily,
     flat = True
     for (i, j, k) in cover.triples:
         for q in range(len(lcs[i].betti)):
-            hol = _holonomy(lsf, lcs, (i, j, k, i), q)
+            hol = _holonomy(edge, (i, j, k, i), q)
             if not (hol - QMatrix.identity(hol.nrows)).is_zero():
                 flat = False
-    cycle_hol = [(nodes, {q: _holonomy(lsf, lcs, nodes, q)
+    cycle_hol = [(nodes, {q: _holonomy(edge, nodes, q)
                           for q in range(len(lcs[nodes[0]].betti))})
                  for nodes in _cycle_basis(ncharts, cover.overlaps)]
     return GaussManinBundle(vertex, edge_maps, deg_ok, flat, cycle_hol)

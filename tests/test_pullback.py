@@ -12,6 +12,7 @@ from algebroidlab.algebroid import (
     Representation,
     SubmersionDatum,
     adjoint_representation,
+    kernel_subalgebroid,
     tau_and_kernel,
     trivial_representation,
     validate_algebroid,
@@ -357,6 +358,69 @@ def test_unclosed_kernel_rejected_by_every_construction():
         assert ei.value.witness == dict(witness, monomial=mono, coefficient=coeff)
     iso, _, rep = pullback_structured(StructuredMap("point", at=(Fraction(-1),)), a)
     assert rep.rank == 2 and iso.structure[0][1][0].is_zero()
+
+
+def _both_orders_structure(big, k):
+    """The kernel structure with every ordered frame pair bracketed."""
+    kr = len(k.frame)
+    out = [[list(k.structure[ti][ti]) for _ in range(kr)] for ti in range(kr)]
+    for ti in range(kr):
+        for tj in range(kr):
+            if ti != tj:
+                br = big.bracket_sections(k.frame[ti], k.frame[tj])
+                out[ti][tj] = [br[t] for t in k.free]
+    return out
+
+
+def _exactly(structure):
+    return [[[(e.c, e.cap) for e in col] for col in plane] for plane in structure]
+
+
+def test_kernel_structure_matches_both_orders(monkeypatch):
+    rng = random.Random(4711)
+    cases = []
+    for _ in range(8):
+        a = _gl2_plane_action(rng)
+        pt = (Fraction(0), Fraction(0))
+        while not any(pt):
+            pt = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2))
+
+        def at(p, pt=pt):
+            return TruncatedPoly.const(0, p.evaluate(pt), 0)
+
+        # the action evaluated at the point and its anchor there, as the
+        # point pullback builds them
+        big = LieAlgebroidPatch((), 0, 4, [[] for _ in range(4)],
+                                [[[at(e) for e in col] for col in plane] for plane in a.structure])
+        cases.append((big, [[at(a.anchor[i][l]) for i in range(4)] for l in range(2)], 0))
+    _, line = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+    cases.append((line, [[line.anchor[i][0] for i in range(4)]], line.certified_order()))
+    calls = []
+    bracket = LieAlgebroidPatch.bracket_sections
+
+    def counting(self, u, v):
+        calls.append(1)
+        return bracket(self, u, v)
+
+    for big, block, certified in cases:
+        monkeypatch.setattr(LieAlgebroidPatch, "bracket_sections", counting)
+        calls.clear()
+        k = kernel_subalgebroid(big, block, certified)
+        kr = len(k.frame)
+        assert len(calls) == kr * (kr - 1) // 2
+        monkeypatch.undo()
+        assert _exactly(k.structure) == _exactly(_both_orders_structure(big, k))
+    assert [len(k.frame) for k in [kernel_subalgebroid(*c) for c in cases]] == [2] * 8 + [3]
+
+
+def test_non_antisymmetric_kernel_brackets_both_orders():
+    # [e3, e2] = -(1 + x) e1 but [e2, e3] = 0: only the reversed pair fails
+    a = _unclosed_patch()
+    a.structure[1][2] = [_poly(1, 4, "0")] * 3
+    with pytest.raises(ValidationFailure, match="kernel is not closed") as ei:
+        tau_and_kernel(SubmersionDatum(a, (0,)))
+    assert ei.value.witness == {"kind": "not_closed", "pair": (2, 1), "frame_component": 1,
+                                "monomial": (0,), "coefficient": -1}
 
 
 def test_projection_pullback_extends_frame():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from algebroidlab import covers
 from algebroidlab.covers import (ChartData, CoverDatum, LocalSystemFamily,
                                  cochain_transport, _induced_on_cohomology)
 from algebroidlab.cohomology import lie_algebra_cohomology
@@ -290,10 +291,13 @@ def test_monodromy_rejects_non_cyclic_cover():
 # -- the cohomology bundle -------------------------------------------------------------------
 
 
-def test_gauss_manin_constant_family_triangle():
+def _sl2_triangle():
     cover = CoverDatum(("A", "B", "C"), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
-    charts = [ChartData(sl2_patch(), None) for _ in range(3)]
-    bundle = gauss_manin(LocalSystemFamily(cover, charts, {}))
+    return LocalSystemFamily(cover, [ChartData(sl2_patch(), None) for _ in range(3)], {})
+
+
+def test_gauss_manin_constant_family_triangle():
+    bundle = gauss_manin(_sl2_triangle())
     assert bundle.vertex_betti == {0: (1, 0, 0, 1), 1: (1, 0, 0, 1), 2: (1, 0, 0, 1)}
     assert bundle.degree_preserving and bundle.flat_over_triples
     for per in bundle.edge_maps.values():
@@ -304,6 +308,21 @@ def test_gauss_manin_constant_family_triangle():
     assert nodes == (1, 2, 0, 1)
     assert all(m.rows == QMatrix.identity((1, 0, 0, 1)[q]).rows
                for q, m in per.items())
+
+
+def test_gauss_manin_computes_each_edge_map_once(monkeypatch):
+    # overlaps, the triangle and the cycle share the maps of their edges
+    calls = []
+    edge_induced = covers._edge_induced
+
+    def counting(f, lcs, i, j, q):
+        calls.append((i, j, q))
+        return edge_induced(f, lcs, i, j, q)
+
+    monkeypatch.setattr(covers, "_edge_induced", counting)
+    bundle = gauss_manin(_sl2_triangle())
+    assert bundle.flat_over_triples and len(bundle.cycle_holonomies) == 1
+    assert len(calls) == len(set(calls)) == 20
 
 
 def test_gauss_manin_unipotent_circle_holonomy():
