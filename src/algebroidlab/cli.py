@@ -25,6 +25,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from .errors import LabError, StructuralError, ValidationFailure
@@ -83,7 +84,9 @@ def _parse_names(text: str) -> Tuple[str, ...]:
     return tuple(p.strip() for p in text.split(","))
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     top = _Parser(prog="algebroidlab", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="cmd", required=True, metavar="command")
 

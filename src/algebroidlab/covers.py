@@ -40,6 +40,7 @@ from .algebroid import (
 from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix, SparseRow, _axpy, quotient_dim_and_reps
+from .ratpoly import minors
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -224,14 +225,20 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
                               None if len(ranks) == 1 and len(mranks) == 1
                               else {"fibre_ranks": sorted(ranks),
                                     "rep_ranks": sorted(mranks)}))
+    edge_ok: Dict[Tuple[int, int], bool] = {}
     for (i, j) in f.cover.overlaps:
         p, q = f.transition(i, j)
         ai, aj = f.charts[i].algebra, f.charts[j].algebra
         ok = ai.rank == aj.rank and p.nrows == p.ncols == ai.rank \
             and p.rank() == ai.rank
+        m = f.rep_rank(i)
+        q_ok = f.rep_rank(j) == q.nrows == q.ncols == m and q.rank() == m
         wit = None
         if not ok:
             wit = {"edge": (i, j), "reason": "transition not invertible"}
+        elif not q_ok:
+            ok, wit = False, {"edge": (i, j),
+                              "reason": f"fibre transition Q not an invertible {m} x {m} matrix"}
         else:
             for av in range(aj.rank):
                 for bv in range(av + 1, aj.rank):
@@ -257,7 +264,10 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
                                       "reason": "transition does not intertwine"}
                     break
         checks.append(CheckResult(f"transition[{i},{j}]", ok, wit))
+        edge_ok[(i, j)] = ok
     for (i, j, k) in f.cover.triples:
+        if not (edge_ok[(i, j)] and edge_ok[(j, k)] and edge_ok[(i, k)]):
+            continue        # a failed edge check already names the edge
         pij, qij = f.transition(i, j)
         pjk, qjk = f.transition(j, k)
         pik, qik = f.transition(i, k)
@@ -268,31 +278,6 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
 
 
 # -- cochain transport --------------------------------------------------------------------
-
-
-def _minor(m: List[List[Fraction]], rows: Sequence[int], cols: Sequence[int]) -> Fraction:
-    if not rows:
-        return Fraction(1)
-    return _det([[m[r][c] for c in cols] for r in rows])
-
-
-def _det(rows: List[List[Fraction]]) -> Fraction:
-    """Determinant by Gaussian elimination over the rationals."""
-    m = [[Fraction(v) for v in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, len(m)):
-            f = m[r][col] / m[col][col]
-            if f:
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def _add_block(rows: List[SparseRow], block: QMatrix, r0: int, c0: int,
@@ -337,7 +322,7 @@ def _face_sum(faces: List[Tuple[int, ...]], cofaces: List[Tuple[int, ...]],
 def cochain_transport(p: QMatrix, q_mat: QMatrix,
                       src: List[BasisElement], dst: List[BasisElement]) -> QMatrix:
     """Matrix of omega |-> q . omega(p^{-1} ., ..., p^{-1} .) on CE bases."""
-    pinv, q_rows = p.inverse().rows, q_mat.rows
+    minor, q_rows = minors(p.inverse().rows, Fraction(1)), q_mat.rows
     cols: List[SparseRow] = []
     for (_, wedge, beta) in src:
         col: SparseRow = {}
@@ -345,7 +330,7 @@ def cochain_transport(p: QMatrix, q_mat: QMatrix,
             qv = q_rows[gamma][beta]
             if qv == 0:
                 continue
-            det = _minor(pinv, wedge, wedge2)
+            det = minor(wedge, wedge2)
             if det:
                 col[k] = qv * det
         cols.append(col)
@@ -621,19 +606,17 @@ def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:
 # -- independent second-page oracle --------------------------------------------------------
 
 
-def _induced_on_cohomology(lc_src, lc_dst, tmat: QMatrix, q: int,
-                           d_prev_dst: Optional[QMatrix]) -> QMatrix:
-    """Map induced on degree-q cohomology by a cochain map, in the chosen
-    representative bases."""
-    reps_src = lc_src.representatives[q]
+def _induced_on_cohomology(p: QMatrix, q_mat: QMatrix, lc_src, lc_dst, q: int) -> QMatrix:
+    """Map induced on degree-q cohomology by the frame change (p, q_mat),
+    in the chosen representative bases: transport each source
+    representative and solve modulo the destination coboundaries."""
+    tmat = cochain_transport(p, q_mat, lc_src.bases[q], lc_dst.bases[q])
     reps_dst = lc_dst.representatives[q]
-    dim_dst = len(lc_dst.bases[q])
-    bcols = d_prev_dst.image_basis() if d_prev_dst is not None else []
-    solver = QMatrix.from_columns([list(v) for v in reps_dst] + bcols, dim_dst)
+    bcols = lc_dst.matrices[q - 1].image_basis() if q > 0 else []
+    solver = QMatrix.from_columns([list(v) for v in reps_dst] + bcols, len(lc_dst.bases[q]))
     cols = []
-    for v in reps_src:
-        w = tmat.apply(v)
-        sol = solver.solve(w)
+    for v in lc_src.representatives[q]:
+        sol = solver.solve(tmat.apply(v))
         if sol is None:
             raise ValidationFailure("transported class leaves the cohomology",
                                     {"kind": "not_cocycle_preserving"})
@@ -641,18 +624,11 @@ def _induced_on_cohomology(lc_src, lc_dst, tmat: QMatrix, q: int,
     return QMatrix.from_columns(cols, len(reps_dst))
 
 
-def _edge_induced(f: LocalSystemFamily, lcs, i: int, j: int, q: int) -> QMatrix:
-    """Map on degree-q cohomology carrying chart j classes to chart i."""
-    pm, qm = f.transition(i, j)
-    tm = cochain_transport(pm, qm, lcs[j].bases[q], lcs[i].bases[q])
-    dpd = lcs[i].matrices[q - 1] if q > 0 else None
-    return _induced_on_cohomology(lcs[j], lcs[i], tm, q, dpd)
-
-
 def _edge_maps(f: LocalSystemFamily, lcs) -> Callable[[int, int, int], QMatrix]:
-    """`_edge_induced` of one family as a function of (i, j, q) that
-    computes each map once for all its callers."""
-    return lru_cache(maxsize=None)(lambda i, j, q: _edge_induced(f, lcs, i, j, q))
+    """Map on degree-q cohomology carrying chart j classes to chart i, as a
+    function of (i, j, q) that computes each map once for all its callers."""
+    return lru_cache(maxsize=None)(
+        lambda i, j, q: _induced_on_cohomology(*f.transition(i, j), lcs[j], lcs[i], q))
 
 
 def _holonomy(edge: Callable[[int, int, int], QMatrix], nodes: Sequence[int], q: int) -> QMatrix:
@@ -675,7 +651,8 @@ def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
     for q in range(dc.q_max + 1):
         dims_h = [len(lc.representatives[q]) if q < len(lc.betti) else 0 for lc in lcs]
         # every face sum transports along a nerve edge (coface min, face min)
-        induced = {e: _edge_induced(f, lcs, *e, q) for edges in simpl[1:2] for e in edges}
+        induced = {(i, j): _induced_on_cohomology(*f.transition(i, j), lcs[j], lcs[i], q)
+                   for edges in simpl[1:2] for i, j in edges}
         # simplicial cochain spaces with H^q coefficients at the min vertex
         sizes = [sum(dims_h[alpha[0]] for alpha in level) for level in simpl]
         deltas = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i],

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, kernel_subalgebroid
@@ -35,7 +36,7 @@ from .cohomology import (CEComplex, _check_window, _weight_cohomology, _window_b
                          weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix, SparseRow, _axpy, quotient_dim_and_reps
-from .ratpoly import TruncatedPoly, WeightAssignment, poly_matrix_rank
+from .ratpoly import TruncatedPoly, WeightAssignment, minors, poly_matrix_rank
 
 
 @dataclass
@@ -548,53 +549,29 @@ class TransversalIsoReport:
     window: Tuple[int, int, int]
 
 
-def _restrict_cochain(a: LieAlgebroidPatch, vec: SparseRow,
-                      basis: List, q: int, keep: Sequence[int],
-                      frame: List[List[TruncatedPoly]],
-                      slice_basis: List) -> SparseRow:
+def _restrict_cochain(a: LieAlgebroidPatch, vec: SparseRow, basis: List, q: int,
+                      keep: Sequence[int], minor, r2: int, index: Dict) -> SparseRow:
     """Evaluate a sparse degree-q cochain on the slice kernel frame and
-    restrict coefficients to the slice ring, as a sparse cochain."""
-    from itertools import combinations as _comb
+    restrict coefficients to the slice ring, as a sparse cochain.
 
-    nk = len(keep)
-    index = {e: i for i, e in enumerate(slice_basis)}
+    minor(jt, wedge) is the frame-coefficient minor at slice frame rows jt
+    and big frame columns wedge; index numbers the slice window basis."""
     out: SparseRow = {}
-    r2 = len(frame)
     for j, coeff in vec.items():
         mono, wedge, beta = basis[j]
         mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).restrict(keep)
         if mono_slice.is_zero():
             continue
-        for jt in _comb(range(r2), q):
-            # determinant of the frame coefficients at the wedge rows
-            mat = [[frame[jt[b]][wedge[c]].truncate(None) for c in range(q)]
-                   for b in range(q)]
-            det = _poly_det(mat, nk)
+        for jt in combinations(range(r2), q):
+            det = minor(jt, wedge)
             if det.is_zero():
                 continue
-            total = det * mono_slice.truncate(None)
-            for m2, v in total.c.items():
+            for m2, v in (det * mono_slice).c.items():
                 key = (m2, jt, beta)
                 if key not in index:
                     raise StructuralError("restricted cochain leaves the window")
                 out[index[key]] = out.get(index[key], 0) + coeff * v
     return {i: x for i, x in out.items() if x}
-
-
-def _poly_det(mat: List[List[TruncatedPoly]], n_vars: int) -> TruncatedPoly:
-    k = len(mat)
-    if k == 0:
-        return TruncatedPoly.const(n_vars, 1)
-    if k == 1:
-        return mat[0][0]
-    acc = TruncatedPoly.zero(n_vars)
-    for j in range(k):
-        if mat[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(k) if c != j] for row in mat[1:]]
-        term = mat[0][j] * _poly_det(minor, n_vars)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
 
 
 def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
@@ -608,6 +585,8 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     sliced, rho_s, _rep, frame = _pullback_slice(
         StructuredMap("slice", keep=tuple(keep)), a, rho)
 
+    minor = minors([[e.truncate(None) for e in row] for row in frame],
+                   TruncatedPoly.const(len(keep), 1))
     cx = CEComplex(a, rho)
     cx.require_graded()
     slice_cx = CEComplex(sliced, rho_s)
@@ -628,8 +607,9 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # restricted cocycles modulo the slice boundaries at this window
         basis_big = cx.window_basis(q, end)
         cocycles = cx.d_matrix(basis_big, cx.window_basis(q + 1, end + shift)).echelon().kernel()
-        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep,
-                                                     frame, basis_s)) is not None
+        index = {e: i for i, e in enumerate(basis_s)}
+        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep, minor,
+                                                     len(frame), index)) is not None
                        for zvec in cocycles)
         surjective = img_rank >= betti_s
         rows.append(TransversalIsoRow(q, betti_a, betti_s, betti_a == betti_s, surjective))

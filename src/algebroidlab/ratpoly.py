@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -583,6 +583,34 @@ def pivot_kernel_frame(block: List[List[TruncatedPoly]], ncols: int, n_vars: int
             coeffs[p] = -acc
         frame.append(coeffs)
     return pivots, free, frame
+
+
+def minors(m: Sequence[Sequence], one) -> Callable[[Tuple[int, ...], Tuple[int, ...]], object]:
+    """minor(rows, cols): the determinant of m at equal-length index tuples.
+
+    Entries are Fractions or uncapped TruncatedPolys and one is the unit of
+    their ring.  Each minor is expanded along its first row once and
+    memoized, so minors that share trailing rows share their subminors.
+    """
+    zero = one - one
+    memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], object] = {}
+
+    def minor(rows: Tuple[int, ...], cols: Tuple[int, ...]):
+        if not rows:
+            return one
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        key = (rows, cols)
+        if key not in memo:
+            head, acc = m[rows[0]], zero
+            for k, c in enumerate(cols):
+                if head[c]:
+                    term = head[c] * minor(rows[1:], cols[:k] + cols[k + 1:])
+                    acc = acc - term if k % 2 else acc + term
+            memo[key] = acc
+        return memo[key]
+
+    return minor
 
 
 def _poly_mat_mul(a: List[List[TruncatedPoly]], b: List[List[TruncatedPoly]]) -> List[List[TruncatedPoly]]:

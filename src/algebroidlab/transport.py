@@ -20,7 +20,7 @@ from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
 from .covers import (CoverDatum, LocalSystemFamily, _edge_maps, _holonomy,
-                     _induced_on_cohomology, cochain_transport, validate_family)
+                     _induced_on_cohomology, validate_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
 from .linalg import QMatrix
@@ -446,13 +446,7 @@ def _loop_monodromy(pf: PathFamily, phi_q: QMatrix,
     rho = pf.rep_at(Fraction(0))
     lc = lie_algebra_cohomology(a, rho)
     qm = q_q if q_q is not None else QMatrix.identity(1)
-    out: Dict[int, QMatrix] = {}
-    for q in range(pf.rank + 1):
-        basis = lc.bases[q]
-        tm = cochain_transport(phi_q, qm, basis, basis)
-        dpd = lc.matrices[q - 1] if q > 0 else None
-        out[q] = _induced_on_cohomology(lc, lc, tm, q, dpd)
-    return out
+    return {q: _induced_on_cohomology(phi_q, qm, lc, lc, q) for q in range(pf.rank + 1)}
 
 
 def reverse_path(pf: PathFamily) -> PathFamily:

@@ -289,6 +289,26 @@ def test_monodromy_command(capsysbinary):
     assert b"matched entry for entry" in out
 
 
+@pytest.mark.parametrize("q_text", ["0", "1, 0 ; 0, 1"], ids=["singular", "mis_sized"])
+def test_family_commands_reject_a_bad_fibre_transition(tmp_path, capsysbinary, q_text):
+    # rank-1 trivial coefficients need an invertible 1 x 1 transition Q
+    text = Path(CIRCLE).read_text().replace(
+        "  transition[0][2] = 1, 1 ; 0, 1\n",
+        f"  transition[0][2] = 1, 1 ; 0, 1\n  transition_rep[0][1] = {q_text}\n")
+    model = tmp_path / "bad_q.alab"
+    model.write_text(text)
+    for argv in (["check"], ["ss"], ["localize", "--at", "0", "--deg", "0"],
+                 ["monodromy"]):
+        code, out = run([argv[0], str(model), *argv[1:], "--format", "structured"],
+                        capsysbinary)
+        assert code == 2, (argv, out)
+        rep = parse_structured(out)
+        assert rep.verdict == "fail" and b"internal error" not in out
+        if argv[0] in ("check", "ss"):
+            assert any(w.get("edge") == [0, 1] and "transition Q" in w.get("reason", "")
+                       for w in rep.witnesses), rep.witnesses
+
+
 def test_subexhaust_command(capsysbinary):
     code, out = run(["subexhaust", EXH, "--steps", "6", "--format",
                      "structured"], capsysbinary)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from typing import Dict, List, Tuple
 
 import pytest
@@ -9,7 +10,6 @@ import pytest
 from algebroidlab.algebroid import Representation, trivial_representation
 from algebroidlab.covers import (
     ChartData,
-    _det,
     _verify_complex,
     CechDoubleComplex,
     CoverDatum,
@@ -28,7 +28,7 @@ from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
 from algebroidlab.linalg import Echelon, QMatrix
-from algebroidlab.ratpoly import TruncatedPoly
+from algebroidlab.ratpoly import TruncatedPoly, minors
 from test_linalg import _sparse
 
 
@@ -145,6 +145,24 @@ def test_validate_cocycle_failure_names_triple():
         build_double_complex(f, cover)
 
 
+@pytest.mark.parametrize("q", [QMatrix([[0]]), QMatrix.identity(2), QMatrix([[1, 0]])],
+                         ids=["singular", "square_mis_sized", "not_square"])
+def test_validate_rejects_bad_fibre_transition_q(q):
+    # rank-1 trivial coefficients: Q must be an invertible 1 x 1 matrix;
+    # on a filled triangle the edge check names the edge and the cocycle
+    # check of its triple is not attempted on mismatched shapes
+    cover = CoverDatum(("A", "B", "C"), ((0, 1), (0, 2), (1, 2)), ((0, 1, 2),))
+    f = _constant_family(cover, abelian_patch(2),
+                         transitions={(0, 1): (QMatrix.identity(2), q)})
+    rep = validate_family(f)
+    assert not rep.ok
+    assert [c.name for c in rep.failing()] == ["transition[0,1]"]
+    witness = rep.failing()[0].witness
+    assert witness["edge"] == (0, 1) and "transition Q" in witness["reason"]
+    with pytest.raises(ValidationFailure):
+        build_double_complex(f, cover)
+
+
 def test_cochain_transport_identity_and_composition():
     a = sl2_patch()
     from algebroidlab.cohomology import CEComplex
@@ -160,16 +178,35 @@ def test_cochain_transport_identity_and_composition():
     assert ((t1 @ t2) - QMatrix.identity(len(basis2))).is_zero()
 
 
-def _cofactor_det(rows):
-    """Laplace expansion along the first row; the oracle for covers._det."""
+def _cofactor_det(rows, one=Fraction(1)):
+    """Laplace expansion along the first row, unmemoized; the oracle for
+    ratpoly.minors over the ring with unit one."""
     if not rows:
-        return Fraction(1)
-    acc = Fraction(0)
+        return one
+    acc = one - one
     for j, v in enumerate(rows[0]):
         if v:
             minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            acc += (-1) ** j * v * _cofactor_det(minor)
+            term = v * _cofactor_det(minor, one)
+            acc = acc - term if j % 2 else acc + term
     return acc
+
+
+def _all_minors_agree(m, one):
+    """Every minor of m from one table against the cofactor oracle, queried
+    largest first so the smaller ones are read back from the memo."""
+    minor = minors(m, one)
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    singular = 0
+    for k in reversed(range(min(nrows, ncols) + 1)):
+        for rows in combinations(range(nrows), k):
+            for cols in combinations(range(ncols), k):
+                want = _cofactor_det([[m[r][c] for c in cols] for r in rows], one)
+                got = minor(rows, cols)
+                assert got == want, (m, rows, cols)
+                assert type(got) is type(one)
+                singular += not want
+    return singular
 
 
 def test_det_matches_cofactor_expansion():
@@ -189,15 +226,51 @@ def test_det_matches_cofactor_expansion():
                 zero = [row[:] for row in m]         # singular: zero row
                 zero[rng.randrange(k)] = [Fraction(0)] * k
                 cases.append(zero)
+    for nrows, ncols in ((2, 5), (4, 3), (3, 6)):    # rectangular: row/column subsets
+        cases.append([[Fraction(rng.randrange(-3, 4)) for _ in range(ncols)]
+                      for _ in range(nrows)])
     singular = 0
     for m in cases:
-        want = _cofactor_det(m)
-        assert _det(m) == want, m
-        assert type(_det(m)) is Fraction
-        singular += want == 0
+        if len(m) <= 4 or len(m) != len(m[0]):
+            singular += _all_minors_agree(m, Fraction(1))
+        else:                                        # the full determinant only
+            full = tuple(range(len(m)))
+            want = _cofactor_det(m)
+            assert minors(m, Fraction(1))(full, full) == want, m
+            singular += want == 0
     assert singular > 100
-    assert _det([]) == 1
-    assert _det([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]) == -1
+    swap = minors([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]], Fraction(1))
+    assert swap((0, 1), (0, 1)) == -1 and swap((), ()) == 1
+
+
+def test_polynomial_minors_match_cofactor_expansion_and_evaluation():
+    rng = random.Random(1729)
+    one = TruncatedPoly.const(2, 1)
+
+    def entry():
+        if rng.random() < 0.35:
+            return TruncatedPoly.zero(2)
+        return TruncatedPoly(2, {(rng.randrange(2), rng.randrange(2)): rng.randrange(-3, 4),
+                                 (0, 0): Fraction(rng.randrange(-2, 3), rng.choice((1, 2)))})
+
+    cases = [[[TruncatedPoly.zero(2)] * 3 for _ in range(3)]]
+    for nrows, ncols in ((1, 1), (2, 2), (3, 3), (2, 4), (4, 3), (4, 4)):
+        for _ in range(3):
+            m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            cases.append(m)
+            sing = [row[:] for row in m]             # singular: a multiple of row 0
+            sing[-1] = [TruncatedPoly.var(2, 0) * e for e in m[0]]
+            cases.append(sing)
+    singular = sum(_all_minors_agree(m, one) for m in cases)
+    assert singular > 20
+    # evaluation is a ring map: polynomial minors evaluate to rational minors
+    for m in cases[1:]:
+        pt = (Fraction(rng.randrange(-3, 4), 2), Fraction(rng.randrange(-3, 4), 3))
+        pminor = minors(m, one)
+        qminor = minors([[e.evaluate(pt) for e in row] for row in m], Fraction(1))
+        k = min(len(m), len(m[0]))
+        rows, cols = tuple(range(k)), tuple(range(len(m[0]) - k, len(m[0])))
+        assert pminor(rows, cols).evaluate(pt) == qminor(rows, cols)
 
 
 def test_inner_automorphism_acts_trivially_on_top_cohomology():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -31,6 +31,8 @@ from algebroidlab.library import (
 from algebroidlab.pullback import (
     EulerSection,
     StructuredMap,
+    _pullback_slice,
+    _restrict_cochain,
     euler_homotopy_verify,
     pullback_structured,
     rescaling_family,
@@ -39,7 +41,7 @@ from algebroidlab.pullback import (
     transversality_check,
 )
 from algebroidlab.modelfile import parse_model
-from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, parse_poly
+from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, minors, parse_poly
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -652,3 +654,90 @@ def test_transversal_iso_differentiates_each_element_once(monkeypatch):
     assert rep.ok
     assert len({cx for cx, _ in built}) == 2
     assert len(built) == len(set(built))
+
+
+def _reference_restrict_cochain(a, vec, basis, q, keep, frame, slice_basis):
+    """The per-entry restriction: one cofactor-expanded frame minor for every
+    (cochain entry, slice wedge) pair, the oracle for the memoized table."""
+    nk = len(keep)
+    index = {e: i for i, e in enumerate(slice_basis)}
+    out = {}
+    for j, coeff in vec.items():
+        mono, wedge, beta = basis[j]
+        mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).restrict(keep)
+        if mono_slice.is_zero():
+            continue
+        for jt in combinations(range(len(frame)), q):
+            mat = [[frame[jt[b]][wedge[c]].truncate(None) for c in range(q)]
+                   for b in range(q)]
+            det = _reference_poly_det(mat, nk)
+            if det.is_zero():
+                continue
+            for m2, v in (det * mono_slice.truncate(None)).c.items():
+                key = (m2, jt, beta)
+                if key not in index:
+                    raise StructuralError("restricted cochain leaves the window")
+                out[index[key]] = out.get(index[key], 0) + coeff * v
+    return {i: x for i, x in out.items() if x}
+
+
+def _reference_poly_det(mat, n_vars):
+    if not mat:
+        return TruncatedPoly.const(n_vars, 1)
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = TruncatedPoly.zero(n_vars)
+    for j in range(len(mat)):
+        if mat[0][j].is_zero():
+            continue
+        minor = [[row[c] for c in range(len(mat)) if c != j] for row in mat[1:]]
+        term = mat[0][j] * _reference_poly_det(minor, n_vars)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _restriction_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except StructuralError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", ["product_sl2", "plane", "curved_split", "sl2_line",
+                                  "product_sl2_adjoint"])
+def test_restriction_from_minors_table_matches_cofactor_oracle(case):
+    # every cocycle and every basis cochain of the window restricts to the
+    # same slice cochain, entry for entry, through the table and the oracle
+    rho, keep, window = None, (), (2, 4, 2)
+    if case in ("product_sl2", "product_sl2_adjoint"):
+        a = product_with_tangent(sl2_patch(), ("y",), 5, (1,))
+        if case == "product_sl2_adjoint":
+            rho = _lift_rep(adjoint_representation(sl2_patch()), a)
+    elif case == "plane":
+        a, keep, window = tangent_patch(("x", "y"), 6, weights=(0, 1)), (0,), (3, 5, 3)
+    elif case == "curved_split":
+        a, keep, window = _curved_split_patch(), (0,), (3, 5, 3)
+    else:
+        _, a = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+        window = (3, 5, 3)
+    sliced, rho_s, _, frame = _pullback_slice(StructuredMap("slice", keep=keep), a, rho)
+    minor = minors([[e.truncate(None) for e in row] for row in frame],
+                   TruncatedPoly.const(len(keep), 1))
+    cx, slice_cx = CEComplex(a, rho), CEComplex(sliced, rho_s)
+    end = window[1]
+    shift = max(cx.degree_shift(), slice_cx.degree_shift())
+    compared = nonzero = 0
+    for q in range(a.rank + 1):
+        basis_big, basis_s = cx.window_basis(q, end), slice_cx.window_basis(q, end)
+        index = {e: i for i, e in enumerate(basis_s)}
+        cocycles = cx.d_matrix(basis_big, cx.window_basis(q + 1, end + shift)).echelon().kernel()
+        units = [{j: Fraction(1)} for j in range(len(basis_big))]
+        for vec in list(cocycles) + units:
+            got = _restriction_outcome(_restrict_cochain, a, vec, basis_big, q, keep,
+                                       minor, len(frame), index)
+            want = _restriction_outcome(_reference_restrict_cochain, a, vec, basis_big, q,
+                                        keep, frame, basis_s)
+            assert got == want, (case, q, vec)
+            compared += 1
+            nonzero += bool(got) and not isinstance(got, str)
+    assert compared > 20 and nonzero > 5

@@ -7,7 +7,7 @@ import pytest
 
 from algebroidlab import covers
 from algebroidlab.covers import (ChartData, CoverDatum, LocalSystemFamily,
-                                 cochain_transport, _induced_on_cohomology)
+                                 _induced_on_cohomology)
 from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
@@ -230,8 +230,7 @@ def test_transported_class_equals_pullback_class():
     phi_half = next(cp.phi for cp in report.checkpoints if cp.t == F(1, 2))
     assert phi_half.rows == [[F(1), F(1, 2)], [F(0), F(1)]]
     lc = lie_algebra_cohomology(pf.algebra_at(0))
-    tm = cochain_transport(phi_half, QMatrix.identity(1), lc.bases[1], lc.bases[1])
-    ind = _induced_on_cohomology(lc, lc, tm, 1, lc.matrices[0])
+    ind = _induced_on_cohomology(phi_half, QMatrix.identity(1), lc, lc, 1)
     moved = ind.apply([F(1), F(0)])
     assert moved == [F(1), F(-1, 2)]
     # pairing: the moved class must see the moved frame exactly as the
@@ -313,13 +312,13 @@ def test_gauss_manin_constant_family_triangle():
 def test_gauss_manin_computes_each_edge_map_once(monkeypatch):
     # overlaps, the triangle and the cycle share the maps of their edges
     calls = []
-    edge_induced = covers._edge_induced
+    induced = covers._induced_on_cohomology
 
-    def counting(f, lcs, i, j, q):
-        calls.append((i, j, q))
-        return edge_induced(f, lcs, i, j, q)
+    def counting(p, q_mat, lc_src, lc_dst, q):
+        calls.append((id(lc_src), id(lc_dst), q))
+        return induced(p, q_mat, lc_src, lc_dst, q)
 
-    monkeypatch.setattr(covers, "_edge_induced", counting)
+    monkeypatch.setattr(covers, "_induced_on_cohomology", counting)
     bundle = gauss_manin(_sl2_triangle())
     assert bundle.flat_over_triples and len(bundle.cycle_holonomies) == 1
     assert len(calls) == len(set(calls)) == 20
