@@ -391,6 +391,14 @@ def _check_window(window: Tuple[int, int, int]) -> None:
         raise StructuralError(f"bad window {window}")
 
 
+def _degree_list(degrees: Optional[Sequence[int]], rank: int) -> List[int]:
+    """The requested cochain degrees, by default 0..rank; none may be negative."""
+    out = list(degrees) if degrees is not None else list(range(rank + 1))
+    if any(q < 0 for q in out):
+        raise StructuralError("negative degree")
+    return out
+
+
 def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
                    window: Tuple[int, int, int] = (2, 5, 3),
                    degrees: Optional[Sequence[int]] = None) -> CohomologyReport:
@@ -401,7 +409,7 @@ def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
     """
     cx = CEComplex(a, rho)
     _check_window(window)
-    degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
+    degrees = _degree_list(degrees, a.rank)
     rows: List[CohomologyRow] = []
     dims: Dict[int, int] = {}
     for q in degrees:
@@ -432,7 +440,7 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
     differential cache."""
     _check_window(window)
     a = cx.a
-    degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
+    degrees = _degree_list(degrees, a.rank)
     if weights is None:
         # the weights of the constant-coefficient elements
         offsets = [cx.element_weight(e) for q in degrees for e in cx._window(q, 0, None)]

@@ -10,6 +10,15 @@ alternating face sum, transporting through (P, Q) exactly when the face
 drops the smallest vertex.  Every block and every total differential is
 assembled as sparse rows.
 
+The local system has one layer here, which `transport` reuses.
+`_morphism_failure` is the one exact check that (P, Q) carries the fibre
+data of one chart to another: it checks the edges of `validate_family`
+and certifies a transported frame map.  `_require_valid_family` raises
+the one invalid-family error.  `_chart_cohomology` computes the fibre
+cohomology once per distinct fibre object; the double complex takes its
+chart bases and vertical blocks from it, and the second-page oracle, the
+Gauss-Manin bundle and the monodromy check read the same list.
+
 The pages of the filtration-by-column spectral sequence come from one
 reduction per total degree: the columns of the total differential enter
 one Echelon from the highest filtration column down, and each accepted
@@ -37,7 +46,7 @@ from .algebroid import (
     validate_algebroid,
     validate_representation,
 )
-from .cohomology import BasisElement, CEComplex, lie_algebra_cohomology
+from .cohomology import BasisElement, LieCohomology, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix, SparseRow, _axpy, quotient_dim_and_reps
 from .ratpoly import minors
@@ -167,33 +176,29 @@ class LocalSystemFamily:
 
     def transition(self, i: int, j: int) -> Tuple[QMatrix, QMatrix]:
         """Transport from chart j data into chart i data."""
-        if i == j:
+        key = (min(i, j), max(i, j))
+        if i == j or key not in self.transitions:
             return (QMatrix.identity(self.fibre_rank(i)),
                     QMatrix.identity(self.rep_rank(i)))
-        key = (min(i, j), max(i, j))
-        if key not in self.transitions:
-            p = QMatrix.identity(self.fibre_rank(i))
-            q = QMatrix.identity(self.rep_rank(i))
-            return p, q
         p, q = self.transitions[key]
         if i < j:
             return p, q
         return p.inverse(), q.inverse()
 
 
-def _bracket_vec(a: LieAlgebroidPatch, u: Sequence[Fraction], v: Sequence[Fraction]
+def _bracket_vec(c: List[List[List[Fraction]]], u: Sequence[Fraction], v: Sequence[Fraction]
                  ) -> List[Fraction]:
-    out = [Fraction(0)] * a.rank
-    for i in range(a.rank):
-        if u[i] == 0:
+    """[u, v] for the structure constants c."""
+    out = [Fraction(0)] * len(c)
+    for i, ui in enumerate(u):
+        if ui == 0:
             continue
-        for j in range(a.rank):
-            if v[j] == 0:
+        for j, vj in enumerate(v):
+            if vj == 0:
                 continue
-            for k in range(a.rank):
-                val = a.structure[i][j][k].constant_term()
+            for k, val in enumerate(c[i][j]):
                 if val:
-                    out[k] += u[i] * v[j] * val
+                    out[k] += ui * vj * val
     return out
 
 
@@ -207,6 +212,33 @@ def _gamma_action(cd: ChartData, u: Sequence[Fraction]) -> QMatrix:
             _axpy(out[al], u[i], {be: val for be in range(m)
                                   if (val := cd.rep.gammas[i][al][be].constant_term())})
     return QMatrix.of_sparse(out, m)
+
+
+def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
+                      q: Optional[QMatrix]) -> Optional[dict]:
+    """Witness of the first identity by which the frame map p and fibre map
+    q fail to carry the fibre data of src to that of dst, or None.
+
+    The bracket identity p[e_a, e_b] = [p e_a, p e_b] is checked on every
+    ordered frame pair (a, b) in lexicographic order, so on antisymmetric
+    data the first failing pair has a < b.  When both charts carry a
+    representation, q gamma_src(e_b) = gamma_dst(p e_b) q is checked per
+    frame element.  Invertibility is the caller's check.
+    """
+    r = src.algebra.rank
+    c_src, c_dst = ([[[e.constant_term() for e in row] for row in plane]
+                     for plane in cd.algebra.structure] for cd in (src, dst))
+    cols, units = p.transpose().rows, QMatrix.identity(r).rows
+    for a in range(r):
+        for b in range(r):
+            if p.apply(c_src[a][b]) != _bracket_vec(c_dst, cols[a], cols[b]):
+                return {"pair": (a + 1, b + 1), "reason": "not a Lie algebra morphism"}
+    if src.rep is not None and dst.rep is not None:
+        for b in range(r):
+            if not (q @ _gamma_action(src, units[b])
+                    - _gamma_action(dst, cols[b]) @ q).is_zero():
+                return {"frame": b + 1, "reason": "transition does not intertwine"}
+    return None
 
 
 def validate_family(f: LocalSystemFamily) -> ValidationReport:
@@ -228,43 +260,16 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
     edge_ok: Dict[Tuple[int, int], bool] = {}
     for (i, j) in f.cover.overlaps:
         p, q = f.transition(i, j)
-        ai, aj = f.charts[i].algebra, f.charts[j].algebra
-        ok = ai.rank == aj.rank and p.nrows == p.ncols == ai.rank \
-            and p.rank() == ai.rank
-        m = f.rep_rank(i)
-        q_ok = f.rep_rank(j) == q.nrows == q.ncols == m and q.rank() == m
-        wit = None
-        if not ok:
-            wit = {"edge": (i, j), "reason": "transition not invertible"}
-        elif not q_ok:
-            ok, wit = False, {"edge": (i, j),
-                              "reason": f"fibre transition Q not an invertible {m} x {m} matrix"}
+        r, m = f.fibre_rank(i), f.rep_rank(i)
+        if not (f.fibre_rank(j) == p.nrows == p.ncols == r and p.rank() == r):
+            wit = {"reason": "transition not invertible"}
+        elif not (f.rep_rank(j) == q.nrows == q.ncols == m and q.rank() == m):
+            wit = {"reason": f"fibre transition Q not an invertible {m} x {m} matrix"}
         else:
-            for av in range(aj.rank):
-                for bv in range(av + 1, aj.rank):
-                    u = [Fraction(0)] * aj.rank
-                    v = [Fraction(0)] * aj.rank
-                    u[av], v[bv] = Fraction(1), Fraction(1)
-                    lhs = p.apply(_bracket_vec(aj, u, v))
-                    rhs = _bracket_vec(ai, p.apply(u), p.apply(v))
-                    if lhs != rhs:
-                        ok, wit = False, {"edge": (i, j), "pair": (av + 1, bv + 1),
-                                          "reason": "not a Lie algebra morphism"}
-                        break
-                if not ok:
-                    break
-        if ok and f.charts[i].rep is not None and f.charts[j].rep is not None:
-            for bv in range(aj.rank):
-                u = [Fraction(0)] * aj.rank
-                u[bv] = Fraction(1)
-                lhs = q @ _gamma_action(f.charts[j], u)
-                rhs = _gamma_action(f.charts[i], p.apply(u)) @ q
-                if not (lhs - rhs).is_zero():
-                    ok, wit = False, {"edge": (i, j), "frame": bv + 1,
-                                      "reason": "transition does not intertwine"}
-                    break
-        checks.append(CheckResult(f"transition[{i},{j}]", ok, wit))
-        edge_ok[(i, j)] = ok
+            wit = _morphism_failure(f.charts[j], f.charts[i], p, q)
+        checks.append(CheckResult(f"transition[{i},{j}]", wit is None,
+                                  None if wit is None else {"edge": (i, j), **wit}))
+        edge_ok[(i, j)] = wit is None
     for (i, j, k) in f.cover.triples:
         if not (edge_ok[(i, j)] and edge_ok[(j, k)] and edge_ok[(i, k)]):
             continue        # a failed edge check already names the edge
@@ -275,6 +280,27 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
         checks.append(CheckResult(f"cocycle[{i},{j},{k}]", ok,
                                   None if ok else {"triple": (i, j, k)}))
     return ValidationReport(all(c.ok for c in checks), 0, checks)
+
+
+def _require_valid_family(f: LocalSystemFamily) -> None:
+    """Raise on the first failing check of validate_family, with its witness."""
+    bad = validate_family(f).failing()
+    if bad:
+        raise ValidationFailure(f"family data invalid: {bad[0].name}", bad[0].witness or {})
+
+
+def _chart_cohomology(f: LocalSystemFamily) -> List[LieCohomology]:
+    """Fibre cohomology of every chart, computed once per distinct
+    (algebra, representation) object pair and shared by the charts that
+    carry it."""
+    seen: Dict[Tuple[int, int], LieCohomology] = {}
+    out = []
+    for cd in f.charts:
+        key = (id(cd.algebra), id(cd.rep))
+        if key not in seen:
+            seen[key] = lie_algebra_cohomology(cd.algebra, cd.rep)
+        out.append(seen[key])
+    return out
 
 
 # -- cochain transport --------------------------------------------------------------------
@@ -348,6 +374,7 @@ class CechDoubleComplex:
     bases: Dict[Tuple[int, int], List[Tuple[Tuple[int, ...], BasisElement]]]
     delta: Dict[Tuple[int, int], QMatrix]     # C^{p,q} -> C^{p+1,q}
     vert: Dict[Tuple[int, int], QMatrix]      # C^{p,q} -> C^{p,q+1}, unsigned
+    chart_cohomology: List[LieCohomology]     # fibre cohomology, one per chart
     _total: Dict[int, QMatrix] = field(default_factory=dict, init=False, repr=False,
                                        compare=False)
 
@@ -405,28 +432,17 @@ class CechDoubleComplex:
 
 def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleComplex:
     """Assemble and exactly verify the twisted double complex."""
-    rep = validate_family(f)
-    if not rep.ok:
-        bad = rep.failing()[0]
-        raise ValidationFailure(f"family data invalid: {bad.name}", bad.witness or {})
+    _require_valid_family(f)
     simpl = nerve(c).simplices
     q_max = max(f.fibre_rank(i) for i in range(len(f.charts)))
-    bases: Dict[Tuple[int, int], List] = {}
-    chart_bases: Dict[Tuple[int, int], List[BasisElement]] = {}
-    chart_d: Dict[Tuple[int, int], QMatrix] = {}
-    for i, cd in enumerate(f.charts):
-        cx = CEComplex(cd.algebra, cd.rep)
-        for q in range(q_max + 2):
-            chart_bases[(i, q)] = cx.window_basis(q, 0)
-        for q in range(q_max + 1):
-            chart_d[(i, q)] = cx.d_matrix(chart_bases[(i, q)], chart_bases[(i, q + 1)])
-    for p, level in enumerate(simpl):
-        for q in range(q_max + 2):
-            entries = []
-            for alpha in level:
-                for e in chart_bases[(alpha[0], q)]:
-                    entries.append((alpha, e))
-            bases[(p, q)] = entries
+    lcs = _chart_cohomology(f)
+
+    def chart_basis(i: int, q: int) -> List[BasisElement]:
+        # every chart has rank q_max, so none has cochains above it
+        return lcs[i].bases[q] if q <= q_max else []
+
+    bases = {(p, q): [(alpha, e) for alpha in level for e in chart_basis(alpha[0], q)]
+             for p, level in enumerate(simpl) for q in range(q_max + 2)}
 
     # vertical differential, blockwise per simplex
     vert: Dict[Tuple[int, int], QMatrix] = {}
@@ -436,7 +452,7 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
             rows: List[SparseRow] = [{} for _ in range(len(bases[(p, q + 1)]))]
             r0 = c0 = 0
             for alpha in level:
-                dm = chart_d[(alpha[0], q)]
+                dm = lcs[alpha[0]].matrices[q]
                 _add_block(rows, dm, r0, c0)
                 r0 += dm.nrows
                 c0 += dm.ncols
@@ -453,19 +469,19 @@ def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleCompl
             if pmat == QMatrix.identity(pmat.nrows) and qmat == QMatrix.identity(qmat.nrows):
                 # the identity on the equal chart bases (validate_family has
                 # checked that the ranks agree), e.g. with no declared transition
-                tr_cache[key] = QMatrix.identity(len(chart_bases[(i, q)]))
+                tr_cache[key] = QMatrix.identity(len(chart_basis(i, q)))
             else:
                 tr_cache[key] = cochain_transport(pmat, qmat,
-                                                  chart_bases[(j, q)], chart_bases[(i, q)])
+                                                  chart_basis(j, q), chart_basis(i, q))
         return tr_cache[key]
 
     for p in range(len(simpl) - 1):
         for q in range(q_max + 2):
             delta[(p, q)] = _face_sum(simpl[p], simpl[p + 1],
-                                      lambda i: len(chart_bases[(i, q)]),
+                                      lambda i: len(chart_basis(i, q)),
                                       lambda i, j: tr_matrix(i, j, q))
 
-    dc = CechDoubleComplex(f, simpl, q_max, bases, delta, vert)
+    dc = CechDoubleComplex(f, simpl, q_max, bases, delta, vert, lcs)
     _verify_complex(dc)
     return dc
 
@@ -553,6 +569,8 @@ def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:
     page is compared against total cohomology by rank-nullity, and the
     second page against the independent simplicial oracle.
     """
+    if r_max < 0:
+        raise StructuralError("last page must be non-negative")
     p_top, q_top = dc.p_max(), dc.q_max
     r_stab = max(p_top + 1, q_top + 2)
     r_top = max(r_max, r_stab)
@@ -644,27 +662,22 @@ def _holonomy(edge: Callable[[int, int, int], QMatrix], nodes: Sequence[int], q:
 def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
                          ) -> Dict[Tuple[int, int], int]:
     """Second page by a separate route: per-chart cohomology first, then the
-    simplicial cochain complex of the nerve with transported coefficients."""
-    lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in f.charts]
+    simplicial cochain complex of the nerve with transported coefficients,
+    counted by rank-nullity."""
+    lcs = dc.chart_cohomology
+    edge = _edge_maps(f, lcs)
     simpl = dc.simplices
     out: Dict[Tuple[int, int], int] = {}
     for q in range(dc.q_max + 1):
         dims_h = [len(lc.representatives[q]) if q < len(lc.betti) else 0 for lc in lcs]
+        # simplicial cochain spaces with H^q coefficients at the min vertex;
         # every face sum transports along a nerve edge (coface min, face min)
-        induced = {(i, j): _induced_on_cohomology(*f.transition(i, j), lcs[j], lcs[i], q)
-                   for edges in simpl[1:2] for i, j in edges}
-        # simplicial cochain spaces with H^q coefficients at the min vertex
         sizes = [sum(dims_h[alpha[0]] for alpha in level) for level in simpl]
-        deltas = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i],
-                            lambda i, j: induced[(i, j)])
-                  for p in range(len(simpl) - 1)]
+        ranks = [_face_sum(simpl[p], simpl[p + 1], lambda i: dims_h[i],
+                           lambda i, j: edge(i, j, q)).rank()
+                 for p in range(len(simpl) - 1)] + [0]
         for p in range(len(simpl)):
-            d_out = deltas[p] if p < len(deltas) else QMatrix.zeros(0, sizes[p])
-            z = len(d_out.kernel_basis()) if sizes[p] else 0
-            b = 0
-            if p > 0 and sizes[p]:
-                b = deltas[p - 1].rank()
-            val = z - b
+            val = sizes[p] - ranks[p] - (ranks[p - 1] if p else 0)
             if val:
                 out[(p, q)] = val
     return out

@@ -32,8 +32,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, kernel_subalgebroid
-from .cohomology import (CEComplex, _check_window, _weight_cohomology, _window_boundaries,
-                         weight_cohomology)
+from .cohomology import (CEComplex, _check_window, _degree_list, _weight_cohomology,
+                         _window_boundaries, weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix, SparseRow, _axpy, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, WeightAssignment, minors, poly_matrix_rank
@@ -502,7 +502,7 @@ def euler_homotopy_verify(a: LieAlgebroidPatch, rho: Optional[Representation],
         raise ValidationFailure("section anchor is not the weighted Euler field",
                                 {"kind": "not_euler", "failures": failures})
 
-    degrees = list(degrees) if degrees is not None else list(range(a.rank + 1))
+    degrees = _degree_list(degrees, a.rank)
     checked = 0
     identity_ok = True
     for q in degrees:

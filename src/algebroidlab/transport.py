@@ -19,8 +19,9 @@ import numpy as np
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
-from .covers import (CoverDatum, LocalSystemFamily, _edge_maps, _holonomy,
-                     _induced_on_cohomology, validate_family)
+from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology,
+                     _edge_maps, _holonomy, _induced_on_cohomology, _morphism_failure,
+                     _require_valid_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
 from .linalg import QMatrix
@@ -291,8 +292,8 @@ def _iso_defect(pf: PathFamily, t: Fraction, phi: np.ndarray,
 def _integrate_with_refinement(pf: PathFamily, tol: float,
                                checkpoints: Sequence[Fraction],
                                max_steps: int):
-    if tol <= 0:
-        raise StructuralError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise StructuralError("tolerance must be finite and positive")
     _require_valid(pf)
     cps = sorted({Fraction(t) for t in checkpoints} | {Fraction(1)})
     base = 1
@@ -342,36 +343,6 @@ def _rationalize_matrix(m: np.ndarray, den: int = RATIONALIZE_DEN,
     return rows
 
 
-def _exact_iso(pf: PathFamily, t: Fraction, phi: List[List[Fraction]],
-               q: Optional[List[List[Fraction]]]) -> bool:
-    """Exact bracket and intertwining identities for a rationalized map."""
-    r = pf.rank
-    c0 = pf.structure_at(Fraction(0))
-    ct = pf.structure_at(t)
-    for a in range(r):
-        for b in range(r):
-            for k in range(r):
-                lhs = sum(phi[k][x] * c0[a][b][x] for x in range(r))
-                rhs = sum(phi[i][a] * phi[j][b] * ct[i][j][k]
-                          for i in range(r) for j in range(r))
-                if lhs != rhs:
-                    return False
-    if q is not None:
-        m = pf.rep_rank
-        g0 = pf.gammas_at(Fraction(0))
-        gt = pf.gammas_at(t)
-        for a in range(r):
-            moved = [[sum(phi[l][a] * gt[l][x][y] for l in range(r))
-                      for y in range(m)] for x in range(m)]
-            for x in range(m):
-                for y in range(m):
-                    lhs = sum(moved[x][z] * q[z][y] for z in range(m))
-                    rhs = sum(q[x][z] * g0[a][z][y] for z in range(m))
-                    if lhs != rhs:
-                        return False
-    return True
-
-
 def _best_rational(m: np.ndarray) -> List[List[Fraction]]:
     return [[Fraction(float(x)).limit_denominator(_APPROX_DEN) for x in row]
             for row in m]
@@ -381,13 +352,16 @@ def _certified_maps(pf: PathFamily, t: Fraction, phi_f: np.ndarray,
                     q_f: Optional[np.ndarray]
                     ) -> Tuple[QMatrix, Optional[QMatrix], bool, bool]:
     """Float frame (and fibre) maps at time t as exact matrices, certified
-    exact when they rationalize and satisfy the exact identities at t, else
-    the nearest bounded-denominator fractions; with both verdicts
-    (exact, invertible)."""
+    exact when they rationalize and carry the frozen fibre at time 0 to the
+    one at t by the fibre-morphism check of `covers`, else the nearest
+    bounded-denominator fractions; with both verdicts (exact, invertible)."""
     phi_rows = _rationalize_matrix(phi_f)
     q_rows = _rationalize_matrix(q_f) if q_f is not None else None
     exact = (phi_rows is not None and (q_f is None or q_rows is not None)
-             and _exact_iso(pf, t, phi_rows, q_rows))
+             and _morphism_failure(ChartData(pf.algebra_at(0), pf.rep_at(0)),
+                                   ChartData(pf.algebra_at(t), pf.rep_at(t)),
+                                   QMatrix(phi_rows),
+                                   QMatrix(q_rows) if q_rows is not None else None) is None)
     if not exact:
         phi_rows = _best_rational(phi_f)
         q_rows = _best_rational(q_f) if q_f is not None else None
@@ -442,9 +416,7 @@ def parallel_transport(pf: PathFamily, tol: float = 1e-8,
 def _loop_monodromy(pf: PathFamily, phi_q: QMatrix,
                     q_q: Optional[QMatrix]) -> Dict[int, QMatrix]:
     # inverse pullback along the time-1 map, degree by degree
-    a = pf.algebra_at(Fraction(0))
-    rho = pf.rep_at(Fraction(0))
-    lc = lie_algebra_cohomology(a, rho)
+    lc = lie_algebra_cohomology(pf.algebra_at(Fraction(0)), pf.rep_at(Fraction(0)))
     qm = q_q if q_q is not None else QMatrix.identity(1)
     return {q: _induced_on_cohomology(phi_q, qm, lc, lc, q) for q in range(pf.rank + 1)}
 
@@ -537,13 +509,6 @@ class MonodromyReport:
     steps: int
 
 
-def _require_valid_family(lsf: LocalSystemFamily) -> None:
-    failing = validate_family(lsf).failing()
-    if failing:
-        raise ValidationFailure("family fails its compatibility checks",
-                                {"kind": "bad_family", "failures": [c.name for c in failing]})
-
-
 def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
                     tol: float = 1e-8) -> MonodromyReport:
     """Loop holonomy computed two ways and compared degree by degree.
@@ -552,10 +517,10 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     around the cyclic cover in increasing index order.  The transport
     route takes the inverse pullback along the integrated time-1 map.
     """
+    _require_valid_family(lsf)
     tr = parallel_transport(pf, tol)
     if not tr.is_loop:
         raise StructuralError("path family endpoints carry different structure")
-    _require_valid_family(lsf)
     cover = lsf.cover
     ncharts = len(cover.charts)
     if ncharts < 3:
@@ -570,7 +535,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
                for j in range(pf.rank)] for i in range(pf.rank)]
     if base_c != pf.structure_at(Fraction(0)):
         raise StructuralError("basepoint chart does not carry the time-0 fibre")
-    lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in lsf.charts]
+    lcs = _chart_cohomology(lsf)
     loop = tuple(range(ncharts)) + (0,)
     edge = _edge_maps(lsf, lcs)
     by_deg: Dict[int, Tuple[QMatrix, QMatrix]] = {}
@@ -621,7 +586,7 @@ def gauss_manin(lsf: LocalSystemFamily,
     cover = lsf.cover
     _require_valid_family(lsf)
     ncharts = len(cover.charts)
-    lcs = [lie_algebra_cohomology(cd.algebra, cd.rep) for cd in lsf.charts]
+    lcs = _chart_cohomology(lsf)
     vertex = {i: tuple(lcs[i].betti) for i in range(ncharts)}
     edge = _edge_maps(lsf, lcs)
     edge_maps: Dict[Tuple[int, int], Dict[int, QMatrix]] = {}

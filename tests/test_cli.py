@@ -304,9 +304,47 @@ def test_family_commands_reject_a_bad_fibre_transition(tmp_path, capsysbinary, q
         assert code == 2, (argv, out)
         rep = parse_structured(out)
         assert rep.verdict == "fail" and b"internal error" not in out
-        if argv[0] in ("check", "ss"):
-            assert any(w.get("edge") == [0, 1] and "transition Q" in w.get("reason", "")
-                       for w in rep.witnesses), rep.witnesses
+        assert any(w.get("edge") == [0, 1] and "transition Q" in w.get("reason", "")
+                   for w in rep.witnesses), (argv, rep.witnesses)
+
+
+# each command on its shipped model, with the boundary values of the flags it takes
+BOUNDARY_VALUES = {"--deg": ("-1", "0", "9"), "--rmax": ("-1", "0"), "--at": ("-1", "99"),
+                   "--tol": ("nan", "inf", "-1", "0"), "--steps": ("0", "-5"),
+                   "--window": ("0:0:1", "3:2:1")}
+FLAG_TARGETS = ((["cohomology", SL2, "--name", "sl2"], ("--deg", "--window")),
+                (["cohomology", LINE], ("--deg", "--window")),
+                (["cohomology", LINE, "--mode", "jet"], ("--deg", "--window")),
+                (["transversal", LINE], ("--window",)),
+                (["ss", CIRCLE], ("--rmax",)),
+                (["localize", CIRCLE, "--at", "0", "--deg", "1"], ("--at", "--deg")),
+                (["transport", CIRCLE], ("--tol", "--steps")),
+                (["monodromy", CIRCLE], ("--tol",)),
+                (["subexhaust", EXH], ("--steps",)))
+FLAG_CASES = [(argv, f"{flag}={value}") for argv, flags in FLAG_TARGETS
+              for flag in flags for value in BOUNDARY_VALUES[flag]]
+
+
+@pytest.mark.parametrize("argv,flag", FLAG_CASES,
+                         ids=[f"{argv[0]}-{Path(argv[1]).stem}-{flag}" for argv, flag in FLAG_CASES])
+def test_boundary_flags_keep_the_exit_taxonomy(argv, flag):
+    code, out = _run([*argv, flag])
+    assert code in (0, 2, 3), (argv, flag, out)
+    assert b"internal error" not in out, (argv, flag, out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cohomology", LINE, "--deg=-1"], b"negative degree"),
+    (["cohomology", LINE, "--mode", "jet", "--deg=-1"], b"negative degree"),
+    (["ss", CIRCLE, "--rmax=-1"], b"last page must be non-negative"),
+    (["transport", CIRCLE, "--tol=nan"], b"tolerance must be finite and positive"),
+    (["transport", CIRCLE, "--tol=inf"], b"tolerance must be finite and positive"),
+    (["monodromy", CIRCLE, "--tol=nan"], b"tolerance must be finite and positive"),
+    (["monodromy", CIRCLE, "--tol=inf"], b"tolerance must be finite and positive"),
+])
+def test_out_of_range_flags_are_refused(argv, message):
+    code, out = _run(argv)
+    assert code == 2 and message in out, out
 
 
 def test_subexhaust_command(capsysbinary):

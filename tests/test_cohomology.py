@@ -21,7 +21,7 @@ from algebroidlab.cohomology import (
     lie_algebra_cohomology,
     weight_cohomology,
 )
-from algebroidlab.errors import ValidationFailure
+from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import (
     abelian_patch,
     heisenberg_patch,
@@ -29,6 +29,7 @@ from algebroidlab.library import (
     sl2_patch,
     tangent_patch,
 )
+from algebroidlab.pullback import euler_homotopy_verify
 from algebroidlab.ratpoly import TruncatedPoly
 
 
@@ -134,6 +135,15 @@ def test_jet_mode_keeps_empty_degrees():
     assert [(row.degree, row.betti, row.history, row.stabilized) for row in rep.rows] == \
         [(a.rank + 1, 0, [(1, 0), (2, 0)], True)]
     assert rep.dims == {a.rank + 1: 0}
+
+
+def test_negative_degrees_are_refused():
+    a = tangent_patch(("x",), 4, weights=(1,))
+    for run in (lambda: jet_cohomology(a, window=(1, 2, 1), degrees=[0, -1]),
+                lambda: weight_cohomology(a, degrees=[-1]),
+                lambda: euler_homotopy_verify(a, None, degrees=[-1])):
+        with pytest.raises(StructuralError, match="negative degree"):
+            run()
 
 
 def test_weight_mode_requires_homogeneous_data():

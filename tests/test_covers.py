@@ -6,10 +6,15 @@ from itertools import combinations
 from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algebroidlab.algebroid import Representation, trivial_representation
+from algebroidlab import covers
+from algebroidlab.algebroid import (LieAlgebroidPatch, Representation, adjoint_representation,
+                                    trivial_representation)
 from algebroidlab.covers import (
     ChartData,
+    _morphism_failure,
     _verify_complex,
     CechDoubleComplex,
     CoverDatum,
@@ -161,6 +166,183 @@ def test_validate_rejects_bad_fibre_transition_q(q):
     assert witness["edge"] == (0, 1) and "transition Q" in witness["reason"]
     with pytest.raises(ValidationFailure):
         build_double_complex(f, cover)
+
+
+def _bracket_reference(a, u, v):
+    r = a.rank
+    return [sum(u[i] * v[j] * a.structure[i][j][k].constant_term()
+                for i in range(r) for j in range(r)) for k in range(r)]
+
+
+def _gamma_reference(cd, u):
+    m = cd.rep.rank
+    return QMatrix([[sum(u[i] * cd.rep.gammas[i][al][be].constant_term()
+                         for i in range(cd.algebra.rank)) for be in range(m)]
+                    for al in range(m)])
+
+
+def _edge_loop_reference(src, dst, p, q):
+    """The per-edge loop validate_family used to run: frame pairs a < b,
+    then intertwining per frame element; the witness without its edge."""
+    r = src.algebra.rank
+    units = [[Fraction(int(x == a)) for x in range(r)] for a in range(r)]
+    for av, bv in combinations(range(r), 2):
+        lhs = p.apply(_bracket_reference(src.algebra, units[av], units[bv]))
+        rhs = _bracket_reference(dst.algebra, p.apply(units[av]), p.apply(units[bv]))
+        if lhs != rhs:
+            return {"pair": (av + 1, bv + 1), "reason": "not a Lie algebra morphism"}
+    if src.rep is not None and dst.rep is not None:
+        for bv in range(r):
+            lhs = q @ _gamma_reference(src, units[bv])
+            rhs = _gamma_reference(dst, p.apply(units[bv])) @ q
+            if not (lhs - rhs).is_zero():
+                return {"frame": bv + 1, "reason": "transition does not intertwine"}
+    return None
+
+
+def _constants(cd):
+    structure = [[[e.constant_term() for e in row] for row in plane]
+                 for plane in cd.algebra.structure]
+    gammas = None if cd.rep is None else [[[e.constant_term() for e in row] for row in g]
+                                          for g in cd.rep.gammas]
+    return structure, gammas
+
+
+def _exact_iso_reference(src, dst, p, q):
+    """The exact identities the transport certificate used to check on its
+    own: brackets over every (a, b, k), intertwining entry by entry."""
+    (c0, g0), (ct, gt) = _constants(src), _constants(dst)
+    phi, r = p.rows, src.algebra.rank
+    for a in range(r):
+        for b in range(r):
+            for k in range(r):
+                lhs = sum(phi[k][x] * c0[a][b][x] for x in range(r))
+                rhs = sum(phi[i][a] * phi[j][b] * ct[i][j][k]
+                          for i in range(r) for j in range(r))
+                if lhs != rhs:
+                    return False
+    if g0 is not None and gt is not None:
+        qr, m = q.rows, src.rep.rank
+        for a in range(r):
+            moved = [[sum(phi[l][a] * gt[l][x][y] for l in range(r))
+                      for y in range(m)] for x in range(m)]
+            for x in range(m):
+                for y in range(m):
+                    if sum(moved[x][z] * qr[z][y] for z in range(m)) != \
+                            sum(qr[x][z] * g0[a][z][y] for z in range(m)):
+                        return False
+    return True
+
+
+ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+NONZERO = st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                    st.sampled_from([-1, 1]), st.integers(1, 3), st.integers(1, 3))
+
+
+def _exp_ad(a, x, s):
+    """exp(s ad e_x) = 1 + s ad + s^2/2 ad^2 for an ad e_x with cube zero."""
+    ad = QMatrix([[a.structure[x][j][k].constant_term() for j in range(a.rank)]
+                  for k in range(a.rank)])
+    ad2 = ad @ ad
+    return QMatrix([[int(i == j) + s * ad.rows[i][j] + s * s / 2 * ad2.rows[i][j]
+                     for j in range(a.rank)] for i in range(a.rank)])
+
+
+def _invertible(draw, r):
+    """A unit lower times an invertible upper triangular r x r matrix."""
+    lower = QMatrix([[1 if i == j else draw(ENTRY) if i > j else 0 for j in range(r)]
+                     for i in range(r)])
+    upper = QMatrix([[draw(NONZERO) if i == j else draw(ENTRY) if i < j else 0
+                      for j in range(r)] for i in range(r)])
+    return lower @ upper
+
+
+@st.composite
+def _fibre_automorphism(draw, kind, rep_kind):
+    """(chart, p, q): p an automorphism of the fibre and q carrying its
+    representation to itself along p."""
+    if kind == "sl2":
+        fib = sl2_patch()
+        lam = draw(NONZERO)
+        p = QMatrix([[1, 0, 0], [0, lam, 0], [0, 0, 1 / lam]]) \
+            @ _exp_ad(fib, 1, draw(ENTRY)) @ _exp_ad(fib, 2, draw(ENTRY))
+        if draw(st.booleans()):     # the Weyl element h -> -h, e <-> f
+            p = p @ QMatrix([[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    elif kind == "heisenberg":
+        # [e1, e2] = e3: any invertible block on e1, e2, its determinant on e3
+        fib = heisenberg_patch()
+        (a, b), (c, d) = _invertible(draw, 2).rows
+        p = QMatrix([[a, b, 0], [c, d, 0], [draw(ENTRY), draw(ENTRY), a * d - b * c]])
+    else:
+        fib = abelian_patch(int(kind[-1]))
+        p = _invertible(draw, fib.rank)
+    if rep_kind == "adjoint":
+        return ChartData(fib, adjoint_representation(fib)), p, p
+    rep = trivial_representation(fib) if rep_kind == "trivial" else None
+    return ChartData(fib, rep), p, QMatrix([[draw(NONZERO)]])
+
+
+def _bumped(m, data):
+    i = data.draw(st.integers(0, m.nrows - 1))
+    j = data.draw(st.integers(0, m.ncols - 1))
+    rows = m.rows
+    rows[i][j] += data.draw(NONZERO)
+    return QMatrix(rows)
+
+
+@pytest.mark.parametrize("rep_kind", ["adjoint", "trivial", None])
+@pytest.mark.parametrize("kind", ["sl2", "heisenberg", "abelian2", "abelian3"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_morphism_check_agrees_with_both_references(kind, rep_kind, data):
+    cd, p, q = data.draw(_fibre_automorphism(kind, rep_kind))
+    assert _morphism_failure(cd, cd, p, q) is None
+    assert _edge_loop_reference(cd, cd, p, q) is None
+    assert _exact_iso_reference(cd, cd, p, q)
+    how = data.draw(st.sampled_from(["scale_p", "bump_p", "bump_q"]))
+    if how == "scale_p":
+        lam = data.draw(NONZERO.filter(lambda v: v != 1))
+        p = QMatrix([[lam * v for v in row] for row in p.rows])
+    elif how == "bump_p":
+        p = _bumped(p, data)
+    else:
+        q = _bumped(q, data)
+    got = _morphism_failure(cd, cd, p, q)
+    assert got == _edge_loop_reference(cd, cd, p, q)
+    assert (got is None) == _exact_iso_reference(cd, cd, p, q)
+    # a rescaled automorphism breaks a nonzero bracket; on sl2 only scalars
+    # commute with the adjoint action, so no bumped q intertwines it
+    if (how == "scale_p" and not kind.startswith("abelian")) or \
+            (how == "bump_q" and kind == "sl2" and rep_kind == "adjoint"):
+        assert got is not None
+
+
+def test_morphism_check_covers_every_ordered_pair():
+    # not antisymmetric: [e2, e1] = e1 but [e1, e2] = 0, so diag(1, 2)
+    # keeps the pair (1, 2) and breaks only the pair (2, 1)
+    c = [[[TruncatedPoly.const(0, v, 0) for v in row] for row in plane]
+         for plane in ([[0, 0], [0, 0]], [[1, 0], [0, 0]])]
+    cd, p = ChartData(LieAlgebroidPatch((), 0, 2, [[], []], c)), QMatrix([[1, 0], [0, 2]])
+    assert _edge_loop_reference(cd, cd, p, None) is None
+    assert not _exact_iso_reference(cd, cd, p, None)
+    assert _morphism_failure(cd, cd, p, None) == \
+        {"pair": (2, 1), "reason": "not a Lie algebra morphism"}
+
+
+def test_pages_compute_a_shared_fibre_cohomology_once(monkeypatch):
+    calls = []
+    lac = covers.lie_algebra_cohomology
+
+    def counting(a, rho=None):
+        calls.append((a, rho))
+        return lac(a, rho)
+
+    monkeypatch.setattr(covers, "lie_algebra_cohomology", counting)
+    twist = (QMatrix([[1, 1], [0, 1]]), QMatrix([[1]]))
+    f = _constant_family(_circle(3), abelian_patch(2), transitions={(0, 2): twist})
+    rep = ss_pages(build_double_complex(f, f.cover))
+    assert rep.e2_ok and rep.convergence_ok and rep.total_betti == [1, 2, 2, 1]
+    assert len(calls) == 1
 
 
 def test_cochain_transport_identity_and_composition():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from algebroidlab import covers
+from algebroidlab import covers, transport
 from algebroidlab.covers import (ChartData, CoverDatum, LocalSystemFamily,
                                  _induced_on_cohomology)
 from algebroidlab.cohomology import lie_algebra_cohomology
@@ -195,6 +195,20 @@ def test_integration_failure_at_step_cap():
         parallel_transport(_sl2_diagonal_family(), tol=1e-300, max_steps=64)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+def test_tolerance_must_be_finite_and_positive(monkeypatch, tol):
+    def no_integration(*args):
+        raise AssertionError("integrated with a bad tolerance")
+
+    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    pf, fam = _nilpotent_family(), _abelian_circle_family(QMatrix([[1, 1], [0, 1]]))
+    for run in (lambda: parallel_transport(pf, tol=tol),
+                lambda: trivialize_via_transport(pf, tol=tol),
+                lambda: monodromy_check(pf, fam, tol=tol)):
+        with pytest.raises(StructuralError, match="tolerance must be finite and positive"):
+            run()
+
+
 # -- trivialization ------------------------------------------------------------------------
 
 
@@ -264,6 +278,18 @@ def test_monodromy_unipotent_circle():
     cech, mon = report.by_degree[1]
     assert cech.rows == [[F(1), F(0)], [F(-1), F(1)]]
     assert mon.rows == [[F(1), F(0)], [F(-1), F(1)]]
+
+
+def test_monodromy_validates_the_family_before_integrating(monkeypatch):
+    def no_integration(*args):
+        raise AssertionError("integrated for an invalid family")
+
+    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    singular = _abelian_circle_family(QMatrix([[1, 1], [0, 0]]))
+    with pytest.raises(ValidationFailure) as ei:
+        monodromy_check(_nilpotent_family(), singular)
+    assert str(ei.value) == "family data invalid: transition[0,2]"
+    assert ei.value.witness == {"edge": (0, 2), "reason": "transition not invertible"}
 
 
 def test_monodromy_requires_loop():
@@ -353,7 +379,8 @@ def test_gauss_manin_rejects_cocycle_failure():
     transitions = {(0, 1): (QMatrix([[2, 0], [0, 1]]), QMatrix.identity(1))}
     with pytest.raises(ValidationFailure) as ei:
         gauss_manin(LocalSystemFamily(cover, charts, transitions))
-    assert ei.value.witness["kind"] == "bad_family"
+    assert str(ei.value) == "family data invalid: cocycle[0,1,2]"
+    assert ei.value.witness == {"triple": (0, 1, 2)}
 
 
 def test_gauss_manin_cover_argument_must_agree():
