@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import StructuralError, ValidationFailure
 from .linalg import QMatrix
@@ -496,6 +496,20 @@ def kernel_subalgebroid(big: LieAlgebroidPatch, block: List[List[TruncatedPoly]]
                               _poly_mat_mul(frame, big.anchor), carried)
 
 
+def _submersion_ranks(block: List[List[TruncatedPoly]],
+                      strata: Sequence[Tuple[str, Optional[Sequence]]]
+                      ) -> Iterator[Tuple[str, int]]:
+    """(label, rank) of a polynomial anchor block, one row per target
+    coordinate, on each (label, point) stratum in the order given; a point
+    of None stands for the generic rank over the fraction field.  The block
+    is a submersion on a stratum when its rank there is its row count.
+    Ranks are computed as they are read, so a caller that stops at the
+    first deficient stratum computes no later one."""
+    for label, pt in strata:
+        yield label, (poly_matrix_rank(block) if pt is None
+                      else QMatrix([[e.evaluate(pt) for e in row] for row in block]).rank())
+
+
 def tau_and_kernel(s: SubmersionDatum) -> TauKernelReport:
     """Base component of the anchor, its kernel subalgebroid, and the
     induced vertical structure.
@@ -509,20 +523,13 @@ def tau_and_kernel(s: SubmersionDatum) -> TauKernelReport:
     nb = len(s.base_vars)
     r = a.rank
     tau_cols = [[a.anchor[i][l] for i in range(r)] for l in s.base_vars]  # nb x r
-    origin = tuple(Fraction(0) for _ in range(a.n_vars))
-
-    generic = poly_matrix_rank(tau_cols)
-    if generic < nb:
-        raise ValidationFailure(
-            "base anchor block is not surjective: generic rank "
-            f"{generic} < {nb}",
-            {"kind": "not_surjective", "where": "generic", "rank": generic, "needed": nb})
-    for label, pt in [("origin", origin)] + [(str(tuple(map(str, p))), p) for p in s.test_points]:
-        m0 = QMatrix([[e.evaluate(pt) for e in row] for row in tau_cols])
-        rk = m0.rank()
+    strata = [("generic", None), ("origin", (Fraction(0),) * a.n_vars)] + \
+        [(str(tuple(map(str, p))), p) for p in s.test_points]
+    for label, rk in _submersion_ranks(tau_cols, strata):
         if rk < nb:
+            at = ": generic rank" if label == "generic" else f" at {label}: rank"
             raise ValidationFailure(
-                f"base anchor block is not surjective at {label}: rank {rk} < {nb}",
+                f"base anchor block is not surjective{at} {rk} < {nb}",
                 {"kind": "not_surjective", "where": label, "rank": rk, "needed": nb})
 
     # The pivot submatrix is a unit in the jet ring, so the kernel is a free

@@ -2,7 +2,8 @@
 
 A cover is a chart index set plus the declared nonempty pairwise and
 triple intersections; its nerve is a simplicial complex of dimension at
-most two.  Each chart carries constant fibre data (a Lie algebra and a
+most two, and `_chart_forest` is the one walk of its graph (components
+and cycle basis).  Each chart carries constant fibre data (a Lie algebra and a
 representation); overlaps carry rational transition pairs (P, Q) acting
 on the two frames.  The double complex places the fibre cochains of the
 smallest chart index on each simplex; the horizontal differential is the
@@ -14,7 +15,7 @@ The local system has one layer here, which `transport` reuses.
 `_morphism_failure` is the one exact check that (P, Q) carries the fibre
 data of one chart to another: it checks the edges of `validate_family`
 and certifies a transported frame map.  `_require_valid_family` raises
-the one invalid-family error.  `_chart_cohomology` computes the fibre
+the one invalid-family error, and refuses a cover other than the family's.  `_chart_cohomology` computes the fibre
 cohomology once per distinct fibre object; the double complex takes its
 chart bases and vertical blocks from it, and the second-page oracle, the
 Gauss-Manin bundle and the monodromy check read the same list.
@@ -23,7 +24,8 @@ The pages of the filtration-by-column spectral sequence come from one
 reduction per total degree: the columns of the total differential enter
 one Echelon from the highest filtration column down, and each accepted
 column is paired with its pivot row.  Every E_r term is then a count of
-persistence pairs by length plus the unpaired positions.  Three
+persistence pairs by length plus the unpaired positions, and
+localization counts the unpaired positions of the same pairs.  Three
 certificates stand beside the pages: the total square D o D = 0 at
 assembly, the terminal page against total cohomology by rank-nullity, and
 the second page against a simplicial cochain computation that never
@@ -48,7 +50,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, LieCohomology, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, _axpy, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, _axpy
 from .ratpoly import minors
 
 
@@ -111,30 +113,44 @@ def nerve(c: CoverDatum) -> Nerve:
     return Nerve(levels)
 
 
+def _chart_forest(c: CoverDatum) -> Tuple[List[List[int]], List[Tuple[int, ...]]]:
+    """Breadth-first spanning forest of the chart graph, rooted at the least
+    chart of each component: the components as sorted vertex lists, and one
+    cycle per non-tree edge (a, b) in declared order, running from a along
+    that edge to b and back to a through the tree."""
+    adj: Dict[int, List[int]] = {i: [] for i in range(len(c.charts))}
+    for (i, j) in c.overlaps:
+        adj[i].append(j)
+        adj[j].append(i)
+    path: Dict[int, Tuple[int, ...]] = {}      # a vertex, its parent, ..., its root
+    components = []
+    for root in range(len(c.charts)):
+        if root not in path:
+            path[root], queue = (root,), [root]
+            for u in queue:
+                for v in sorted(adj[u]):
+                    if v not in path:
+                        path[v] = (v,) + path[u]
+                        queue.append(v)
+            components.append(sorted(queue))
+    cycles = []
+    for (a, b) in c.overlaps:
+        pa, pb = path[a], path[b]
+        if pb[1:2] != (a,) and pa[1:2] != (b,):        # not a tree edge
+            lca = next(x for x in pb if x in pa)
+            cycles.append((a, b) + pb[1:pb.index(lca) + 1] + pa[:pa.index(lca)][::-1])
+    return components, cycles
+
+
 def nerve_components(c: CoverDatum) -> List[List[int]]:
     """Connected components of the chart graph, as sorted vertex lists."""
-    parent = list(range(len(c.charts)))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, j in c.overlaps:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups: Dict[int, List[int]] = {}
-    for v in range(len(c.charts)):
-        groups.setdefault(find(v), []).append(v)
-    return sorted(groups.values())
+    return _chart_forest(c)[0]
 
 
 def graph_is_tree(c: CoverDatum) -> bool:
     """Connected and acyclic one-skeleton (ignores declared triangles)."""
-    return len(nerve_components(c)) == 1 and \
-        len(c.overlaps) == len(c.charts) - 1
+    components, cycles = _chart_forest(c)
+    return len(components) == 1 and not cycles
 
 
 # -- local systems -----------------------------------------------------------------------
@@ -282,8 +298,11 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
     return ValidationReport(all(c.ok for c in checks), 0, checks)
 
 
-def _require_valid_family(f: LocalSystemFamily) -> None:
-    """Raise on the first failing check of validate_family, with its witness."""
+def _require_valid_family(f: LocalSystemFamily, c: Optional[CoverDatum] = None) -> None:
+    """Raise on a cover c other than the family's, then on the first
+    failing check of validate_family, with its witness."""
+    if c is not None and c != f.cover:
+        raise StructuralError("cover disagrees with the family's cover")
     bad = validate_family(f).failing()
     if bad:
         raise ValidationFailure(f"family data invalid: {bad[0].name}", bad[0].witness or {})
@@ -432,7 +451,7 @@ class CechDoubleComplex:
 
 def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleComplex:
     """Assemble and exactly verify the twisted double complex."""
-    _require_valid_family(f)
+    _require_valid_family(f, c)
     simpl = nerve(c).simplices
     q_max = max(f.fibre_rank(i) for i in range(len(f.charts)))
     lcs = _chart_cohomology(f)
@@ -698,6 +717,16 @@ class LocalizationReport:
     kernel_dim: Optional[int]
 
 
+def _unpaired_columns(dc: CechDoubleComplex, n: int) -> List[int]:
+    """Filtration column of each degree-n position that is neither a
+    source of D_n nor a partner from D_{n-1}; column p holds
+    dim E_infinity^{p, n-p} of them."""
+    paired = {j for j, _ in _filtration_pairs(dc, n)}
+    if n > 0:
+        paired |= {i for _, i in _filtration_pairs(dc, n - 1)}
+    return [p for pos, p in enumerate(dc.column_of(n)) if pos not in paired]
+
+
 def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
                        ) -> LocalizationReport:
     """Restriction of total degree-n classes (n >= 0) to one chart fibre.
@@ -705,6 +734,14 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
     Hypotheses: fibre cohomology vanishes below n-1; connected base; and
     either the (n-1)-st fibre cohomology vanishes or the base is simply
     connected.  When unmet the verdict is reported, no claim is checked.
+
+    When met, the counts are read off the filtration pairs of the pages:
+    the unpaired degree-n positions count H^n, those in columns p >= 1
+    count F^1 H^n, and F^1 H^n is the kernel of restriction to any one
+    chart.  A class restricts through its column-0 edge term, a global
+    section of the degree-n fibre cohomology; on a connected nerve whose
+    edge maps are isomorphisms (validate_family guarantees that) a global
+    section embeds in every chart's fibre cohomology.
     """
     if not 0 <= chart < len(f.charts):
         raise StructuralError("chart index out of range")
@@ -721,23 +758,11 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
     branch = "c1" if c1 else ("c2" if c2 else None)
     fibre_dim = lc.betti[n] if n < len(lc.betti) else 0
     if not (hyp_a and hyp_b and (c1 or c2)):
+        _require_valid_family(f, c)
         return LocalizationReport("hypotheses unmet", hyps, branch, n, chart,
                                   -1, fibre_dim, None)
-    dc = build_double_complex(f, c)
-    # classes: total cocycles modulo the column span of D_{n-1}
-    boundaries = dc.total_matrix(n - 1).column_echelon() if n > 0 \
-        else Echelon(dc.total_dim(n))
-    total_dim, total_reps = quotient_dim_and_reps(dc.total_matrix(n).echelon().kernel(),
-                                                  boundaries)
-
-    # chart-x component of the (0, n) block, which opens the degree-n basis
-    own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
-    restricted = [{k: v[i] for k, i in enumerate(own) if v[i]} for v in total_reps]
-    # kernel of the induced map on classes: restrict, then reduce modulo
-    # chart coboundaries, of which there are none in degree 0 or above the top
-    fib_b = lc.matrices[n - 1].column_echelon() if 0 < n <= len(lc.matrices) \
-        else Echelon(len(own))
-    kernel_dim = total_dim - sum(fib_b.add(v) is not None for v in restricted)
+    unpaired = _unpaired_columns(build_double_complex(f, c), n)
+    kernel_dim = sum(p >= 1 for p in unpaired)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"
     return LocalizationReport(verdict, hyps, branch, n, chart,
-                              total_dim, fibre_dim, kernel_dim)
+                              len(unpaired), fibre_dim, kernel_dim)

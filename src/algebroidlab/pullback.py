@@ -31,11 +31,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import LieAlgebroidPatch, Representation, kernel_subalgebroid
+from .algebroid import LieAlgebroidPatch, Representation, _submersion_ranks, kernel_subalgebroid
 from .cohomology import (CEComplex, _check_window, _degree_list, _weight_cohomology,
                          _window_boundaries, weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
-from .linalg import QMatrix, SparseRow, _axpy, quotient_dim_and_reps
+from .linalg import SparseRow, _axpy, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, WeightAssignment, minors, poly_matrix_rank
 
 
@@ -100,23 +100,15 @@ def transversality_check(phi: StructuredMap, a: LieAlgebroidPatch,
         removed = [l for l in range(n) if l not in keep]
         if not removed:
             return TransversalityReport(True, [{"stratum": "all", "reason": "identity slice"}])
-        block = _slice_block(a, removed, keep)
-        details = []
-        if point is not None:
-            if len(point) != len(keep):
-                raise StructuralError("slice point must use kept coordinates")
-            m = QMatrix([[e.evaluate(point) for e in row] for row in block])
-            rank = m.rank()
-            details.append({"stratum": str(tuple(map(str, point))), "rank": rank,
-                            "needed": len(removed)})
-            return TransversalityReport(rank == len(removed), details)
-        origin = [Fraction(0)] * len(keep)
-        m0 = QMatrix([[e.evaluate(origin) for e in row] for row in block])
-        r0 = m0.rank()
-        details.append({"stratum": "origin", "rank": r0, "needed": len(removed)})
-        rg = poly_matrix_rank(block)
-        details.append({"stratum": "generic", "rank": rg, "needed": len(removed)})
-        return TransversalityReport(r0 == len(removed) and rg == len(removed), details)
+        if point is None:
+            strata = [("origin", [Fraction(0)] * len(keep)), ("generic", None)]
+        elif len(point) != len(keep):
+            raise StructuralError("slice point must use kept coordinates")
+        else:
+            strata = [(str(tuple(map(str, point))), point)]
+        details = [{"stratum": label, "rank": rank, "needed": len(removed)}
+                   for label, rank in _submersion_ranks(_slice_block(a, removed, keep), strata)]
+        return TransversalityReport(all(d["rank"] == len(removed) for d in details), details)
 
     if phi.kind == "rescale":
         if phi.t is None:
@@ -356,11 +348,8 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
     strata: List[dict] = []
 
     # (i) zero-section transversality: removed block at fibre = 0.
-    block = _slice_block(a, scaled, base)
-    origin = [Fraction(0)] * len(base)
-    r0 = QMatrix([[e.evaluate(origin) for e in row] for row in block]).rank() \
-        if scaled else 0
-    rg = poly_matrix_rank(block) if scaled else 0
+    zero_section = [("origin", [Fraction(0)] * len(base)), ("generic", None)]
+    r0, rg = (rank for _, rank in _submersion_ranks(_slice_block(a, scaled, base), zero_section))
     verdict_i = (r0 == len(scaled)) and (rg == len(scaled))
     strata.append({"check": "zero_section", "origin_rank": r0, "generic_rank": rg,
                    "needed": len(scaled)})

@@ -571,16 +571,14 @@ def pivot_kernel_frame(block: List[List[TruncatedPoly]], ncols: int, n_vars: int
     pivot_set = set(pivots)
     free = [i for i in range(ncols) if i not in pivot_set]
     sub_inv = poly_matrix_inverse_unit([[row[p] for p in pivots] for row in block], cap)
+    solved = _poly_mat_mul(sub_inv, [[row[t] for t in free] for row in block])
     z = TruncatedPoly.zero(n_vars, cap)
     frame: List[List[TruncatedPoly]] = []
-    for t in free:
+    for k, t in enumerate(free):
         coeffs = [z] * ncols
         coeffs[t] = TruncatedPoly.const(n_vars, 1, cap)
         for srow, p in enumerate(pivots):
-            acc = z
-            for l, row in enumerate(block):
-                acc = acc + sub_inv[srow][l] * row[t]
-            coeffs[p] = -acc
+            coeffs[p] = -solved[srow][k]
         frame.append(coeffs)
     return pivots, free, frame
 

@@ -20,8 +20,8 @@ from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
 from .cohomology import lie_algebra_cohomology
 from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology,
-                     _edge_maps, _holonomy, _induced_on_cohomology, _morphism_failure,
-                     _require_valid_family)
+                     _chart_forest, _edge_maps, _holonomy, _induced_on_cohomology,
+                     _morphism_failure, _require_valid_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
 from .linalg import QMatrix
@@ -294,6 +294,8 @@ def _integrate_with_refinement(pf: PathFamily, tol: float,
                                max_steps: int):
     if not (math.isfinite(tol) and tol > 0):
         raise StructuralError("tolerance must be finite and positive")
+    if max_steps < 1:
+        raise StructuralError("steps must be positive")
     _require_valid(pf)
     cps = sorted({Fraction(t) for t in checkpoints} | {Fraction(1)})
     base = 1
@@ -581,13 +583,10 @@ def gauss_manin(lsf: LocalSystemFamily,
     is reported around every declared triangle (where it must be the
     identity) and around a cycle basis of the chart graph.
     """
-    if cover is not None and cover != lsf.cover:
-        raise StructuralError("cover disagrees with the family's cover")
+    _require_valid_family(lsf, cover)
     cover = lsf.cover
-    _require_valid_family(lsf)
-    ncharts = len(cover.charts)
     lcs = _chart_cohomology(lsf)
-    vertex = {i: tuple(lcs[i].betti) for i in range(ncharts)}
+    vertex = {i: tuple(lc.betti) for i, lc in enumerate(lcs)}
     edge = _edge_maps(lsf, lcs)
     edge_maps: Dict[Tuple[int, int], Dict[int, QMatrix]] = {}
     deg_ok = True
@@ -612,48 +611,6 @@ def gauss_manin(lsf: LocalSystemFamily,
                 flat = False
     cycle_hol = [(nodes, {q: _holonomy(edge, nodes, q)
                           for q in range(len(lcs[nodes[0]].betti))})
-                 for nodes in _cycle_basis(ncharts, cover.overlaps)]
+                 for nodes in _chart_forest(cover)[1]]
     return GaussManinBundle(vertex, edge_maps, deg_ok, flat, cycle_hol)
 
-
-def _cycle_basis(ncharts: int, overlaps) -> List[Tuple[int, ...]]:
-    """One cycle per non-tree edge of a breadth-first spanning forest."""
-    adj = {i: [] for i in range(ncharts)}
-    for (i, j) in overlaps:
-        adj[i].append(j)
-        adj[j].append(i)
-    parent: Dict[int, Optional[int]] = {}
-    tree = set()
-    for root in range(ncharts):
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v in sorted(adj[u]):
-                if v not in parent:
-                    parent[v] = u
-                    tree.add((min(u, v), max(u, v)))
-                    queue.append(v)
-
-    def path_to_root(x):
-        out = [x]
-        while parent[out[-1]] is not None:
-            out.append(parent[out[-1]])
-        return out
-
-    cycles = []
-    for (a, b) in overlaps:
-        if (a, b) in tree:
-            continue
-        pa = path_to_root(a)
-        pb = path_to_root(b)
-        seen = set(pa)
-        lca = next(x for x in pb if x in seen)
-        up = pb[:pb.index(lca) + 1]
-        down = pa[:pa.index(lca) + 1]
-        # a -> b along the extra edge, then b -> lca -> a through the tree
-        nodes = (a, b) + tuple(up[1:]) + tuple(reversed(down[:-1]))
-        cycles.append(nodes)
-    return cycles

@@ -298,7 +298,7 @@ def test_family_commands_reject_a_bad_fibre_transition(tmp_path, capsysbinary, q
     model = tmp_path / "bad_q.alab"
     model.write_text(text)
     for argv in (["check"], ["ss"], ["localize", "--at", "0", "--deg", "0"],
-                 ["monodromy"]):
+                 ["localize", "--at", "0", "--deg", "2"], ["monodromy"]):
         code, out = run([argv[0], str(model), *argv[1:], "--format", "structured"],
                         capsysbinary)
         assert code == 2, (argv, out)
@@ -341,6 +341,8 @@ def test_boundary_flags_keep_the_exit_taxonomy(argv, flag):
     (["transport", CIRCLE, "--tol=inf"], b"tolerance must be finite and positive"),
     (["monodromy", CIRCLE, "--tol=nan"], b"tolerance must be finite and positive"),
     (["monodromy", CIRCLE, "--tol=inf"], b"tolerance must be finite and positive"),
+    (["transport", CIRCLE, "--steps=0"], b"steps must be positive"),
+    (["transport", CIRCLE, "--steps=-5"], b"steps must be positive"),
 ])
 def test_out_of_range_flags_are_refused(argv, message):
     code, out = _run(argv)

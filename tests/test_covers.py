@@ -32,7 +32,7 @@ from algebroidlab.covers import (
 from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
-from algebroidlab.linalg import Echelon, QMatrix
+from algebroidlab.linalg import Echelon, QMatrix, quotient_dim_and_reps
 from algebroidlab.ratpoly import TruncatedPoly, minors
 from test_linalg import _sparse
 
@@ -108,6 +108,112 @@ def test_components_and_tree():
     assert not graph_is_tree(_circle(3))
     two = CoverDatum(("A", "B", "C"), ((0, 1),))
     assert nerve_components(two) == [[0, 1], [2]]
+
+
+# The union-find components and the cycle basis that the chart graph had
+# before one breadth-first forest served both, kept as references.
+
+
+def _union_find_components(ncharts, overlaps):
+    parent = list(range(ncharts))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, j in overlaps:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+    groups: Dict[int, List[int]] = {}
+    for v in range(ncharts):
+        groups.setdefault(find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def _cycle_basis_reference(ncharts, overlaps):
+    adj = {i: [] for i in range(ncharts)}
+    for (i, j) in overlaps:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent = {}
+    tree = set()
+    for root in range(ncharts):
+        if root in parent:
+            continue
+        parent[root] = None
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in sorted(adj[u]):
+                if v not in parent:
+                    parent[v] = u
+                    tree.add((min(u, v), max(u, v)))
+                    queue.append(v)
+
+    def path_to_root(x):
+        out = [x]
+        while parent[out[-1]] is not None:
+            out.append(parent[out[-1]])
+        return out
+
+    cycles = []
+    for (a, b) in overlaps:
+        if (a, b) in tree:
+            continue
+        pa = path_to_root(a)
+        pb = path_to_root(b)
+        seen = set(pa)
+        lca = next(x for x in pb if x in seen)
+        up = pb[:pb.index(lca) + 1]
+        down = pa[:pa.index(lca) + 1]
+        cycles.append((a, b) + tuple(up[1:]) + tuple(reversed(down[:-1])))
+    return cycles
+
+
+@st.composite
+def _chart_graphs(draw):
+    """Components of 3 to 5 charts, each a random spanning tree plus at
+    least one more edge, and up to two lone charts; the charts are
+    relabelled and the overlaps declared in random order.  Returns the
+    cover and, per component, its spanning tree as a cover of its own."""
+    sizes = draw(st.lists(st.integers(3, 5), min_size=2, max_size=3))
+    sizes += [1] * draw(st.integers(0, 2))
+    label = draw(st.permutations(range(sum(sizes))))
+    edges, trees, start = [], [], 0
+    for size in sizes:
+        members = range(start, start + size)
+        tree = [(draw(st.integers(start, v - 1)), v) for v in members[1:]]
+        others = [e for e in combinations(members, 2) if e not in tree]
+        edges += tree + (draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+                         if others else [])
+        trees.append(CoverDatum(tuple(f"T{v}" for v in members),
+                                tuple((i - start, j - start) for i, j in tree)))
+        start += size
+    overlaps = draw(st.permutations([tuple(sorted((label[i], label[j]))) for i, j in edges]))
+    return CoverDatum(tuple(f"U{v}" for v in range(start)), tuple(overlaps)), trees
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_chart_graphs())
+def test_chart_forest_matches_the_union_find_and_cycle_references(drawn):
+    cover, trees = drawn
+    components, cycles = covers._chart_forest(cover)
+    assert len(components) >= 2 and len(cycles) >= 2
+    for c in [cover] + trees:
+        ncharts, edges = len(c.charts), set(c.overlaps)
+        comps = _union_find_components(ncharts, c.overlaps)
+        basis = _cycle_basis_reference(ncharts, c.overlaps)
+        assert covers._chart_forest(c) == (comps, basis)
+        assert nerve_components(c) == comps
+        assert graph_is_tree(c) == (len(comps) == 1 and len(edges) == ncharts - 1)
+        assert len(basis) == len(edges) - ncharts + len(comps)
+        for nodes in basis:
+            assert nodes[0] == nodes[-1]
+            assert all(tuple(sorted(e)) in edges for e in zip(nodes, nodes[1:]))
+    assert all(graph_is_tree(t) for t in trees)
 
 
 # -- family validation --------------------------------------------------------------------
@@ -846,7 +952,11 @@ def _adjoint_chart():
     return adjoint_representation(sl2_patch())
 
 
-def test_localization_hypotheses_unmet_on_circle():
+def test_localization_hypotheses_unmet_on_circle(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("built the double complex with unmet hypotheses")
+
+    monkeypatch.setattr(covers, "build_double_complex", no_build)
     f = _constant_family(_circle(3), abelian_patch(1))
     rep = localization_check(f, _circle(3), chart=0, n=1)
     assert rep.verdict == "hypotheses unmet"
@@ -886,6 +996,63 @@ def test_localization_randomized_trees_and_adjoint_circles():
             qualified += 1
             assert rep.kernel_dim == 0
     assert qualified >= 20
+
+
+def _restriction_reference(dc, lc, chart, n):
+    """(total_dim, kernel_dim) by restricting total classes to one chart,
+    the computation localization_check made before it counted filtration
+    pairs: total cocycles modulo D_{n-1}, then the chart component of the
+    (0, n) block modulo the chart coboundaries."""
+    boundaries = dc.total_matrix(n - 1).column_echelon() if n > 0 \
+        else Echelon(dc.total_dim(n))
+    total_dim, total_reps = quotient_dim_and_reps(dc.total_matrix(n).echelon().kernel(),
+                                                  boundaries)
+    own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
+    restricted = [{k: v[i] for k, i in enumerate(own) if v[i]} for v in total_reps]
+    fib_b = lc.matrices[n - 1].column_echelon() if 0 < n <= len(lc.matrices) \
+        else Echelon(len(own))
+    return total_dim, total_dim - sum(fib_b.add(v) is not None for v in restricted)
+
+
+def _twisted_circle(n_charts, scale, simply_connected=None):
+    """Rank-1 abelian fibre on a circle, its frame scaled by `scale` across
+    the closing overlap: degree-1 fibre classes pick up the twist."""
+    cover = CoverDatum(_circle(n_charts).charts, _circle(n_charts).overlaps,
+                       simply_connected=simply_connected)
+    return cover, _constant_family(
+        cover, abelian_patch(1),
+        transitions={(0, n_charts - 1): (QMatrix([[scale]]), QMatrix([[1]]))})
+
+
+def test_localization_counts_match_the_restriction_reference():
+    rng = random.Random(20260415)
+    families = [_random_family(rng) for _ in range(30)]
+    families += [_twisted_circle(n, s, sc) for n in (3, 4) for s in (1, 2)
+                 for sc in (None, True)]
+    nonzero = met_nonzero = 0
+    for cover, f in families:
+        dc = build_double_complex(f, cover)
+        lcs = dc.chart_cohomology
+        for chart in range(len(cover.charts)):
+            for n in range(dc.p_max() + dc.q_max + 2):
+                ref = _restriction_reference(dc, lcs[chart], chart, n)
+                unpaired = covers._unpaired_columns(dc, n)
+                assert (len(unpaired), sum(p >= 1 for p in unpaired)) == ref
+                nonzero += ref[1] > 0
+                rep = localization_check(f, cover, chart, n)
+                if rep.verdict != "hypotheses unmet":
+                    assert (rep.total_dim, rep.kernel_dim) == ref
+                    met_nonzero += ref[1] > 0
+    assert nonzero >= 20 and met_nonzero >= 4
+
+
+def test_a_cover_other_than_the_familys_is_refused():
+    f = _constant_family(_circle(3), abelian_patch(1))
+    for other in (CoverDatum(("U0", "U1", "U2"), ((0, 1),)), _interval(4), _interval(3)):
+        with pytest.raises(StructuralError, match="cover disagrees with the family's cover"):
+            build_double_complex(f, other)
+        with pytest.raises(StructuralError, match="cover disagrees with the family's cover"):
+            localization_check(f, other, chart=0, n=1)
 
 
 def test_e2_oracle_standalone():

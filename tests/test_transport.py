@@ -209,6 +209,19 @@ def test_tolerance_must_be_finite_and_positive(monkeypatch, tol):
             run()
 
 
+@pytest.mark.parametrize("max_steps", [0, -5])
+def test_step_budget_must_be_positive(monkeypatch, max_steps):
+    def no_integration(*args):
+        raise AssertionError("integrated with a bad step budget")
+
+    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    pf = _nilpotent_family()
+    for run in (lambda: parallel_transport(pf, max_steps=max_steps),
+                lambda: trivialize_via_transport(pf, max_steps=max_steps)):
+        with pytest.raises(StructuralError, match="steps must be positive"):
+            run()
+
+
 # -- trivialization ------------------------------------------------------------------------
 
 
