@@ -260,11 +260,13 @@ def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
 def validate_family(f: LocalSystemFamily) -> ValidationReport:
     """Chart data validity, per-edge compatibility, cocycle on triples."""
     checks: List[CheckResult] = []
+    seen: Dict[Tuple[int, int], bool] = {}
     for idx, cd in enumerate(f.charts):
-        rep = validate_algebroid(cd.algebra)
-        ok = rep.ok
-        if ok and cd.rep is not None:
-            ok = validate_representation(cd.rep).ok
+        key = (id(cd.algebra), id(cd.rep))
+        if key not in seen:
+            seen[key] = validate_algebroid(cd.algebra).ok and (
+                cd.rep is None or validate_representation(cd.rep).ok)
+        ok = seen[key]
         checks.append(CheckResult(f"chart[{idx}]", ok,
                                   None if ok else {"chart": idx}))
     ranks = {f.fibre_rank(i) for i in range(len(f.charts))}

@@ -12,9 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
                         validate_representation)
@@ -230,62 +229,88 @@ def _term_table(mat: Sequence[Sequence[TruncatedPoly]]):
             for row in mat]
 
 
-def _eval_table(table, t: float) -> np.ndarray:
-    n = len(table)
-    out = np.zeros((n, len(table[0]) if n else 0))
-    for i, row in enumerate(table):
-        for j, terms in enumerate(row):
-            out[i, j] = sum(cf * t ** e for e, cf in terms)
-    return out
+Matrix = List[List[float]]
 
 
-def _rk4_flow(tables, sizes, n_steps: int, save_at) -> Dict[int, List[np.ndarray]]:
+def _eval_table(table, t: float) -> Matrix:
+    return [[sum(cf * t ** e for e, cf in terms) for terms in row] for row in table]
+
+
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _axpy(y: Matrix, h: float, k: Matrix) -> Matrix:
+    return [[u + h * v for u, v in zip(ry, rk)] for ry, rk in zip(y, k)]
+
+
+def _omega(table):
+    """t -> the generator's matrix at t; a constant one is evaluated once."""
+    if any(e for row in table for terms in row for e, _ in terms):
+        return lambda t: _eval_table(table, t)
+    m = _eval_table(table, 0.0)
+    return lambda t: m
+
+
+def _rk4_flow(tables, sizes, n_steps: int, save_at) -> Dict[int, List[Matrix]]:
     h = 1.0 / n_steps
-    states = [np.eye(s) for s in sizes]
-    saved: Dict[int, List[np.ndarray]] = {}
+    h2, h6 = h / 2, h / 6
+    omegas = [_omega(table) for table in tables]
+    states = [[[float(i == j) for j in range(s)] for i in range(s)] for s in sizes]
+    saved: Dict[int, List[Matrix]] = {}
     if 0 in save_at:
-        saved[0] = [st.copy() for st in states]
+        saved[0] = list(states)
     for s in range(n_steps):
         t = s * h
-        for which, table in enumerate(tables):
+        for which, omega in enumerate(omegas):
             y = states[which]
-            m1 = _eval_table(table, t)
-            m2 = _eval_table(table, t + h / 2)
-            m4 = _eval_table(table, t + h)
-            k1 = m1 @ y
-            k2 = m2 @ (y + (h / 2) * k1)
-            k3 = m2 @ (y + (h / 2) * k2)
-            k4 = m4 @ (y + h * k3)
-            states[which] = y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+            m2 = omega(t + h2)
+            k1 = _mat_mul(omega(t), y)
+            k2 = _mat_mul(m2, _axpy(y, h2, k1))
+            k3 = _mat_mul(m2, _axpy(y, h2, k2))
+            k4 = _mat_mul(omega(t + h), _axpy(y, h, k3))
+            states[which] = [[v + h6 * (a + 2 * b + 2 * c + d)
+                              for v, a, b, c, d in zip(*rows)]
+                             for rows in zip(y, k1, k2, k3, k4)]
         if s + 1 in save_at:
-            saved[s + 1] = [st.copy() for st in states]
+            saved[s + 1] = list(states)
     return saved
 
 
-def _float_structure(pf: PathFamily, t: Fraction) -> np.ndarray:
-    return np.array([[[float(v) for v in row] for row in plane]
-                     for plane in pf.structure_at(t)], dtype=float)
+def _float_structure(pf: PathFamily, t: Fraction) -> List[Matrix]:
+    return [[[float(v) for v in row] for row in plane] for plane in pf.structure_at(t)]
 
 
-def _float_gammas(pf: PathFamily, t: Fraction) -> Optional[np.ndarray]:
+def _float_gammas(pf: PathFamily, t: Fraction) -> Optional[List[Matrix]]:
     g = pf.gammas_at(t)
     if g is None:
         return None
-    return np.array([[[float(v) for v in row] for row in gi] for gi in g],
-                    dtype=float)
+    return [[[float(v) for v in row] for row in gi] for gi in g]
 
 
-def _iso_defect(pf: PathFamily, t: Fraction, phi: np.ndarray,
-                q: Optional[np.ndarray], c0: np.ndarray,
-                g0: Optional[np.ndarray]) -> float:
+def _iso_defect(pf: PathFamily, t: Fraction, phi: Matrix, q: Optional[Matrix],
+                c0: List[Matrix], g0: Optional[List[Matrix]]) -> float:
+    """Largest entry of phi[e_a, e_b]_0 - [phi e_a, phi e_b]_t over the
+    frame pairs, and with a representation of gamma_t(phi e_a) q - q gamma_0(e_a)."""
+    r = pf.rank
     ct = _float_structure(pf, t)
-    lhs = np.einsum("km,abm->abk", phi, c0)
-    rhs = np.einsum("ia,jb,ijk->abk", phi, phi, ct)
-    worst = float(np.max(np.abs(lhs - rhs))) if pf.rank else 0.0
+    worst = 0.0
+    for a in range(r):
+        for b in range(r):
+            for k in range(r):
+                lhs = sum(phi[k][m] * c0[a][b][m] for m in range(r))
+                rhs = sum(phi[i][a] * phi[j][b] * ct[i][j][k]
+                          for i in range(r) for j in range(r))
+                worst = max(worst, abs(lhs - rhs))
     if q is not None:
         gt = _float_gammas(pf, t)
-        moved = np.einsum("la,lxy->axy", phi, gt)
-        worst = max(worst, float(np.max(np.abs(moved @ q - q @ g0))))
+        for a in range(r):
+            moved = [[sum(phi[l][a] * gt[l][x][y] for l in range(r))
+                      for y in range(len(q))] for x in range(len(q))]
+            mq, qg = _mat_mul(moved, q), _mat_mul(q, g0[a])
+            worst = max([worst] + [abs(x - y) for rx, ry in zip(mq, qg)
+                                   for x, y in zip(rx, ry)])
     return worst
 
 
@@ -331,27 +356,27 @@ def _integrate_with_refinement(pf: PathFamily, tol: float,
 # -- rationalization and exact certification ------------------------------------------------
 
 
-def _rationalize_matrix(m: np.ndarray, den: int = RATIONALIZE_DEN,
+def _rationalize_matrix(m: Matrix, den: int = RATIONALIZE_DEN,
                         tol: float = RATIONALIZE_TOL) -> Optional[List[List[Fraction]]]:
     rows = []
     for row in m:
         out = []
         for x in row:
-            fr = Fraction(float(x)).limit_denominator(den)
-            if abs(float(fr) - float(x)) > tol:
+            fr = Fraction(x).limit_denominator(den)
+            if abs(float(fr) - x) > tol:
                 return None
             out.append(fr)
         rows.append(out)
     return rows
 
 
-def _best_rational(m: np.ndarray) -> List[List[Fraction]]:
-    return [[Fraction(float(x)).limit_denominator(_APPROX_DEN) for x in row]
+def _best_rational(m: Matrix) -> List[List[Fraction]]:
+    return [[Fraction(x).limit_denominator(_APPROX_DEN) for x in row]
             for row in m]
 
 
-def _certified_maps(pf: PathFamily, t: Fraction, phi_f: np.ndarray,
-                    q_f: Optional[np.ndarray]
+def _certified_maps(pf: PathFamily, t: Fraction, phi_f: Matrix,
+                    q_f: Optional[Matrix]
                     ) -> Tuple[QMatrix, Optional[QMatrix], bool, bool]:
     """Float frame (and fibre) maps at time t as exact matrices, certified
     exact when they rationalize and carry the frozen fibre at time 0 to the
@@ -410,9 +435,8 @@ def parallel_transport(pf: PathFamily, tol: float = 1e-8,
     phi_q, q_q, exact, det_ok = _certified_maps(pf, Fraction(1), phi_f, q_f)
     loop = pf.is_loop()
     mon = _loop_monodromy(pf, phi_q, q_q) if loop and det_ok else None
-    return TransportResult(n, tol, defect, exact, loop, phi_q,
-                           [[float(x) for x in row] for row in phi_f],
-                           q_q, det_ok, mon)
+    return TransportResult(n, tol, defect, exact, loop, phi_q, phi_f, q_q,
+                           det_ok, mon)
 
 
 def _loop_monodromy(pf: PathFamily, phi_q: QMatrix,

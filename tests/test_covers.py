@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Dict, List, Tuple
 
 import pytest
@@ -33,8 +34,11 @@ from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
 from algebroidlab.linalg import Echelon, QMatrix, quotient_dim_and_reps
+from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, minors
 from test_linalg import _sparse
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _const_rep(a, mat_list):
@@ -272,6 +276,44 @@ def test_validate_rejects_bad_fibre_transition_q(q):
     assert witness["edge"] == (0, 1) and "transition Q" in witness["reason"]
     with pytest.raises(ValidationFailure):
         build_double_complex(f, cover)
+
+
+def _counting_validators(monkeypatch):
+    calls = []
+    for name in ("validate_algebroid", "validate_representation"):
+        def counting(obj, _name=name, _real=getattr(covers, name)):
+            calls.append((_name, obj))
+            return _real(obj)
+        monkeypatch.setattr(covers, name, counting)
+    return calls
+
+
+def test_validate_family_checks_a_shared_fibre_once(monkeypatch):
+    calls = _counting_validators(monkeypatch)
+    f = parse_model(str(MODELS / "circle_family.alab")).families["unipotent"]
+    rep = validate_family(f)
+    assert rep.ok
+    assert [c.name for c in rep.checks[:3]] == ["chart[0]", "chart[1]", "chart[2]"]
+    assert [name for name, _ in calls] == ["validate_algebroid"]
+    calls.clear()
+    a = sl2_patch()
+    validate_family(_constant_family(_circle(3), a, adjoint_representation(a)))
+    assert [name for name, _ in calls] == ["validate_algebroid", "validate_representation"]
+
+
+def test_validate_family_names_every_chart_of_a_shared_bad_fibre(monkeypatch):
+    # not antisymmetric, so not a Lie algebra; charts 0 and 2 share it
+    c = [[[TruncatedPoly.const(0, v, 0) for v in row] for row in plane]
+         for plane in ([[0, 0], [0, 0]], [[1, 0], [0, 0]])]
+    bad = LieAlgebroidPatch((), 0, 2, [[], []], c)
+    calls = _counting_validators(monkeypatch)
+    f = LocalSystemFamily(_circle(3), [ChartData(bad), ChartData(abelian_patch(2)),
+                                       ChartData(bad)], {})
+    checks = validate_family(f).checks[:3]
+    assert [(x.name, x.ok, x.witness) for x in checks] == [
+        ("chart[0]", False, {"chart": 0}), ("chart[1]", True, None),
+        ("chart[2]", False, {"chart": 2})]
+    assert len(calls) == 2
 
 
 def _bracket_reference(a, u, v):

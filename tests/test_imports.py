@@ -1,11 +1,16 @@
-"""Every module of the package uses every name it imports."""
+"""Every module of the package uses every name it imports, and the package
+runs without numpy."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "algebroidlab"
+CIRCLE = str(PACKAGE.parent.parent / "models" / "circle_family.alab")
 
 
 def _unused_imports(source: str):
@@ -46,3 +51,22 @@ def test_no_module_imports_a_name_it_never_uses():
         if found:
             unused[path.name] = found
     assert not unused, unused
+
+
+_NO_NUMPY = """
+import importlib, sys
+import algebroidlab
+from algebroidlab.cli import main
+for name in sys.argv[2:]:
+    importlib.import_module("algebroidlab." + name)
+codes = [main(["transport", sys.argv[1]]), main(["monodromy", sys.argv[1]])]
+print(codes, "numpy" in sys.modules)
+"""
+
+
+def test_package_and_transport_run_without_numpy():
+    modules = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("__"))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", _NO_NUMPY, CIRCLE, *modules],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False"

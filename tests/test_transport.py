@@ -4,10 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroidlab import covers, transport
 from algebroidlab.covers import (ChartData, CoverDatum, LocalSystemFamily,
-                                 _induced_on_cohomology)
+                                 _bracket_vec, _gamma_action, _induced_on_cohomology)
 from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
@@ -190,6 +192,21 @@ def test_refinement_on_inexact_flow():
     assert abs(float(tr.mon[3].rows[0][0]) - 1.0) < 1e-6
 
 
+def test_time_dependent_generator():
+    # on an abelian fibre the shear rate t gives phi(t) = [[1, t^2 / 2], [0, 1]]
+    pf = PathFamily.from_brackets(2, {}, [[0, "t"], [0, 0]])
+    tr = parallel_transport(pf, tol=1e-8)
+    assert tr.exact and tr.phi.rows == [[F(1), F(1, 2)], [F(0), F(1)]]
+    report = trivialize_via_transport(pf, tol=1e-8)
+    assert [cp.phi.rows[0][1] for cp in report.checkpoints] == [F(0), F(1, 8), F(1, 2)]
+    # the derivation ad(h) at rate 2t integrates to diag(1, e, 1/e)
+    pf = PathFamily(3, _sl2_constants(), [[0, 0, 0], [0, "2*t", 0], [0, 0, "-2*t"]])
+    tr = parallel_transport(pf, tol=1e-8)
+    assert tr.steps > 16 and not tr.exact and tr.defect <= 1e-8
+    assert abs(tr.phi_float[1][1] - math.e) < 1e-6
+    assert abs(tr.phi_float[2][2] - 1 / math.e) < 1e-6
+
+
 def test_integration_failure_at_step_cap():
     with pytest.raises(IntegrationError):
         parallel_transport(_sl2_diagonal_family(), tol=1e-300, max_steps=64)
@@ -220,6 +237,71 @@ def test_step_budget_must_be_positive(monkeypatch, max_steps):
                 lambda: trivialize_via_transport(pf, max_steps=max_steps)):
         with pytest.raises(StructuralError, match="steps must be positive"):
             run()
+
+
+@pytest.mark.parametrize("with_rep", [False, True])
+def test_rank_zero_fibre_transports_to_the_empty_frame(with_rep):
+    # omega_rep = 1 moves the rep frame by exp(t)
+    rep = {"gammas": [], "omega_rep": [["1"]]} if with_rep else {}
+    pf = PathFamily(0, [], [], **rep)
+    tr = parallel_transport(pf)
+    assert (tr.phi.nrows, tr.phi.ncols) == (0, 0) and tr.phi_float == []
+    assert tr.det_nonzero and tr.is_loop and tr.defect == 0.0
+    report = trivialize_via_transport(pf)
+    assert report.ok and [cp.t for cp in report.checkpoints] == [F(0), F(1, 2), F(1)]
+    assert all(cp.phi.nrows == 0 and cp.invertible for cp in report.checkpoints)
+    if not with_rep:
+        assert tr.exact and tr.q_rep is None and tr.mon[0].rows == [[F(1)]]
+        return
+    assert abs(float(tr.q_rep.rows[0][0]) - math.e) < 1e-5
+    for cp in report.checkpoints:
+        assert abs(float(cp.q_rep.rows[0][0]) - math.exp(cp.t)) < 1e-5
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+def _arrays(*shape):
+    if not shape:
+        return _SMALL
+    return st.lists(_arrays(*shape[1:]), min_size=shape[0], max_size=shape[0])
+
+
+@st.composite
+def _defect_data(draw):
+    r, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    return (draw(_arrays(r, r)), draw(_arrays(r, r, r)), draw(_arrays(r, r, r)),
+            draw(_arrays(m, m)), draw(_arrays(r, m, m)), draw(_arrays(r, m, m)))
+
+
+def _floats(x):
+    return [_floats(v) for v in x] if isinstance(x, list) else float(x)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_defect_data())
+def test_float_defect_matches_the_exact_identities(data):
+    # the float defect at t against the same two identities in Fractions:
+    # phi [e_a, e_b]_0 = [phi e_a, phi e_b]_t and
+    # gamma_t(phi e_a) q = q gamma_0(e_a), on arbitrary (non-Lie) data
+    phi, c0, ct, q, g0, gt = data
+    r, m = len(phi), len(q)
+    zero, zero_m = [[0] * r for _ in range(r)], [[0] * m for _ in range(m)]
+    pf_0, pf_t = (PathFamily(r, c, zero, g, zero_m) for c, g in ((c0, g0), (ct, gt)))
+    at_0, at_t = (ChartData(pf.algebra_at(0), pf.rep_at(0)) for pf in (pf_0, pf_t))
+    p, qm = QMatrix(phi), QMatrix(q)
+    cols, units = p.transpose().rows, QMatrix.identity(r).rows
+    bracket = max(abs(x - y) for a in range(r) for b in range(r)
+                  for x, y in zip(p.apply(c0[a][b]), _bracket_vec(ct, cols[a], cols[b])))
+    moved = max(abs(x) for a in range(r)
+                for row in (_gamma_action(at_t, cols[a]) @ qm
+                            - qm @ _gamma_action(at_0, units[a])).rows for x in row)
+    got = transport._iso_defect(pf_t, F(0), _floats(phi), _floats(q), _floats(c0),
+                                _floats(g0))
+    assert abs(got - float(max(bracket, moved))) <= 1e-12
+    got = transport._iso_defect(PathFamily(r, ct, zero), F(0), _floats(phi), None,
+                                _floats(c0), None)
+    assert abs(got - float(bracket)) <= 1e-12
 
 
 # -- trivialization ------------------------------------------------------------------------
