@@ -15,9 +15,11 @@ The local system has one layer here, which `transport` reuses.
 `_morphism_failure` is the one exact check that (P, Q) carries the fibre
 data of one chart to another: it checks the edges of `validate_family`
 and certifies a transported frame map.  `_require_valid_family` raises
-the one invalid-family error, and refuses a cover other than the family's.  `_chart_cohomology` computes the fibre
-cohomology once per distinct fibre object; the double complex takes its
-chart bases and vertical blocks from it, and the second-page oracle, the
+the one invalid-family error, and refuses a cover other than the family's.
+`_per_fibre` runs a per-chart computation once per distinct fibre object:
+`validate_family` validates the fibres through it, and `_chart_cohomology`
+computes their cohomology; the double complex takes its chart bases and
+vertical blocks from that list, and the second-page oracle, the
 Gauss-Manin bundle and the monodromy check read the same list.
 
 The pages of the filtration-by-column spectral sequence come from one
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .algebroid import (
     LieAlgebroidPatch,
@@ -52,6 +54,8 @@ from .cohomology import BasisElement, LieCohomology, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix, SparseRow, _axpy
 from .ratpoly import minors
+
+T = TypeVar("T")
 
 
 # -- covers and nerves --------------------------------------------------------------------
@@ -260,13 +264,9 @@ def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
 def validate_family(f: LocalSystemFamily) -> ValidationReport:
     """Chart data validity, per-edge compatibility, cocycle on triples."""
     checks: List[CheckResult] = []
-    seen: Dict[Tuple[int, int], bool] = {}
-    for idx, cd in enumerate(f.charts):
-        key = (id(cd.algebra), id(cd.rep))
-        if key not in seen:
-            seen[key] = validate_algebroid(cd.algebra).ok and (
-                cd.rep is None or validate_representation(cd.rep).ok)
-        ok = seen[key]
+    valid = _per_fibre(f, lambda cd: validate_algebroid(cd.algebra).ok and (
+        cd.rep is None or validate_representation(cd.rep).ok))
+    for idx, ok in enumerate(valid):
         checks.append(CheckResult(f"chart[{idx}]", ok,
                                   None if ok else {"chart": idx}))
     ranks = {f.fibre_rank(i) for i in range(len(f.charts))}
@@ -310,18 +310,22 @@ def _require_valid_family(f: LocalSystemFamily, c: Optional[CoverDatum] = None) 
         raise ValidationFailure(f"family data invalid: {bad[0].name}", bad[0].witness or {})
 
 
-def _chart_cohomology(f: LocalSystemFamily) -> List[LieCohomology]:
-    """Fibre cohomology of every chart, computed once per distinct
-    (algebra, representation) object pair and shared by the charts that
-    carry it."""
-    seen: Dict[Tuple[int, int], LieCohomology] = {}
+def _per_fibre(f: LocalSystemFamily, fn: Callable[[ChartData], T]) -> List[T]:
+    """fn of every chart, called once per distinct (algebra, representation)
+    object pair and shared by the charts that carry it."""
+    seen: Dict[Tuple[int, int], T] = {}
     out = []
     for cd in f.charts:
         key = (id(cd.algebra), id(cd.rep))
         if key not in seen:
-            seen[key] = lie_algebra_cohomology(cd.algebra, cd.rep)
+            seen[key] = fn(cd)
         out.append(seen[key])
     return out
+
+
+def _chart_cohomology(f: LocalSystemFamily) -> List[LieCohomology]:
+    """Fibre cohomology of every chart, once per distinct fibre."""
+    return _per_fibre(f, lambda cd: lie_algebra_cohomology(cd.algebra, cd.rep))
 
 
 # -- cochain transport --------------------------------------------------------------------

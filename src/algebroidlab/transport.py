@@ -381,10 +381,13 @@ def _certified_maps(pf: PathFamily, t: Fraction, phi_f: Matrix,
     """Float frame (and fibre) maps at time t as exact matrices, certified
     exact when they rationalize and carry the frozen fibre at time 0 to the
     one at t by the fibre-morphism check of `covers`, else the nearest
-    bounded-denominator fractions; with both verdicts (exact, invertible)."""
+    bounded-denominator fractions; with both verdicts (exact, invertible).
+    A fibre map over a rank-0 frame is never certified: no frame element
+    constrains it."""
     phi_rows = _rationalize_matrix(phi_f)
     q_rows = _rationalize_matrix(q_f) if q_f is not None else None
-    exact = (phi_rows is not None and (q_f is None or q_rows is not None)
+    exact = (phi_rows is not None
+             and (q_f is None or (q_rows is not None and pf.rank > 0))
              and _morphism_failure(ChartData(pf.algebra_at(0), pf.rep_at(0)),
                                    ChartData(pf.algebra_at(t), pf.rep_at(t)),
                                    QMatrix(phi_rows),

@@ -253,9 +253,10 @@ def test_rank_zero_fibre_transports_to_the_empty_frame(with_rep):
     if not with_rep:
         assert tr.exact and tr.q_rep is None and tr.mon[0].rows == [[F(1)]]
         return
-    assert abs(float(tr.q_rep.rows[0][0]) - math.e) < 1e-5
+    # no frame element constrains the rep frame, so it is never certified
+    assert not tr.exact and abs(float(tr.q_rep.rows[0][0]) - math.e) < 1e-5
     for cp in report.checkpoints:
-        assert abs(float(cp.q_rep.rows[0][0]) - math.exp(cp.t)) < 1e-5
+        assert not cp.exact and abs(float(cp.q_rep.rows[0][0]) - math.exp(cp.t)) < 1e-5
 
 
 _SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
