@@ -50,7 +50,6 @@ from .cohomology import (
     jet_cohomology,
     weight_cohomology,
     lie_algebra_cohomology,
-    ce_differential,
 )
 from .pullback import (
     StructuredMap,
@@ -105,7 +104,7 @@ __all__ = [
     "heisenberg_patch", "product_with_tangent", "sl2_adjoint",
     "euler_vector_field_patch", "poisson_disc_patch",
     "CohomologyReport", "cohomology", "jet_cohomology", "weight_cohomology",
-    "lie_algebra_cohomology", "ce_differential",
+    "lie_algebra_cohomology",
     "StructuredMap", "pullback_structured", "transversality_check",
     "rescaling_family", "euler_homotopy_verify", "transversal_iso_check",
     "CoverDatum", "ChartData", "LocalSystemFamily", "nerve",

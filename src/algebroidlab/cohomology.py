@@ -484,16 +484,6 @@ def cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
     raise StructuralError(f"unknown cohomology mode {mode!r}")
 
 
-def ce_differential(a: LieAlgebroidPatch, rho: Optional[Representation], q: int,
-                    max_deg: Optional[int] = None) -> Tuple[QMatrix, List[BasisElement], List[BasisElement]]:
-    """Matrix of the degree-q differential on a degree window, with bases."""
-    cx = CEComplex(a, rho)
-    cap = a.jet_order if max_deg is None else max_deg
-    source = cx.window_basis(q, cap)
-    target = cx.window_basis(q + 1, cap + cx.degree_shift())
-    return cx.d_matrix(source, target), source, target
-
-
 # -- constant-coefficient fast path -----------------------------------------------------
 
 

@@ -307,6 +307,19 @@ def _poly_row(r: _Reader, e: _Entry, var_names: Sequence[str],
     return [_parse_entry_poly(r, e, p, var_names, cap) for p in parts]
 
 
+def _take_brackets(r: _Reader, var_names: Sequence[str], cap: Optional[int], rank: int
+                   ) -> Dict[Tuple[int, int], List[TruncatedPoly]]:
+    """The section's bracket[i][j] rows, i < j < rank, by (i, j)."""
+    out: Dict[Tuple[int, int], List[TruncatedPoly]] = {}
+    for e in r.take_indexed("bracket", 2):
+        i, j = e.indices
+        if not 0 <= i < j < rank:
+            raise r.err(f"bracket[{i}][{j}] needs indices i < j < rank",
+                        e.line, e.col_key)
+        out[(i, j)] = _poly_row(r, e, var_names, cap, rank, f"bracket[{i}][{j}]")
+    return out
+
+
 def _poly_matrix(r: _Reader, e: _Entry, var_names: Sequence[str],
                  cap: Optional[int], nrows: int, ncols: int,
                  what: str) -> List[List[TruncatedPoly]]:
@@ -367,12 +380,7 @@ def _build_algebroid(r: _Reader) -> LieAlgebroidPatch:
             raise r.err(f"anchor row {i} out of range", e.line, e.col_key)
         anchor[i] = _poly_row(r, e, var_names, jet_order, n, f"anchor[{i}]")
     structure = [[[z] * rank for _ in range(rank)] for _ in range(rank)]
-    for e in r.take_indexed("bracket", 2):
-        i, j = e.indices
-        if not 0 <= i < j < rank:
-            raise r.err(f"bracket[{i}][{j}] needs indices i < j < rank",
-                        e.line, e.col_key)
-        row = _poly_row(r, e, var_names, jet_order, rank, f"bracket[{i}][{j}]")
+    for (i, j), row in _take_brackets(r, var_names, jet_order, rank).items():
         for k, p in enumerate(row):
             structure[i][j][k] = p
             structure[j][i][k] = p.scale(Fraction(-1))
@@ -474,13 +482,7 @@ def _build_family(r: _Reader, model: ModelFile) -> LocalSystemFamily:
 def _build_path_family(r: _Reader) -> PathFamily:
     rank = _take_int(r, "rank", required=True, minimum=1)
     t = ("t",)
-    brackets: Dict[Tuple[int, int], List[TruncatedPoly]] = {}
-    for e in r.take_indexed("bracket", 2):
-        i, j = e.indices
-        if not 0 <= i < j < rank:
-            raise r.err(f"bracket[{i}][{j}] needs indices i < j < rank",
-                        e.line, e.col_key)
-        brackets[(i, j)] = _poly_row(r, e, t, None, rank, f"bracket[{i}][{j}]")
+    brackets = _take_brackets(r, t, None, rank)
     omega_e = r.take("omega", required=True)
     omega = _poly_matrix(r, omega_e, t, None, rank, rank, "omega")
     gamma_entries = r.take_indexed("gamma", 1)

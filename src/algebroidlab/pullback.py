@@ -1,23 +1,22 @@
 """Structured maps into an algebroid patch: transversality and pullbacks.
 
-Supported map shapes, each with an explicit pullback construction:
+Supported map shapes:
 
-* identity: returns a copy of the data.
-* projection: add fibre coordinates; the pullback is the original frame
-  lifted horizontally plus the tangent frame of the new fibre directions.
-* slice (coordinate inclusion): set a declared set of coordinates to zero;
-  the pullback is the vertical subalgebroid of the normal anchor block
-  (the removed coordinates), over the slice ring.
-* point: inclusion of a rational point; the pullback is the vertical
-  subalgebroid of the normal anchor block of the patch evaluated there
-  (every coordinate is normal), i.e. the isotropy Lie algebra.
+* identity: returns the data unchanged.
+* projection: add fibre coordinates.
+* slice (coordinate inclusion): set a declared set of coordinates to zero.
+* point: inclusion of a rational point; the pullback is the isotropy there.
 * rescale: fix base coordinates and scale the positive-weight ones by a
-  rational t; for t = 0 this is the composite slice-then-projection.
+  rational t; for t = 0 the scaled coordinates are set to zero and lifted
+  back as fibre directions.
 
-Slice and point pullbacks are both the kernel of a submersion by the
-algebroid, computed by algebroid.kernel_subalgebroid: a frame solved
-through a unit pivot submatrix at the origin, its bracket closure up to
-the certified order, its anchor and the carried connection.
+Every kind but the identity is one construction, the bundle picture: the
+map is written in coordinates (each old coordinate a multiple of a new one
+or a constant), and the pullback is the kernel of [dphi | -anchor o phi]
+on the pairs (X, u) of a tangent vector and a pulled-back section, as
+computed by algebroid.kernel_subalgebroid: a frame solved through a unit
+pivot submatrix at the origin, its bracket closure up to the certified
+order, its anchor and the carried connection.
 
 Transversality at a point is the exact rank condition: image of the map
 differential plus image of the anchor spans the tangent space.  Along a
@@ -75,11 +74,30 @@ def _slice_block(a: LieAlgebroidPatch, removed: Sequence[int], keep: Sequence[in
     return [[a.anchor[i][l].restrict(keep) for i in range(a.rank)] for l in removed]
 
 
-def transversality_check(phi: StructuredMap, a: LieAlgebroidPatch,
-                         point: Optional[Sequence] = None) -> TransversalityReport:
+def _positive_weight(a: LieAlgebroidPatch) -> List[int]:
+    """Coordinates of positive weight: the ones scaling moves."""
+    return [] if a.weights is None else [l for l, w in enumerate(a.weights.weights) if w > 0]
+
+
+def _rescaled(phi: StructuredMap, a: LieAlgebroidPatch) -> List[int]:
+    """The coordinates a rescale map scales: the declared ones, else every
+    coordinate of positive weight."""
+    if phi.t is None:
+        raise StructuralError("rescale map needs a scale factor")
+    return _coordinate_subset(phi.scaled, a, "scaled") or _positive_weight(a)
+
+
+def _coordinate_subset(idxs: Sequence[int], a: LieAlgebroidPatch, what: str) -> List[int]:
+    idxs = list(idxs)
+    if any(not 0 <= l < a.n_vars for l in idxs) or len(set(idxs)) != len(idxs):
+        raise StructuralError(f"bad {what} coordinate set")
+    return idxs
+
+
+def transversality_check(phi: StructuredMap, a: LieAlgebroidPatch) -> TransversalityReport:
     """Does the image of the map differential plus the anchor image span
-    the tangent space?  point=None checks the origin and the symbolic
-    generic stratum; a rational point checks exactly there."""
+    the tangent space?  A point is checked exactly there; a slice at the
+    origin and on the symbolic generic stratum."""
     n = a.n_vars
     if phi.kind in ("identity", "projection"):
         return TransversalityReport(True, [{"stratum": "all", "reason": "submersion"}])
@@ -96,28 +114,22 @@ def transversality_check(phi: StructuredMap, a: LieAlgebroidPatch,
                                           "rank": rank, "needed": n}], cert)
 
     if phi.kind == "slice":
-        keep = list(phi.keep)
+        keep = _coordinate_subset(phi.keep, a, "kept")
         removed = [l for l in range(n) if l not in keep]
         if not removed:
             return TransversalityReport(True, [{"stratum": "all", "reason": "identity slice"}])
-        if point is None:
-            strata = [("origin", [Fraction(0)] * len(keep)), ("generic", None)]
-        elif len(point) != len(keep):
-            raise StructuralError("slice point must use kept coordinates")
-        else:
-            strata = [(str(tuple(map(str, point))), point)]
+        strata = [("origin", [Fraction(0)] * len(keep)), ("generic", None)]
         details = [{"stratum": label, "rank": rank, "needed": len(removed)}
                    for label, rank in _submersion_ranks(_slice_block(a, removed, keep), strata)]
         return TransversalityReport(all(d["rank"] == len(removed) for d in details), details)
 
     if phi.kind == "rescale":
-        if phi.t is None:
-            raise StructuralError("rescale map needs a scale factor")
+        scaled = _rescaled(phi, a)
         if phi.t != 0:
             return TransversalityReport(True, [{"stratum": "all",
                                                 "reason": f"diffeomorphism (t = {phi.t})"}])
-        keep = [l for l in range(n) if l not in set(phi.scaled)]
-        return transversality_check(StructuredMap("slice", keep=tuple(keep)), a, point)
+        keep = [l for l in range(n) if l not in scaled]
+        return transversality_check(StructuredMap("slice", keep=tuple(keep)), a)
 
     raise StructuralError(f"unhandled kind {phi.kind!r}")
 
@@ -135,189 +147,147 @@ def pullback_structured(phi: StructuredMap, a: LieAlgebroidPatch,
                         ) -> Tuple[LieAlgebroidPatch, Optional[Representation], PullbackReport]:
     """Pull the algebroid (and optionally a representation) back along phi.
 
+    Every kind but the identity is one bundle-picture kernel, _pullback.
     Raises ValidationFailure when the required transversality fails.
     """
     if phi.kind == "identity":
         rep = PullbackReport("identity", a.rank, TransversalityReport(True))
         return a, rho, rep
 
-    if phi.kind == "projection":
-        return _pullback_projection(phi, a, rho)
-
     if phi.kind == "slice":
         return _pullback_slice(phi, a, rho)[:3]
 
+    n = a.n_vars
     if phi.kind == "point":
-        return _pullback_point(phi, a, rho)
+        trans = _require_transverse(phi, a, "anchor is not surjective at the point")
+        pt = phi.at if phi.at else tuple(Fraction(0) for _ in range(n))
+        out, rho2, _, _ = _pullback(a, rho, (), None, pt, _named(a, "isotropy"), False,
+                                    isotropy=True)
+        note = [f"isotropy rank {out.rank} at {tuple(str(v) for v in pt)}"]
+        return out, rho2, PullbackReport("point", out.rank, trans, note)
+
+    if phi.kind == "projection":
+        names = a.var_names + tuple(phi.fibre_names)
+        if len(set(names)) != len(names):
+            raise StructuralError("fibre coordinate names collide with the base chart")
+        weights = None
+        if phi.fibre_weights is not None and (a.weights is not None or n == 0):
+            base_w = a.weights.weights if a.weights is not None else ()
+            weights = WeightAssignment(base_w + tuple(phi.fibre_weights))
+        out, rho2, _, _ = _pullback(a, rho, names, weights, [(l, 1) for l in range(n)],
+                                    _named(a, "lift"), weights is not None)
+        note = [f"lifted frame ({a.rank}) plus fibre tangent frame ({len(phi.fibre_names)})"]
+        return out, rho2, PullbackReport("projection", out.rank, TransversalityReport(True), note)
 
     if phi.kind == "rescale":
-        return _pullback_rescale(phi, a, rho)
+        scaled = _rescaled(phi, a)
+        t = Fraction(phi.t)
+        if t:
+            images = [(l, t if l in scaled else 1) for l in range(n)]
+            name = (a.name + f".rescale({t})") if a.name else "rescale"
+            out, rho2, _, _ = _pullback(a, rho, a.var_names, a.weights, images, name,
+                                        a.frame_weights is not None)
+            return out, rho2, PullbackReport("rescale", out.rank, TransversalityReport(True),
+                                             [f"diffeomorphic rescale by t = {t}"])
+        # zero scale: fix the scaled coordinates at zero and lift them back
+        trans = _require_transverse(phi, a, "slice is not transverse to the anchor image")
+        keep = [l for l in range(n) if l not in scaled]
+        out, rho2, pivots, _ = _pullback(a, rho, *_zero_chart(a, keep, scaled),
+                                         _named(a, "slice.lift"), a.weights is not None)
+        note = ["zero scale: slice to the fixed locus, then lift", _pivot_note(pivots)]
+        return out, rho2, PullbackReport("rescale", out.rank, trans, note)
 
     raise StructuralError(f"unhandled kind {phi.kind!r}")
 
 
-def _pullback_projection(phi: StructuredMap, a: LieAlgebroidPatch,
-                         rho: Optional[Representation]):
-    n, r = a.n_vars, a.rank
-    extra = len(phi.fibre_names)
-    names = a.var_names + tuple(phi.fibre_names)
-    if len(set(names)) != len(names):
-        raise StructuralError("fibre coordinate names collide with the base chart")
-    n2 = n + extra
-    cap = a.jet_order
-    mapping = list(range(n))
-    z = TruncatedPoly.zero(n2, cap)
-    one = TruncatedPoly.const(n2, 1, cap)
-    anchor = [[a.anchor[i][l].remap(n2, mapping).truncate(cap) for l in range(n)]
-              + [z] * extra for i in range(r)]
-    anchor += [[one if l == n + f else z for l in range(n2)] for f in range(extra)]
-    r2 = r + extra
-    structure = [[[z for _ in range(r2)] for _ in range(r2)] for _ in range(r2)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                structure[i][j][k] = a.structure[i][j][k].remap(n2, mapping).truncate(cap)
-    weights = None
-    fw = None
-    if phi.fibre_weights is not None and (a.weights is not None or n == 0):
-        base_w = a.weights.weights if a.weights is not None else ()
-        weights = WeightAssignment(base_w + tuple(phi.fibre_weights))
-        base_fw = a.frame_weights if a.frame_weights is not None else (0,) * r
-        fw = base_fw + tuple(-w for w in phi.fibre_weights)
-    out = LieAlgebroidPatch(names, cap, r2, anchor, structure, weights=weights,
-                            frame_weights=fw, name=(a.name + ".lift") if a.name else "lift")
-    rho2 = None
-    if rho is not None:
-        m = rho.rank
-        gam = [[[rho.gammas[i][al][be].remap(n2, mapping).truncate(cap)
-                 for be in range(m)] for al in range(m)] for i in range(r)]
-        zg = TruncatedPoly.zero(n2, cap)
-        gam += [[[zg for _ in range(m)] for _ in range(m)] for _ in range(extra)]
-        rho2 = Representation(out, m, gam, fibre_weights=rho.fibre_weights, name=rho.name)
-    rep = PullbackReport("projection", r2, TransversalityReport(True),
-                         [f"lifted frame ({r}) plus fibre tangent frame ({extra})"])
-    return out, rho2, rep
+def _named(a: LieAlgebroidPatch, suffix: str) -> str:
+    return f"{a.name}.{suffix}" if a.name else suffix
+
+
+def _pivot_note(pivots: Sequence[int]) -> str:
+    return f"kernel frame solved through pivot frame elements {[p + 1 for p in pivots]}"
+
+
+def _require_transverse(phi: StructuredMap, a: LieAlgebroidPatch, message: str
+                        ) -> TransversalityReport:
+    trans = transversality_check(phi, a)
+    if not trans.transverse:
+        raise ValidationFailure(message, {"kind": "not_transverse", "details": trans.details})
+    return trans
+
+
+def _zero_chart(a: LieAlgebroidPatch, keep: Sequence[int], lifted: Sequence[int] = ()):
+    """Names, weights and coordinate images of the map that keeps the
+    coordinates keep, sets the others to zero and adds the coordinates
+    lifted back as new directions that no old coordinate follows."""
+    chart = list(keep) + list(lifted)
+    weights = WeightAssignment(tuple(a.weights.weights[l] for l in chart)) \
+        if a.weights is not None else None
+    images = [(keep.index(l), 1) if l in keep else 0 for l in range(a.n_vars)]
+    return tuple(a.var_names[l] for l in chart), weights, images
 
 
 def _pullback_slice(phi: StructuredMap, a: LieAlgebroidPatch,
                     rho: Optional[Representation]):
-    """Slice pullback, and the kernel frame in the big frame as a fourth value."""
-    n = a.n_vars
-    keep = list(phi.keep)
-    if any(not 0 <= l < n for l in keep) or len(set(keep)) != len(keep):
-        raise StructuralError("bad kept coordinate set")
-    removed = [l for l in range(n) if l not in keep]
-    trans = transversality_check(phi, a)
-    if not trans.transverse:
-        raise ValidationFailure("slice is not transverse to the anchor image",
-                                {"kind": "not_transverse", "details": trans.details})
-    cap = a.jet_order
-    r = a.rank
-    names = tuple(a.var_names[l] for l in keep)
-
-    def res(p: TruncatedPoly) -> TruncatedPoly:
-        return p.restrict(keep).truncate(cap)
-
-    # Restricted big algebroid over the slice ring: anchor keeps only slice
-    # columns (kernel sections have no removed components on the slice).
-    big = LieAlgebroidPatch(
-        names, cap, r, [[res(a.anchor[i][l]) for l in keep] for i in range(r)],
-        [[[res(e) for e in col] for col in plane] for plane in a.structure])
-    k = kernel_subalgebroid(
-        big, _slice_block(a, removed, keep), a.certified_order(),
-        None if rho is None else [[[res(g) for g in row] for row in gam]
-                                  for gam in rho.gammas])
-    weights = WeightAssignment(tuple(a.weights.weights[l] for l in keep)) \
-        if a.weights is not None else None
-    fw = tuple(a.frame_weight(t) for t in k.free) if a.frame_weights is not None else None
-    out = LieAlgebroidPatch(names, cap, len(k.frame), k.anchor, k.structure,
-                            weights=weights, frame_weights=fw,
-                            name=(a.name + ".slice") if a.name else "slice")
-    rho2 = None if rho is None else Representation(
-        out, rho.rank, k.gammas, fibre_weights=rho.fibre_weights, name=rho.name)
-    note = [f"kernel frame solved through pivot frame elements "
-            f"{[p + 1 for p in k.pivots]}"]
-    return out, rho2, PullbackReport("slice", out.rank, trans, note), k.frame
+    """Slice pullback, and the kernel frame in a's frame as a fourth value."""
+    trans = _require_transverse(phi, a, "slice is not transverse to the anchor image")
+    out, rho2, pivots, frame = _pullback(a, rho, *_zero_chart(a, phi.keep), _named(a, "slice"),
+                                         a.frame_weights is not None)
+    return out, rho2, PullbackReport("slice", out.rank, trans, [_pivot_note(pivots)]), frame
 
 
-def _pullback_point(phi: StructuredMap, a: LieAlgebroidPatch,
-                    rho: Optional[Representation]):
-    n = a.n_vars
-    pt = phi.at if phi.at else tuple(Fraction(0) for _ in range(n))
-    trans = transversality_check(StructuredMap("point", at=tuple(pt)), a)
-    if not trans.transverse:
-        raise ValidationFailure("anchor is not surjective at the point",
-                                {"kind": "not_transverse", "details": trans.details})
+def _pullback(a: LieAlgebroidPatch, rho: Optional[Representation], names: Tuple[str, ...],
+              weights: Optional[WeightAssignment], images: Sequence, name: str,
+              frame_weighted: bool, isotropy: bool = False):
+    """The pullback along the coordinate map x_m = images[m] (as in
+    TruncatedPoly.substitute) from the chart names: the pairs (X, u) of
+    TM' + phi*A with dphi(X) = anchor(u), the kernel of [dphi | -anchor o phi].
 
-    r = a.rank
-    z0 = TruncatedPoly.zero(0, 0)
+    The big frame is the fields d/dy_l that some x_m follows, a's frame
+    (zero anchor, bracket c o phi, connection gamma o phi), then the fields
+    that phi collapses; frame_weighted records the weights of the kept
+    columns (-w_l along d/dy_l).  An isotropy is a Lie algebra at jet
+    order 0 with no grading.  Returns the patch, the representation, and
+    the pivots and kernel frame in a's frame.
+    """
+    n, r, n2 = a.n_vars, a.rank, len(names)
+    cap = 0 if isotropy else a.jet_order
 
-    def at_pt(p: TruncatedPoly) -> TruncatedPoly:
-        return TruncatedPoly.const(0, p.evaluate(pt), 0) if p else z0
+    def pull(p: TruncatedPoly) -> TruncatedPoly:
+        return p.substitute(n2, images).truncate(cap)
 
-    # The patch evaluated at the point: a Lie algebra whose isotropy is the
-    # kernel of the evaluated anchor (one block row per coordinate).
-    big = LieAlgebroidPatch((), 0, r, [[] for _ in range(r)],
-                            [[[at_pt(e) for e in col] for col in plane]
-                             for plane in a.structure])
-    k = kernel_subalgebroid(
-        big, [[at_pt(a.anchor[i][l]) for i in range(r)] for l in range(n)], 0,
-        None if rho is None else [[[at_pt(g) for g in row] for row in gam]
-                                  for gam in rho.gammas])
-    r2 = len(k.frame)
-    out = LieAlgebroidPatch((), 0, r2, k.anchor, k.structure,
-                            name=(a.name + ".isotropy") if a.name else "isotropy")
-    rho2 = None if rho is None else Representation(out, rho.rank, k.gammas, name=rho.name)
-    note = [f"isotropy rank {r2} at {tuple(str(v) for v in pt)}"]
-    return out, rho2, PullbackReport("point", r2, trans, note)
-
-
-def _pullback_rescale(phi: StructuredMap, a: LieAlgebroidPatch,
-                      rho: Optional[Representation]):
-    if phi.t is None:
-        raise StructuralError("rescale map needs a scale factor")
-    scaled = list(phi.scaled) if phi.scaled else (
-        [] if a.weights is None else [l for l, w in enumerate(a.weights.weights) if w > 0])
-    if phi.t == 0:
-        keep = tuple(l for l in range(a.n_vars) if l not in set(scaled))
-        sliced, rho_s, rep_s, _ = _pullback_slice(StructuredMap("slice", keep=keep), a, rho)
-        names = tuple(a.var_names[l] for l in scaled)
-        fibw = tuple(a.weights.weights[l] for l in scaled) if a.weights is not None else None
-        proj = StructuredMap("projection", fibre_names=names, fibre_weights=fibw)
-        out, rho2, rep_p = _pullback_projection(proj, sliced, rho_s)
-        note = ["zero scale: slice to the fixed locus, then lift"] + rep_s.frame_note
-        return out, rho2, PullbackReport("rescale", out.rank, rep_s.transversality, note)
-    t = Fraction(phi.t)
-    cap = a.jet_order
-
-    def subs(p: TruncatedPoly) -> TruncatedPoly:
-        q = p
-        for l in scaled:
-            q = q.scale_var(l, t)
-        return q
-
-    anchor = []
-    for i in range(a.rank):
-        row = []
-        for l in range(a.n_vars):
-            e = subs(a.anchor[i][l])
-            if l in scaled:
-                e = e.scale(1 / t)
-            row.append(e)
-        anchor.append(row)
-    structure = [[[subs(a.structure[i][j][k]) for k in range(a.rank)]
-                  for j in range(a.rank)] for i in range(a.rank)]
-    out = LieAlgebroidPatch(a.var_names, cap, a.rank, anchor, structure,
-                            weights=a.weights, frame_weights=a.frame_weights,
-                            name=(a.name + f".rescale({t})") if a.name else "rescale")
-    rho2 = None
+    dphi = [[TruncatedPoly.var(n, m).substitute(n2, images).deriv(l) for l in range(n2)]
+            for m in range(n)]
+    followed = [l for l in range(n2) if any(row[l] for row in dphi)]
+    # the coordinate of each big frame field, None along a's frame
+    fields = followed + [None] * r + [l for l in range(n2) if l not in followed]
+    nf, rb = len(followed), len(fields)
+    z, one = TruncatedPoly.zero(n2, cap), TruncatedPoly.const(n2, 1, cap)
+    anchor = [[one if j == l else z for j in range(n2)] for l in fields]
+    structure = [[[z] * rb for _ in range(rb)] for _ in range(rb)]
+    for i in range(r):
+        for j in range(r):
+            structure[nf + i][nf + j][nf:nf + r] = map(pull, a.structure[i][j])
+    block = [[-pull(a.anchor[c - nf][m]) if l is None else dphi[m][l]
+              for c, l in enumerate(fields)] for m in range(n)]
+    gammas = None
     if rho is not None:
-        gam = [[[subs(rho.gammas[i][al][be]) for be in range(rho.rank)]
-                for al in range(rho.rank)] for i in range(a.rank)]
-        rho2 = Representation(out, rho.rank, gam, fibre_weights=rho.fibre_weights,
-                              name=rho.name)
-    return out, rho2, PullbackReport("rescale", a.rank, TransversalityReport(True),
-                                     [f"diffeomorphic rescale by t = {t}"])
+        zg = [[z] * rho.rank for _ in range(rho.rank)]
+        gammas = [zg] * nf + [[list(map(pull, row)) for row in g] for g in rho.gammas] \
+            + [zg] * (rb - nf - r)
+    k = kernel_subalgebroid(LieAlgebroidPatch(names, cap, rb, anchor, structure), block,
+                            a.certified_order(), gammas)
+
+    w = weights.weights if weights is not None else (0,) * n2
+    col_weights = [a.frame_weight(c - nf) if l is None else -w[l] for c, l in enumerate(fields)]
+    fw = tuple(col_weights[t] for t in k.free) if frame_weighted else None
+    out = LieAlgebroidPatch(names, cap, len(k.frame), k.anchor, k.structure,
+                            weights=weights, frame_weights=fw, name=name)
+    rho2 = None if rho is None else Representation(
+        out, rho.rank, k.gammas, fibre_weights=None if isotropy else rho.fibre_weights,
+        name=rho.name)
+    return (out, rho2, [p - nf for p in k.pivots if p >= nf],
+            [row[nf:nf + r] for row in k.frame])
 
 
 # -- the rescaling tri-equivalence ---------------------------------------------------
@@ -343,7 +313,7 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
     if a.weights is None:
         raise StructuralError("rescaling family needs a weight assignment")
     n = a.n_vars
-    scaled = [l for l, w in enumerate(a.weights.weights) if w > 0]
+    scaled = _positive_weight(a)
     base = [l for l in range(n) if l not in scaled]
     strata: List[dict] = []
 
@@ -398,13 +368,10 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
     verdict_iii = rank_no_y == rank_with_y
 
     # t = 0 stratum of the same system: anchor at (x, 0), kept at arity n.
-    def at_zero(p: TruncatedPoly) -> TruncatedPoly:
-        q = p.truncate(None)
-        kept = [l for l in range(n) if l not in scaled]
-        return q.restrict(kept).remap(n, kept)
-
+    at_zero = [0 if l in scaled else (l, 1) for l in range(n)]
     rows0 = [[TruncatedPoly.zero(n)] * len(scaled)
-             + [at_zero(a.anchor[i][scaled[li]]) for i in range(a.rank)]
+             + [a.anchor[i][scaled[li]].truncate(None).substitute(n, at_zero)
+                for i in range(a.rank)]
              for li in range(len(scaled))]
     ycol0 = [TruncatedPoly.var(n, scaled[li]) for li in range(len(scaled))]
     rank0_no_y = poly_matrix_rank(rows0)

@@ -274,16 +274,27 @@ class TruncatedPoly:
             out[tuple(exp)] = val
         return TruncatedPoly(n_new, out, self.cap)
 
-    def scale_var(self, idx: int, factor) -> "TruncatedPoly":
-        """Substitute x_idx -> factor * x_idx for a rational factor."""
-        f = Fraction(factor)
+    def substitute(self, n_new: int, images: Sequence) -> "TruncatedPoly":
+        """Compose with a coordinate map from a ring with n_new variables.
+
+        images[i] is (l, s) when x_i -> s * y_l, or a rational constant c
+        when x_i -> c.  Keeps the cap.
+        """
+        if len(images) != self.n:
+            raise ValueError("images have wrong arity")
         out: Dict[Exponent, Fraction] = {}
         for mono, val in self.c.items():
-            e = mono[idx]
-            v = val * f ** e if e else val
-            if v != 0:
-                out[mono] = v
-        return TruncatedPoly(self.n, out, self.cap)
+            exp = [0] * n_new
+            for im, e in zip(images, mono):
+                if not e:
+                    continue
+                if isinstance(im, tuple):
+                    exp[im[0]] += e
+                    im = im[1]
+                val = val * Fraction(im) ** e
+            mono2 = tuple(exp)
+            out[mono2] = out.get(mono2, QZERO) + val
+        return TruncatedPoly(n_new, out, self.cap)
 
     def scale_vars_by_var(self, idxs: Iterable[int], t_idx: int) -> "TruncatedPoly":
         """Substitute x_l -> t * x_l for every l in idxs, with t = variable t_idx.

@@ -15,7 +15,6 @@ from algebroidlab.algebroid import (
 )
 from algebroidlab.cohomology import (
     CEComplex,
-    ce_differential,
     cohomology,
     jet_cohomology,
     lie_algebra_cohomology,
@@ -95,9 +94,10 @@ def test_lie_algebra_fast_path_agrees():
 
 
 def test_sl2_degree_one_differential_has_rank_three():
-    mat, src, tgt = ce_differential(sl2_patch(), None, 1)
+    cx = CEComplex(sl2_patch(), None)
+    src, tgt = cx.window_basis(1, 0), cx.window_basis(2, 0)
     assert len(src) == 3 and len(tgt) == 3
-    assert mat.rank() == 3
+    assert cx.d_matrix(src, tgt).rank() == 3
 
 
 def test_jet_mode_formal_poincare_one_var():

@@ -144,9 +144,16 @@ def test_remap_embeds_into_larger_ring():
     assert q == parse_poly("b^2 + 2", ["a", "b", "t"])
 
 
-def test_scale_var_rational():
+def test_substitute_scales_and_fixes_variables():
     p = _p("x^2 + y")
-    assert p.scale_var(0, Fraction(1, 2)) == _p("1/4*x^2 + y")
+    assert p.substitute(2, [(0, Fraction(1, 2)), (1, 1)]) == _p("1/4*x^2 + y")
+    # x -> 3 * t, y -> 2 in one variable t, keeping the cap
+    q = _p("x^2 + x*y + y").truncate(3).substitute(1, [(0, 3), Fraction(2)])
+    assert q == parse_poly("9*t^2 + 6*t + 2", ["t"]) and q.cap == 3
+    # two coordinates onto one, and every coordinate fixed: the value
+    assert _p("x - y").substitute(1, [(0, 1), (0, 1)]).is_zero()
+    assert _p("x^2 + y").substitute(0, [Fraction(1, 2), -3]) == \
+        TruncatedPoly.const(0, Fraction(-11, 4))
 
 
 def test_scale_vars_by_symbolic_t():
