@@ -19,17 +19,24 @@ Two computation modes:
   differential is computed exactly from window N into window N + shift,
   so d after d is exactly zero; boundaries are intersected back into the
   window.  Betti numbers are reported per window with a stabilization
-  flag over the requested span.  One routine, `_windowed_row`, runs this
-  window loop N = a..b for jet mode and for the windowed weight strata
-  alike.  Everything stays on sparse rows until a
-  representative is printed.  The cocycles are the kernel read off the
+  flag over the requested span.  One routine, `_windowed_row`, gives the
+  windows N = a..b for jet mode and for the windowed weight strata alike.
+  The windows nest, so the ones below b are counted, not eliminated: one
+  degree-ordered pass per (degree, weight), memoized on the complex,
+  feeds d of the basis in ascending coefficient degree to one
+  `persistence_pairs` elimination over target columns numbered from the
+  highest coefficient degree down.  Its (source degree, pivot degree)
+  pairs give the rank of d on every window, and, read from the pass one
+  degree lower, the boundaries that land inside every window.  The last
+  window N = b is eliminated canonically and stays on sparse rows until a
+  representative is printed.  Its cocycles are the kernel read off the
   reduced sparse rows of d (`d_matrix`, which is built sparse and made
-  dense only for a reader of its rows).  The boundaries of one window
-  come from one sparse elimination: the rows d(eta) of all windowed
-  primitives, with the coordinates outside the window ordered first, so
-  the reduced rows pivoted inside the window span the images that vanish
-  outside it.  The cocycles are then reduced into that same echelon, and
-  only the accepted residuals, the representatives, are made dense.
+  dense only for a reader of its rows).  Its boundaries come from one
+  sparse elimination: the rows d(eta) of all windowed primitives, with the
+  coordinates outside the window ordered first, so the reduced rows
+  pivoted inside the window span the images that vanish outside it.  The
+  cocycles are then reduced into that same echelon, and only the accepted
+  residuals, the representatives, are made dense.
 
 Each complex compiles its static data once.  d applies, to each monomial
 cochain f e^I (x) f_beta, a term table built from the uncapped data on the
@@ -49,6 +56,7 @@ unique, whatever order the elimination took.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -57,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, persistence_pairs, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
@@ -65,6 +73,8 @@ BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibr
 Cochain = Dict[BasisElement, Fraction]
 # (derivative index or None, coefficient exponent, scalar, target wedge, target fibre)
 Term = Tuple[Optional[int], Exponent, Fraction, Tuple[int, ...], int]
+# (ascending basis degrees, persistence pairs as (source degree, pivot degree))
+DegreePass = Tuple[List[int], List[Tuple[int, int]]]
 
 
 def wedge_tuples(rank: int, q: int) -> List[Tuple[int, ...]]:
@@ -98,6 +108,8 @@ class CEComplex:
         self._bases: Dict[Tuple[int, int], List[BasisElement]] = {}
         self._buckets: Dict[Tuple[int, int], Dict[int, List[BasisElement]]] = {}
         self._d: Dict[BasisElement, Cochain] = {}
+        self._passes: Dict[Tuple[int, Optional[int], int], DegreePass] = {}
+        self._low_weight: Dict[int, Optional[int]] = {}
 
     # -- degrees and weights -----------------------------------------------------
 
@@ -161,8 +173,11 @@ class CEComplex:
         if self.a.n_vars > 0 and (ws is None or min(ws.weights) < 1):
             raise StructuralError("stratum is not finite; use a degree window")
         # each (wedge, fibre) needs monomial weight `weight` minus that of its constant
-        need = weight - min(map(self.element_weight, self._window(q, 0, None)), default=weight)
-        return list(self._window(q, max(need, 0), weight))
+        if q not in self._low_weight:
+            self._low_weight[q] = min(map(self.element_weight, self._window(q, 0, None)),
+                                      default=None)
+        low = self._low_weight[q]
+        return list(self._window(q, 0 if low is None else max(weight - low, 0), weight))
 
     # -- the differential -------------------------------------------------------------
 
@@ -233,6 +248,27 @@ class CEComplex:
                 rows[i][j] = val
         return QMatrix.of_sparse(rows, len(source))
 
+    def _degree_pass(self, q: int, weight: Optional[int], top: int) -> DegreePass:
+        """The coefficient degrees of the basis of C^q_{<=top}, ascending,
+        and the persistence pairs (source degree, pivot degree) of d on it.
+
+        d(e) enters one `persistence_pairs` pass in ascending coefficient
+        degree of e, over the target window numbered by (-coefficient
+        degree, canonical position), so every prefix of sources of degree
+        <= M has its reduced image pivoted at degree <= N exactly on the
+        part that vanishes above degree N.  Memoized per (q, weight, top)."""
+        key = (q, weight, top)
+        if key not in self._passes:
+            source = sorted(self._window(q, top, weight), key=_degree)
+            target = sorted(self._window(q + 1, top + self.degree_shift(), weight),
+                            key=lambda e: -_degree(e))
+            col = {elem: k for k, elem in enumerate(target)}
+            rows = ({col[c]: x for c, x in self.d_of_element(e).items()} for e in source)
+            self._passes[key] = ([_degree(e) for e in source],
+                                [(_degree(source[i]), _degree(target[p]))
+                                 for i, p in persistence_pairs(len(target), rows)])
+        return self._passes[key]
+
     # -- interior contraction (for the scaling homotopy) ------------------------------
 
     def contract_with(self, coeffs: Sequence[TruncatedPoly], elem: BasisElement) -> Cochain:
@@ -240,6 +276,11 @@ class CEComplex:
         mono, wedge, beta = elem
         return _apply([(None, m, -v if pos % 2 else v, wedge[:pos] + wedge[pos + 1:], beta)
                        for pos, i in enumerate(wedge) for m, v in coeffs[i].c.items()], mono)
+
+
+def _degree(elem: BasisElement) -> int:
+    """The coefficient degree of a basis element."""
+    return sum(elem[0])
 
 
 def _apply(terms: List[Term], mono: Exponent) -> Cochain:
@@ -365,18 +406,29 @@ def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
     the basis size of the last window.
 
     The betti estimate on window N counts cocycles with coefficients of
-    degree <= N modulo the boundaries of windowed primitives that land
-    inside the window.  The row is stabilized when the last s estimates
-    agree, and carries the representatives of the last window."""
+    degree <= N modulo the boundaries of windowed primitives, of degree
+    <= N + shift + 1, that land inside the window.  The windows below b
+    are counted off the persistence pairs of degrees q and q - 1
+    (`CEComplex._degree_pass`); the last window is eliminated canonically
+    and carries the representatives.  The row is stabilized when the last s
+    estimates agree."""
     start, end, span = window
     shift = cx.degree_shift()
     history: List[Tuple[int, int]] = []
-    for n_deg in range(start, end + 1):
-        basis = cx.window_basis(q, n_deg, weight)
-        d = cx.d_matrix(basis, cx.window_basis(q + 1, n_deg + shift, weight))
-        betti, reps = quotient_dim_and_reps(
-            d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis, shift))
-        history.append((n_deg, betti))
+    if start < end:
+        # sources up to (b - 1) + shift + 1 serve both degrees' windows below b
+        degrees, cocycle_pairs = cx._degree_pass(q, weight, end + shift)
+        boundary_pairs = cx._degree_pass(q - 1, weight, end + shift)[1] if q else []
+        for n_deg in range(start, end):
+            rank = sum(1 for src, _ in cocycle_pairs if src <= n_deg)
+            bounded = sum(1 for src, piv in boundary_pairs
+                          if src <= n_deg + shift + 1 and piv <= n_deg)
+            history.append((n_deg, bisect_right(degrees, n_deg) - rank - bounded))
+    basis = cx.window_basis(q, end, weight)
+    d = cx.d_matrix(basis, cx.window_basis(q + 1, end + shift, weight))
+    betti, reps = quotient_dim_and_reps(
+        d.echelon().kernel(), _window_boundaries(cx, q, end, weight, basis, shift))
+    history.append((end, betti))
     tail = [b for _, b in history[-span:]]
     reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
     return CohomologyRow(q, betti, weight, window, len(tail) == span and len(set(tail)) == 1,

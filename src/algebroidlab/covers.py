@@ -52,7 +52,7 @@ from .algebroid import (
 )
 from .cohomology import BasisElement, LieCohomology, lie_algebra_cohomology
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, _axpy
+from .linalg import QMatrix, SparseRow, _axpy, persistence_pairs
 from .ratpoly import minors
 
 T = TypeVar("T")
@@ -566,20 +566,15 @@ def _filtration_pairs(dc: CechDoubleComplex, n: int) -> List[Tuple[int, int]]:
     """Persistence pairs of the column filtration across D_n, as (source
     position in degree n, partner position in degree n + 1).
 
-    The columns of D_n enter one Echelon from the highest filtration column
-    down, and the rows of degree n + 1 are ordered by column ascending, so
-    the pivot of each accepted column is the lowest-column row its reduced
-    image can reach: its partner.
+    The columns of D_n enter `persistence_pairs` from the highest filtration
+    column down, and the rows of degree n + 1 are ordered by column
+    ascending, so the pivot of each accepted column is the lowest-column row
+    its reduced image can reach: its partner.
     """
     dmat = dc.total_matrix(n)
-    cols = dmat.sparse_columns()
-    ech = Echelon(dmat.nrows)
-    pairs = []
-    for j in reversed(range(dmat.ncols)):
-        new = ech.add(cols[j])
-        if new is not None:
-            pairs.append((j, min(new)))
-    return pairs
+    last = dmat.ncols - 1
+    return [(last - k, i)
+            for k, i in persistence_pairs(dmat.nrows, reversed(dmat.sparse_columns()))]
 
 
 def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:

@@ -8,11 +8,12 @@ and its dense `rows` are a read-out for reports.  `Echelon` is a reduced
 row echelon span over the same sparse rows: rank, kernel, image, rref,
 solve and inverse of a `QMatrix` are all one `Echelon` pass over its rows
 (augmented for solve and inverse).  `Echelon.kernel` reads the null space
-off the reduced rows, and `quotient_dim_and_reps` reduces sparse cycles
-against a boundary echelon.  The reduced row echelon form of a matrix is
-unique, so pivots, kernel and image bases, solutions, inverses and
-quotient representatives do not depend on the order of elimination and are
-reproducible byte for byte.
+off the reduced rows, `quotient_dim_and_reps` reduces sparse cycles
+against a boundary echelon, and `persistence_pairs` records the pivot of
+each accepted row of a filtration-ordered pass.  The reduced row echelon
+form of a matrix is unique, so pivots, kernel and image bases, solutions,
+inverses and quotient representatives do not depend on the order of
+elimination and are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -308,6 +309,24 @@ def _axpy(v: SparseRow, f: Fraction, row: SparseRow) -> None:
                 del v[c]
         else:
             v[c] = f * x
+
+
+def persistence_pairs(dim: int, rows: Iterable[SparseRow]) -> List[Tuple[int, int]]:
+    """(index, pivot) of every row that enlarges the span as the rows enter
+    one Echelon in order; the rows are consumed.
+
+    Fed in filtration order, with the columns numbered from the latest
+    filtration step down, the pivot of each accepted row is the earliest
+    coordinate its reduced image reaches: its persistence partner
+    (Edelsbrunner, Letscher and Zomorodian 2002).  The pivots of the
+    accepted rows of any prefix are the pivots of its reduced span."""
+    ech = Echelon(dim)
+    pairs = []
+    for i, row in enumerate(rows):
+        new = ech.add(row)
+        if new is not None:
+            pairs.append((i, min(new)))
+    return pairs
 
 
 def quotient_dim_and_reps(cycles: Iterable[SparseRow], boundaries: "Echelon"

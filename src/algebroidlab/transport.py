@@ -382,12 +382,14 @@ def _certified_maps(pf: PathFamily, t: Fraction, phi_f: Matrix,
     exact when they rationalize and carry the frozen fibre at time 0 to the
     one at t by the fibre-morphism check of `covers`, else the nearest
     bounded-denominator fractions; with both verdicts (exact, invertible).
-    A fibre map over a rank-0 frame is never certified: no frame element
-    constrains it."""
+    The fibre-morphism check is linear in the fibre map, so it never fixes
+    its scale; a fibre map is certified only where the flow fixes it: a
+    vanishing omega_rep keeps it the identity, which it must then equal."""
     phi_rows = _rationalize_matrix(phi_f)
     q_rows = _rationalize_matrix(q_f) if q_f is not None else None
     exact = (phi_rows is not None
-             and (q_f is None or (q_rows is not None and pf.rank > 0))
+             and (q_f is None or (q_rows == QMatrix.identity(pf.rep_rank).rows
+                                  and all(e.is_zero() for row in pf.omega_rep for e in row)))
              and _morphism_failure(ChartData(pf.algebra_at(0), pf.rep_at(0)),
                                    ChartData(pf.algebra_at(t), pf.rep_at(t)),
                                    QMatrix(phi_rows),

@@ -247,6 +247,19 @@ def test_stratum_basis_is_the_weight_filtered_window():
                     (a.name, q, w)
 
 
+def test_stratum_basis_weighs_each_basis_element_once(monkeypatch):
+    weighed = []
+    weigh = CEComplex.element_weight
+    monkeypatch.setattr(CEComplex, "element_weight",
+                        lambda self, elem: weighed.append(elem) or weigh(self, elem))
+    cx = CEComplex(product_with_tangent(sl2_patch(), ("y",), 5, (1,)))
+    strata = [[cx.stratum_basis(q, w) for w in range(-3, 5)] for q in range(6)]
+    first = len(weighed)
+    assert first
+    assert [[cx.stratum_basis(q, w) for w in range(-3, 5)] for q in range(6)] == strata
+    assert len(weighed) == first
+
+
 # -- constant frame changes -------------------------------------------------------------------
 
 

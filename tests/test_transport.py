@@ -169,6 +169,19 @@ def test_transport_with_moving_representation():
     assert tr.mon is None
 
 
+def test_rep_frame_moved_by_a_nonzero_generator_is_never_certified():
+    # vanishing gammas: every multiple of the rep frame passes the
+    # intertwining check, so nothing pins q = exp(t) to a fraction
+    pf = PathFamily.from_brackets(2, {}, [[0, 0], [0, 0]], gammas=[[["0"]], [["0"]]],
+                                  omega_rep=[["1"]])
+    tr = parallel_transport(pf)
+    assert not tr.exact and tr.is_loop and tr.mon is not None
+    assert tr.phi.rows == [[F(1), F(0)], [F(0), F(1)]]
+    assert abs(float(tr.q_rep.rows[0][0]) - math.e) < 1e-6
+    report = trivialize_via_transport(pf)
+    assert report.ok and not any(cp.exact for cp in report.checkpoints)
+
+
 def test_reverse_composition_is_identity():
     for pf in (_nilpotent_family(), _sl2_conjugation_family()):
         fwd = parallel_transport(pf, tol=1e-8)

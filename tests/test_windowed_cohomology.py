@@ -1,24 +1,32 @@
-"""Windowed boundaries, the memoized differential and their guards."""
+"""Windowed boundaries, the memoized differential, the degree-ordered
+window pass and their guards."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algebroidlab.algebroid import LieAlgebroidPatch, adjoint_representation
-from algebroidlab.cohomology import (CEComplex, _boundaries, _window_boundaries, format_cochain,
-                                     jet_cohomology, weight_cohomology)
+from algebroidlab.cohomology import (CEComplex, CohomologyRow, _boundaries, _window_boundaries,
+                                     _windowed_row, format_cochain, jet_cohomology,
+                                     weight_cohomology)
 from algebroidlab.errors import StructuralError
 from algebroidlab.library import (
+    abelian_patch,
+    euler_vector_field_patch,
     heisenberg_patch,
     poisson_disc_patch,
     product_with_tangent,
     sl2_patch,
     tangent_patch,
 )
-from algebroidlab.linalg import Echelon, QMatrix
+from algebroidlab.linalg import Echelon, QMatrix, quotient_dim_and_reps
+from algebroidlab.modelfile import parse_model
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
 from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient
@@ -26,16 +34,21 @@ from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient
 SLOPES = (F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
 
 
-def _affine_patch(slopes, jet_order: int) -> LieAlgebroidPatch:
-    """Transitive patch e1 = d_x + sum_k a_k y_k d_{y_k}, e_{k+1} = d_{y_k},
-    with [e1, e_{k+1}] = -a_k e_{k+1}; weight 0 on x and 1 on every y_k."""
+def _affine_patch(slopes, jet_order: int, dx=(1,)) -> LieAlgebroidPatch:
+    """Patch e1 = f(x) d_x + sum_k a_k y_k d_{y_k}, e_{k+1} = d_{y_k}, with
+    [e1, e_{k+1}] = -a_k e_{k+1}; weight 0 on x and 1 on every y_k.  dx
+    lists the coefficients of f = sum_i dx[i] x^i; f = 1 makes it transitive,
+    and a quadratic f gives the differential a positive degree shift."""
     n = 1 + len(slopes)
 
     def c(v):
         return TruncatedPoly.const(n, v, jet_order)
 
     z = c(0)
-    anchor = [[c(1)] + [TruncatedPoly.monomial(n, tuple(int(i == k + 1) for i in range(n)),
+    f = z
+    for i, v in enumerate(dx):
+        f = f + TruncatedPoly.monomial(n, (i,) + (0,) * (n - 1), v, jet_order)
+    anchor = [[f] + [TruncatedPoly.monomial(n, tuple(int(i == k + 1) for i in range(n)),
                                                a, jet_order)
                         for k, a in enumerate(slopes)]]
     anchor += [[c(1) if l == k + 1 else z for l in range(n)] for k in range(n - 1)]
@@ -245,3 +258,137 @@ def test_cached_cochains_are_not_mutated_by_callers(monkeypatch):
         fresh = CEComplex(cx.a, cx.rho)
         for elem, cochain in cx._d.items():
             assert cochain == fresh.d_of_element(elem), (cx.a.name, elem)
+
+
+# -- the degree-ordered pass against the per-window loop ----------------------------------
+
+
+def _per_window_row(cx, q, weight, window):
+    """The per-window loop that the degree-ordered pass replaced, kept as its
+    oracle: both eliminations redone in full on every window N = a..b."""
+    start, end, span = window
+    shift = cx.degree_shift()
+    history = []
+    for n_deg in range(start, end + 1):
+        basis = cx.window_basis(q, n_deg, weight)
+        d = cx.d_matrix(basis, cx.window_basis(q + 1, n_deg + shift, weight))
+        betti, reps = quotient_dim_and_reps(
+            d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis, shift))
+        history.append((n_deg, betti))
+    tail = [b for _, b in history[-span:]]
+    reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
+    return CohomologyRow(q, betti, weight, window, len(tail) == span and len(set(tail)) == 1,
+                         exact=False, history=history, representatives=reps_str), len(basis)
+
+
+def _assert_rows_match(a, rho, window, degrees, weights=(None,)):
+    """`_windowed_row` equals the per-window loop (row and basis size) on
+    every (degree, weight); one complex serves all of them, as in the
+    reports, so its memoized passes are shared across degrees."""
+    cx = CEComplex(a, rho)
+    for q in degrees:
+        for w in weights:
+            want = _per_window_row(CEComplex(a, rho), q, w, window)
+            assert _windowed_row(cx, q, w, window) == want, (a.name, q, w, window)
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def _tier1_patches():
+    """The patches of the shipped models, each with its representations,
+    and the library and affine patches that the tier-1 tests window."""
+    for path in sorted(MODELS.glob("*.alab")):
+        model = parse_model(str(path))
+        for a in model.algebroids.values():
+            yield a, None
+        for rho in model.representations.values():
+            yield rho.algebroid, rho
+    sl2, heis = sl2_patch(), heisenberg_patch()
+    yield sl2, adjoint_representation(sl2)
+    yield heis, adjoint_representation(heis)
+    yield abelian_patch(3), None
+    yield euler_vector_field_patch(5), None
+    yield poisson_disc_patch(5), None
+    yield tangent_patch(("x", "y"), 6), None
+    yield tangent_patch(("x", "y"), 6, (1, 2)), None
+    for fibre in (sl2, heis):
+        yield product_with_tangent(fibre, ("y",), 5, (1,)), None
+    yield product_with_tangent(heis, ("y", "z"), 4, (1, 2)), None
+    yield _affine_patch([F(2)], 6), None
+    yield _affine_patch([F(-1, 2), F(1)], 5), None
+
+
+def test_windowed_rows_match_per_window_loop_on_tier1_patches():
+    seen = 0
+    for a, rho in _tier1_patches():
+        for window in ((0, 3, 2), (1, 4, 3), (2, 2, 1)):
+            _assert_rows_match(a, rho, window, range(a.rank + 2))
+        seen += 1
+    assert seen >= 15
+
+
+def test_weight_strata_rows_match_per_window_loop():
+    for a in (_affine_patch([F(2)], 6), _affine_patch([F(-1, 2), F(1)], 5),
+              product_with_tangent(sl2_patch(), ("y",), 5, (0,))):
+        for window in ((0, 3, 2), (1, 4, 3)):
+            _assert_rows_match(a, None, window, range(a.rank + 1), weights=range(-2, 3))
+
+
+def test_reports_match_per_window_loop():
+    a = _affine_patch([F(2)], 6)
+    rows = 0
+    for rep in (jet_cohomology(a, window=(1, 4, 2)), weight_cohomology(a, window=(0, 3, 2))):
+        for row in rep.rows:
+            assert row == _per_window_row(CEComplex(a), row.degree, row.weight, row.window)[0]
+            rows += 1
+    assert rows >= 6
+
+
+_FIBRES = {"sl2": sl2_patch(), "heisenberg": heisenberg_patch(), "abelian2": abelian_patch(2)}
+
+
+@st.composite
+def _windowed_cases(draw):
+    """A patch, a window starting at 0 or 1, a degree and, for a weight
+    stratum, a weight.  An affine patch with a quadratic d_x coefficient has
+    degree shift 1, every other drawn patch shift 0."""
+    if draw(st.booleans()):
+        slopes = draw(st.lists(st.sampled_from(SLOPES), min_size=1, max_size=2))
+        dx = draw(st.sampled_from([(1,), (1, 1), (0, 1), (1, 0, 1), (0, 0, 1), (2, F(-1, 2), 3)]))
+        a = _affine_patch(slopes, 5, dx)
+    else:
+        fibre = _FIBRES[draw(st.sampled_from(sorted(_FIBRES)))]
+        var_weights = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+        a = product_with_tangent(fibre, ("y", "z")[:len(var_weights)], 4, var_weights)
+    start = draw(st.integers(0, 1))
+    end = draw(st.integers(start, start + 3))
+    window = (start, end, draw(st.integers(1, 3)))
+    q = draw(st.integers(0, a.rank))
+    weight = draw(st.one_of(st.none(), st.integers(-2, 2)))
+    return a, window, q, weight
+
+
+@settings(max_examples=320, deadline=None, derandomize=True, database=None)
+@given(_windowed_cases())
+def test_windowed_row_matches_per_window_loop_hypothesis(case):
+    a, window, q, weight = case
+    _assert_rows_match(a, None, window, [q], [weight])
+
+
+def test_jet_history_costs_no_elimination_per_window(monkeypatch):
+    made = []
+    init = Echelon.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Echelon, "__init__", counting_init)
+    counts = []
+    for window in ((2, 3, 2), (2, 8, 2)):
+        made.clear()
+        rep = jet_cohomology(tangent_patch(("x", "y"), 8), window=window)
+        assert [row.betti for row in rep.rows] == [1, 0, 0]
+        counts.append(len(made))
+    assert 0 < counts[1] <= counts[0], counts
