@@ -391,15 +391,6 @@ def _boundaries(cx: CEComplex, primitives: List[BasisElement],
     return ech
 
 
-def _window_boundaries(cx: CEComplex, q: int, n_deg: int, weight: Optional[int],
-                       basis_q: List[BasisElement], shift: int) -> Echelon:
-    """`_boundaries` of the degree-(q-1) primitives with coefficients of
-    degree <= n_deg + shift + 1 into the window basis_q.  shift bounds the
-    degree increase of the differential."""
-    primitives = cx.window_basis(q - 1, n_deg + shift + 1, weight) if q else []
-    return _boundaries(cx, primitives, basis_q)
-
-
 def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
                   window: Tuple[int, int, int]) -> Tuple[CohomologyRow, int]:
     """Degree-q row over the jet windows N = a..b of window (a, b, s), and
@@ -426,8 +417,8 @@ def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
             history.append((n_deg, bisect_right(degrees, n_deg) - rank - bounded))
     basis = cx.window_basis(q, end, weight)
     d = cx.d_matrix(basis, cx.window_basis(q + 1, end + shift, weight))
-    betti, reps = quotient_dim_and_reps(
-        d.echelon().kernel(), _window_boundaries(cx, q, end, weight, basis, shift))
+    primitives = cx.window_basis(q - 1, end + shift + 1, weight) if q else []
+    betti, reps = quotient_dim_and_reps(d.echelon().kernel(), _boundaries(cx, primitives, basis))
     history.append((end, betti))
     tail = [b for _, b in history[-span:]]
     reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
@@ -559,8 +550,8 @@ def lie_algebra_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] =
     betti: List[int] = []
     reps: List[List[List[Fraction]]] = []
     for q in range(r + 1):
-        boundaries = mats[q - 1].column_echelon() if q else Echelon(len(bases[0]))
-        b, rp = quotient_dim_and_reps(mats[q].echelon().kernel(), boundaries)
+        b, rp = quotient_dim_and_reps(mats[q].echelon().kernel(),
+                                      _boundaries(cx, bases[q - 1] if q else [], bases[q]))
         betti.append(b)
         reps.append(rp)
     return LieCohomology(betti, bases[:r + 1], mats, reps)

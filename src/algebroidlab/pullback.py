@@ -31,8 +31,8 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, _submersion_ranks, kernel_subalgebroid
-from .cohomology import (CEComplex, _check_window, _degree_list, _weight_cohomology,
-                         _window_boundaries, weight_cohomology)
+from .cohomology import (CEComplex, _boundaries, _check_window, _degree_list,
+                         _weight_cohomology, weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import SparseRow, _axpy, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, WeightAssignment, minors, poly_matrix_rank
@@ -64,6 +64,12 @@ class TransversalityReport:
     certificate: Optional[List[List[Fraction]]] = None
 
 
+def _slice_images(n: int, keep: Sequence[int]) -> List[Tuple]:
+    """Coordinate images of the slice: x_l -> y_(position of l in keep) for
+    a kept l, x_l -> 0 otherwise."""
+    return [(1, (keep.index(l),)) if l in keep else (0, ()) for l in range(n)]
+
+
 def _slice_block(a: LieAlgebroidPatch, removed: Sequence[int], keep: Sequence[int]
                  ) -> List[List[TruncatedPoly]]:
     """Removed-coordinate components of the anchor, restricted to the slice.
@@ -71,7 +77,9 @@ def _slice_block(a: LieAlgebroidPatch, removed: Sequence[int], keep: Sequence[in
     Rows are removed coordinates, columns frame elements; entries live in
     the slice ring (kept variables only).
     """
-    return [[a.anchor[i][l].restrict(keep) for i in range(a.rank)] for l in removed]
+    images = _slice_images(a.n_vars, keep)
+    return [[a.anchor[i][l].substitute(len(keep), images) for i in range(a.rank)]
+            for l in removed]
 
 
 def _positive_weight(a: LieAlgebroidPatch) -> List[int]:
@@ -161,8 +169,8 @@ def pullback_structured(phi: StructuredMap, a: LieAlgebroidPatch,
     if phi.kind == "point":
         trans = _require_transverse(phi, a, "anchor is not surjective at the point")
         pt = phi.at if phi.at else tuple(Fraction(0) for _ in range(n))
-        out, rho2, _, _ = _pullback(a, rho, (), None, pt, _named(a, "isotropy"), False,
-                                    isotropy=True)
+        out, rho2, _, _ = _pullback(a, rho, (), None, [(v, ()) for v in pt],
+                                    _named(a, "isotropy"), False, isotropy=True)
         note = [f"isotropy rank {out.rank} at {tuple(str(v) for v in pt)}"]
         return out, rho2, PullbackReport("point", out.rank, trans, note)
 
@@ -174,7 +182,7 @@ def pullback_structured(phi: StructuredMap, a: LieAlgebroidPatch,
         if phi.fibre_weights is not None and (a.weights is not None or n == 0):
             base_w = a.weights.weights if a.weights is not None else ()
             weights = WeightAssignment(base_w + tuple(phi.fibre_weights))
-        out, rho2, _, _ = _pullback(a, rho, names, weights, [(l, 1) for l in range(n)],
+        out, rho2, _, _ = _pullback(a, rho, names, weights, [(1, (l,)) for l in range(n)],
                                     _named(a, "lift"), weights is not None)
         note = [f"lifted frame ({a.rank}) plus fibre tangent frame ({len(phi.fibre_names)})"]
         return out, rho2, PullbackReport("projection", out.rank, TransversalityReport(True), note)
@@ -183,7 +191,7 @@ def pullback_structured(phi: StructuredMap, a: LieAlgebroidPatch,
         scaled = _rescaled(phi, a)
         t = Fraction(phi.t)
         if t:
-            images = [(l, t if l in scaled else 1) for l in range(n)]
+            images = [(t if l in scaled else 1, (l,)) for l in range(n)]
             name = (a.name + f".rescale({t})") if a.name else "rescale"
             out, rho2, _, _ = _pullback(a, rho, a.var_names, a.weights, images, name,
                                         a.frame_weights is not None)
@@ -223,8 +231,7 @@ def _zero_chart(a: LieAlgebroidPatch, keep: Sequence[int], lifted: Sequence[int]
     chart = list(keep) + list(lifted)
     weights = WeightAssignment(tuple(a.weights.weights[l] for l in chart)) \
         if a.weights is not None else None
-    images = [(keep.index(l), 1) if l in keep else 0 for l in range(a.n_vars)]
-    return tuple(a.var_names[l] for l in chart), weights, images
+    return tuple(a.var_names[l] for l in chart), weights, _slice_images(a.n_vars, keep)
 
 
 def _pullback_slice(phi: StructuredMap, a: LieAlgebroidPatch,
@@ -327,12 +334,11 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
     # (ii) scale maps: work in variables (x, y, t).
     nt = n + 1
     t_idx = n
-    mapping = list(range(n))
+    m_t = [(1, (l, t_idx) if l in scaled else (l,)) for l in range(n)]
 
     def at_scaled(p: TruncatedPoly) -> TruncatedPoly:
         # p(x, t*y) as an exact polynomial in (x, y, t)
-        return p.truncate(None).remap(nt, mapping).scale_vars_by_var(
-            [l for l in scaled], t_idx)
+        return p.truncate(None).substitute(nt, m_t)
 
     zt = TruncatedPoly.zero(nt)
     onet = TruncatedPoly.const(nt, 1)
@@ -356,29 +362,22 @@ def rescaling_family(a: LieAlgebroidPatch) -> RescalingReport:
 
     # (iii) fibrewise transversality over the t-line: the time direction is
     # reachable iff the fibre coordinate vector lies in the span of t-scaled
-    # fibre units and the scaled-coordinate anchor block.
+    # fibre units and the scaled-coordinate anchor block (the last column is
+    # that target), on the generic stratum and with t -> 0 substituted.
     fib_rows = [[(tvar if li == lj else zt) for lj in range(len(scaled))]
-                + [at_scaled(a.anchor[i][scaled[li]]) for i in range(a.rank)]
-                for li in range(len(scaled))]
-    y_col = [TruncatedPoly.var(nt, scaled[li]) for li in range(len(scaled))]
-    rank_no_y = poly_matrix_rank(fib_rows)
-    rank_with_y = poly_matrix_rank([row + [y_col[li]] for li, row in enumerate(fib_rows)])
-    strata.append({"check": "family_fibres", "stratum": "generic (x, y, t)",
-                   "rank": rank_no_y, "rank_with_target": rank_with_y})
-    verdict_iii = rank_no_y == rank_with_y
-
-    # t = 0 stratum of the same system: anchor at (x, 0), kept at arity n.
-    at_zero = [0 if l in scaled else (l, 1) for l in range(n)]
-    rows0 = [[TruncatedPoly.zero(n)] * len(scaled)
-             + [a.anchor[i][scaled[li]].truncate(None).substitute(n, at_zero)
-                for i in range(a.rank)]
-             for li in range(len(scaled))]
-    ycol0 = [TruncatedPoly.var(n, scaled[li]) for li in range(len(scaled))]
-    rank0_no_y = poly_matrix_rank(rows0)
-    rank0_with_y = poly_matrix_rank([row + [ycol0[li]] for li, row in enumerate(rows0)])
-    strata.append({"check": "family_fibres", "stratum": "t = 0",
-                   "rank": rank0_no_y, "rank_with_target": rank0_with_y})
-    verdict_iii = verdict_iii and (rank0_no_y == rank0_with_y)
+                + [at_scaled(a.anchor[i][l]) for i in range(a.rank)]
+                + [TruncatedPoly.var(nt, l)]
+                for li, l in enumerate(scaled)]
+    t_to_zero = [(1, (l,)) for l in range(n)] + [(0, ())]
+    verdict_iii = True
+    for label, rows in (("generic (x, y, t)", fib_rows),
+                        ("t = 0", [[e.substitute(n, t_to_zero) for e in row]
+                                   for row in fib_rows])):
+        rank_no_y = poly_matrix_rank([row[:-1] for row in rows])
+        rank_with_y = poly_matrix_rank(rows)
+        strata.append({"check": "family_fibres", "stratum": label,
+                       "rank": rank_no_y, "rank_with_target": rank_with_y})
+        verdict_iii = verdict_iii and rank_no_y == rank_with_y
 
     agree = verdict_i == verdict_ii == verdict_iii
     if not agree:
@@ -512,10 +511,11 @@ def _restrict_cochain(a: LieAlgebroidPatch, vec: SparseRow, basis: List, q: int,
 
     minor(jt, wedge) is the frame-coefficient minor at slice frame rows jt
     and big frame columns wedge; index numbers the slice window basis."""
+    images = _slice_images(a.n_vars, keep)
     out: SparseRow = {}
     for j, coeff in vec.items():
         mono, wedge, beta = basis[j]
-        mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).restrict(keep)
+        mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).substitute(len(keep), images)
         if mono_slice.is_zero():
             continue
         for jt in combinations(range(r2), q):
@@ -553,7 +553,8 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # slice side: one boundary echelon at the larger shift serves both
         # the slice betti number (on a copy) and the restriction rank
         basis_s = slice_cx.window_basis(q, end)
-        bnd_ech = _window_boundaries(slice_cx, q, end, None, basis_s, shift)
+        bnd_ech = _boundaries(slice_cx, slice_cx.window_basis(q - 1, end + shift + 1)
+                              if q else [], basis_s)
         d_s = slice_cx.d_matrix(basis_s, slice_cx.window_basis(q + 1, end + shift))
         betti_s, _ = quotient_dim_and_reps(d_s.echelon().kernel(), bnd_ech.copy())
         # total side: sum the weight strata at the same degree

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 
@@ -244,77 +244,32 @@ class TruncatedPoly:
             total += term
         return total
 
-    def restrict(self, keep: Sequence[int]) -> "TruncatedPoly":
-        """Set all variables not in ``keep`` to zero and drop them.
+    def substitute(self, n_new: int, images: Sequence[Tuple]) -> "TruncatedPoly":
+        """Compose with a monomial coordinate map from a ring with n_new
+        variables.
 
-        The result has len(keep) variables, in the order given.
-        """
-        keep = list(keep)
-        dropped = [i for i in range(self.n) if i not in keep]
-        out: Dict[Exponent, Fraction] = {}
-        for mono, val in self.c.items():
-            if any(mono[i] for i in dropped):
-                continue
-            out[tuple(mono[i] for i in keep)] = val
-        return TruncatedPoly(len(keep), out, self.cap)
-
-    def remap(self, n_new: int, mapping: Sequence[int]) -> "TruncatedPoly":
-        """Embed into a polynomial ring with n_new variables.
-
-        mapping[i] is the new index of old variable i.
-        """
-        if len(mapping) != self.n:
-            raise ValueError("mapping has wrong arity")
-        out: Dict[Exponent, Fraction] = {}
-        for mono, val in self.c.items():
-            exp = [0] * n_new
-            for old_i, e in enumerate(mono):
-                if e:
-                    exp[mapping[old_i]] += e
-            out[tuple(exp)] = val
-        return TruncatedPoly(n_new, out, self.cap)
-
-    def substitute(self, n_new: int, images: Sequence) -> "TruncatedPoly":
-        """Compose with a coordinate map from a ring with n_new variables.
-
-        images[i] is (l, s) when x_i -> s * y_l, or a rational constant c
-        when x_i -> c.  Keeps the cap.
+        images[i] = (s, idxs) sends x_i to s * prod(y_l for l in idxs), and
+        to the constant s when idxs is empty.  Keeps the cap.
         """
         if len(images) != self.n:
             raise ValueError("images have wrong arity")
         out: Dict[Exponent, Fraction] = {}
         for mono, val in self.c.items():
             exp = [0] * n_new
-            for im, e in zip(images, mono):
-                if not e:
-                    continue
-                if isinstance(im, tuple):
-                    exp[im[0]] += e
-                    im = im[1]
-                val = val * Fraction(im) ** e
-            mono2 = tuple(exp)
-            out[mono2] = out.get(mono2, QZERO) + val
-        return TruncatedPoly(n_new, out, self.cap)
-
-    def scale_vars_by_var(self, idxs: Iterable[int], t_idx: int) -> "TruncatedPoly":
-        """Substitute x_l -> t * x_l for every l in idxs, with t = variable t_idx.
-
-        Used to express rescaling maps symbolically; the cap is dropped so
-        the substitution is exact.
-        """
-        idxs = set(idxs)
-        out: Dict[Exponent, Fraction] = {}
-        for mono, val in self.c.items():
-            shift = sum(mono[l] for l in idxs)
-            new = list(mono)
-            new[t_idx] += shift
-            mono2 = tuple(new)
-            s = out.get(mono2, QZERO) + val
-            if s == 0:
-                out.pop(mono2, None)
+            for (s, idxs), e in zip(images, mono):
+                if e:
+                    if not s:
+                        break   # the term vanishes
+                    if s != 1:
+                        val = val * Fraction(s) ** e
+                    for l in idxs:
+                        exp[l] += e
             else:
-                out[mono2] = s
-        return TruncatedPoly(self.n, out, None)
+                mono2 = tuple(exp)
+                out[mono2] = out[mono2] + val if mono2 in out else val
+        cap = self.cap
+        return TruncatedPoly._wrap(n_new, {m: v for m, v in out.items()
+                                           if v and (cap is None or sum(m) <= cap)}, cap)
 
     # -- weight grading --------------------------------------------------------
 

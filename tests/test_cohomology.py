@@ -16,6 +16,7 @@ from algebroidlab.algebroid import (
 from algebroidlab.cohomology import (
     CEComplex,
     cohomology,
+    format_cochain,
     jet_cohomology,
     lie_algebra_cohomology,
     weight_cohomology,
@@ -87,10 +88,22 @@ def test_heisenberg_betti():
 
 
 def test_lie_algebra_fast_path_agrees():
-    for patch in (sl2_patch(), heisenberg_patch(), abelian_patch(3)):
-        fast = lie_algebra_cohomology(patch)
-        slow = weight_cohomology(patch).betti_by_degree()
-        assert fast.betti == [slow.get(q, 0) for q in range(patch.rank + 1)]
+    # with no variables weight mode is the full CE complex too: the same
+    # betti numbers and formatted representatives, degree by degree
+    cases = 0
+    for patch in (sl2_patch(), heisenberg_patch(), abelian_patch(3), abelian_patch(1)):
+        for rho in (None, adjoint_representation(patch), trivial_representation(patch, 2)):
+            fast = lie_algebra_cohomology(patch, rho)
+            slow = weight_cohomology(patch, rho)
+            fibre_rank = 1 if rho is None else rho.rank
+            for q in range(patch.rank + 1):
+                rows = [row for row in slow.rows if row.degree == q]
+                assert fast.betti[q] == sum(row.betti for row in rows), (patch.name, rho, q)
+                assert [format_cochain(v, fast.bases[q], (), fibre_rank)
+                        for v in fast.representatives[q]] == \
+                    [rep for row in rows for rep in row.representatives], (patch.name, rho, q)
+            cases += 1
+    assert cases == 12
 
 
 def test_sl2_degree_one_differential_has_rank_three():

@@ -38,7 +38,6 @@ from algebroidlab.pullback import (
     TransversalityReport,
     _pullback_slice,
     _restrict_cochain,
-    _slice_block,
     euler_homotopy_verify,
     pullback_structured,
     rescaling_family,
@@ -48,6 +47,7 @@ from algebroidlab.pullback import (
 )
 from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, minors, parse_poly
+from test_ratpoly import _reference_remap, _reference_restrict
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -538,6 +538,21 @@ def test_rescale_polynomial_substitution():
 # -- rescaling equivalences ---------------------------------------------------------------
 
 
+def _rescaling_strata(n, block_rank, needed):
+    """The strata of rescaling_family on n coordinates, `needed` of them
+    scaled, when the scaled anchor block has rank block_rank at the origin
+    and generically: every scale map and the generic fibre have full rank,
+    and the t = 0 fibre reaches its target iff the block has full rank."""
+    block = {"origin_rank": block_rank, "generic_rank": block_rank, "needed": needed}
+    fibres = ((needed, needed), (block_rank, min(block_rank + 1, needed)))
+    return ([{"check": "zero_section", **block},
+             {"check": "scale_maps", "stratum": "generic (x, y, t)", "rank": n, "needed": n},
+             {"check": "scale_maps", "stratum": "t = 0", **block}]
+            + [{"check": "family_fibres", "stratum": label, "rank": rank,
+                "rank_with_target": with_target}
+               for label, (rank, with_target) in zip(("generic (x, y, t)", "t = 0"), fibres)])
+
+
 def test_rescaling_family_weighted_product():
     a = product_with_tangent(sl2_patch(), ("y",), 5, (1,))
     rep = rescaling_family(a)
@@ -545,12 +560,14 @@ def test_rescaling_family_weighted_product():
     assert rep.zero_section_transverse
     assert rep.all_scales_transverse
     assert rep.family_fibrewise_transverse
+    assert rep.strata == _rescaling_strata(1, 1, 1)
 
 
 def test_rescaling_family_mixed_weights():
     a = tangent_patch(("x", "y"), 5, weights=(0, 1))
     rep = rescaling_family(a)
     assert rep.agree and rep.zero_section_transverse
+    assert rep.strata == _rescaling_strata(2, 1, 1)
 
 
 def test_rescaling_family_euler_line_fails_consistently():
@@ -560,6 +577,7 @@ def test_rescaling_family_euler_line_fails_consistently():
     assert not rep.zero_section_transverse
     assert not rep.all_scales_transverse
     assert not rep.family_fibrewise_transverse
+    assert rep.strata == _rescaling_strata(1, 0, 1)
 
 
 def test_rescaling_family_randomized_one_fibre():
@@ -586,6 +604,7 @@ def test_rescaling_family_randomized_one_fibre():
         rep = rescaling_family(a)
         assert rep.agree
         assert rep.zero_section_transverse == (coeffs[0] != 0)
+        assert rep.strata == _rescaling_strata(2, int(coeffs[0] != 0), 1)
 
 
 def test_rescaling_family_randomized_constant_block():
@@ -610,6 +629,7 @@ def test_rescaling_family_randomized_constant_block():
         rep = rescaling_family(a)
         assert rep.agree
         assert rep.zero_section_transverse == full
+        assert rep.strata == _rescaling_strata(2, QMatrix(b).rank(), 2)
 
 
 # -- scaling homotopy -------------------------------------------------------------------
@@ -716,7 +736,7 @@ def _reference_restrict_cochain(a, vec, basis, q, keep, frame, slice_basis):
     out = {}
     for j, coeff in vec.items():
         mono, wedge, beta = basis[j]
-        mono_slice = TruncatedPoly.monomial(a.n_vars, mono, 1).restrict(keep)
+        mono_slice = _reference_restrict(TruncatedPoly.monomial(a.n_vars, mono, 1), keep)
         if mono_slice.is_zero():
             continue
         for jt in combinations(range(len(frame)), q):
@@ -891,7 +911,7 @@ def _reference_projection(phi: StructuredMap, a: LieAlgebroidPatch,
     mapping = list(range(n))
     z = TruncatedPoly.zero(n2, cap)
     one = TruncatedPoly.const(n2, 1, cap)
-    anchor = [[a.anchor[i][l].remap(n2, mapping).truncate(cap) for l in range(n)]
+    anchor = [[_reference_remap(a.anchor[i][l], n2, mapping).truncate(cap) for l in range(n)]
               + [z] * extra for i in range(r)]
     anchor += [[one if l == n + f else z for l in range(n2)] for f in range(extra)]
     r2 = r + extra
@@ -899,7 +919,8 @@ def _reference_projection(phi: StructuredMap, a: LieAlgebroidPatch,
     for i in range(r):
         for j in range(r):
             for k in range(r):
-                structure[i][j][k] = a.structure[i][j][k].remap(n2, mapping).truncate(cap)
+                structure[i][j][k] = _reference_remap(a.structure[i][j][k], n2,
+                                                      mapping).truncate(cap)
     weights = None
     fw = None
     if phi.fibre_weights is not None and (a.weights is not None or n == 0):
@@ -912,7 +933,7 @@ def _reference_projection(phi: StructuredMap, a: LieAlgebroidPatch,
     rho2 = None
     if rho is not None:
         m = rho.rank
-        gam = [[[rho.gammas[i][al][be].remap(n2, mapping).truncate(cap)
+        gam = [[[_reference_remap(rho.gammas[i][al][be], n2, mapping).truncate(cap)
                  for be in range(m)] for al in range(m)] for i in range(r)]
         zg = TruncatedPoly.zero(n2, cap)
         gam += [[[zg for _ in range(m)] for _ in range(m)] for _ in range(extra)]
@@ -939,7 +960,7 @@ def _reference_slice(phi: StructuredMap, a: LieAlgebroidPatch,
     names = tuple(a.var_names[l] for l in keep)
 
     def res(p: TruncatedPoly) -> TruncatedPoly:
-        return p.restrict(keep).truncate(cap)
+        return _reference_restrict(p, keep).truncate(cap)
 
     # Restricted big algebroid over the slice ring: anchor keeps only slice
     # columns (kernel sections have no removed components on the slice).
@@ -947,7 +968,8 @@ def _reference_slice(phi: StructuredMap, a: LieAlgebroidPatch,
         names, cap, r, [[res(a.anchor[i][l]) for l in keep] for i in range(r)],
         [[[res(e) for e in col] for col in plane] for plane in a.structure])
     k = kernel_subalgebroid(
-        big, _slice_block(a, removed, keep), a.certified_order(),
+        big, [[_reference_restrict(a.anchor[i][l], keep) for i in range(r)] for l in removed],
+        a.certified_order(),
         None if rho is None else [[[res(g) for g in row] for row in gam]
                                   for gam in rho.gammas])
     weights = WeightAssignment(tuple(a.weights.weights[l] for l in keep)) \

@@ -130,36 +130,135 @@ def test_truncation_consistency_random():
         assert full.c == jet.c
 
 
-# -- substitution and restriction ------------------------------------------------
+# -- substitution -----------------------------------------------------------------
+
+def _reference_restrict(p, keep):
+    """Set all variables not in ``keep`` to zero and drop them.
+
+    The result has len(keep) variables, in the order given.
+    """
+    keep = list(keep)
+    dropped = [i for i in range(p.n) if i not in keep]
+    out = {}
+    for mono, val in p.c.items():
+        if any(mono[i] for i in dropped):
+            continue
+        out[tuple(mono[i] for i in keep)] = val
+    return TruncatedPoly(len(keep), out, p.cap)
+
+
+def _reference_remap(p, n_new, mapping):
+    """Embed into a polynomial ring with n_new variables.
+
+    mapping[i] is the new index of old variable i.
+    """
+    if len(mapping) != p.n:
+        raise ValueError("mapping has wrong arity")
+    out = {}
+    for mono, val in p.c.items():
+        exp = [0] * n_new
+        for old_i, e in enumerate(mono):
+            if e:
+                exp[mapping[old_i]] += e
+        out[tuple(exp)] = val
+    return TruncatedPoly(n_new, out, p.cap)
+
+
+def _reference_scale_vars_by_var(p, idxs, t_idx):
+    """Substitute x_l -> t * x_l for every l in idxs, with t = variable t_idx.
+
+    Used to express rescaling maps symbolically; the cap is dropped so
+    the substitution is exact.
+    """
+    idxs = set(idxs)
+    out = {}
+    for mono, val in p.c.items():
+        shift = sum(mono[l] for l in idxs)
+        new = list(mono)
+        new[t_idx] += shift
+        mono2 = tuple(new)
+        s = out.get(mono2, Fraction(0)) + val
+        if s == 0:
+            out.pop(mono2, None)
+        else:
+            out[mono2] = s
+    return TruncatedPoly(p.n, out, None)
+
 
 def test_restrict_sets_dropped_vars_to_zero():
     p = _p("x^2 + x*y + 3*y + 7")
-    q = p.restrict([0])
+    q = p.substitute(1, [(1, (0,)), (0, ())])
     assert q == parse_poly("x^2 + 7", ["x"])
 
 
 def test_remap_embeds_into_larger_ring():
     p = parse_poly("x^2 + 2", ["x"])
-    q = p.remap(3, [1])
+    q = p.substitute(3, [(1, (1,))])
     assert q == parse_poly("b^2 + 2", ["a", "b", "t"])
 
 
 def test_substitute_scales_and_fixes_variables():
     p = _p("x^2 + y")
-    assert p.substitute(2, [(0, Fraction(1, 2)), (1, 1)]) == _p("1/4*x^2 + y")
+    assert p.substitute(2, [(Fraction(1, 2), (0,)), (1, (1,))]) == _p("1/4*x^2 + y")
     # x -> 3 * t, y -> 2 in one variable t, keeping the cap
-    q = _p("x^2 + x*y + y").truncate(3).substitute(1, [(0, 3), Fraction(2)])
+    q = _p("x^2 + x*y + y").truncate(3).substitute(1, [(3, (0,)), (Fraction(2), ())])
     assert q == parse_poly("9*t^2 + 6*t + 2", ["t"]) and q.cap == 3
     # two coordinates onto one, and every coordinate fixed: the value
-    assert _p("x - y").substitute(1, [(0, 1), (0, 1)]).is_zero()
-    assert _p("x^2 + y").substitute(0, [Fraction(1, 2), -3]) == \
+    assert _p("x - y").substitute(1, [(1, (0,)), (1, (0,))]).is_zero()
+    assert _p("x^2 + y").substitute(0, [(Fraction(1, 2), ()), (-3, ())]) == \
         TruncatedPoly.const(0, Fraction(-11, 4))
 
 
 def test_scale_vars_by_symbolic_t():
     p = parse_poly("y^2 + x", ["x", "y", "t"])
-    q = p.scale_vars_by_var([1], 2)
+    q = p.substitute(3, [(1, (0,)), (1, (1, 2)), (1, (2,))])
     assert q == parse_poly("y^2*t^2 + x", ["x", "y", "t"])
+    # a monomial image with a rational factor, past the cap
+    q = parse_poly("x + y^2", ["x", "y"], 3).substitute(2, [(2, (0, 1, 1)), (1, (1,))])
+    assert q == parse_poly("2*x*y^2 + y^2", ["x", "y"]) and q.cap == 3
+    assert parse_poly("x^2", ["x", "y"], 3).substitute(2, [(1, (0, 1)), (1, (1,))]).is_zero()
+
+
+def test_substitute_matches_restrict_remap_and_scale_references():
+    # kept, dropped, permuted and variable-scaled coordinates, alone and
+    # composed into one map, in 1-4 variables with and without a cap
+    rng = random.Random(20261019)
+    compared = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        cap = rng.choice([None, 2, 3, 5])
+        p = _random_poly(rng, n, 5, max_terms=7).truncate(cap)
+        keep = rng.sample(range(n), rng.randint(0, n))
+        n_new = len(keep) + rng.randint(0, 2)
+        mapping = rng.sample(range(n_new), len(keep))
+        t_idx = rng.randrange(n_new) if n_new else None
+        scaled = [] if t_idx is None else rng.sample(range(n_new), rng.randint(0, n_new))
+
+        got = p.substitute(len(keep), [(1, (keep.index(l),)) if l in keep else (0, ())
+                                       for l in range(n)])
+        want = _reference_restrict(p, keep)
+        assert (got.n, got.c, got.cap) == (want.n, want.c, want.cap), (p, keep)
+
+        kept = want
+        got = kept.substitute(n_new, [(1, (m,)) for m in mapping])
+        want = _reference_remap(kept, n_new, mapping)
+        assert (got.n, got.c, got.cap) == (want.n, want.c, want.cap), (kept, mapping)
+
+        embedded = want
+        if t_idx is not None:
+            m_t = [(1, (l, t_idx) if l in scaled else (l,)) for l in range(n_new)]
+            got = embedded.substitute(n_new, m_t)
+            want = _reference_scale_vars_by_var(embedded, scaled, t_idx).truncate(cap)
+            assert (got.n, got.c, got.cap) == (want.n, want.c, cap), (embedded, scaled)
+
+            # the three maps composed are one substitution
+            images = [(0, ()) if l not in keep else
+                      (1, (mapping[keep.index(l)], t_idx) if mapping[keep.index(l)] in scaled
+                       else (mapping[keep.index(l)],)) for l in range(n)]
+            got = p.substitute(n_new, images)
+            assert (got.n, got.c, got.cap) == (want.n, want.c, cap), (p, images)
+        compared += 1
+    assert compared == 300
 
 
 # -- weights ---------------------------------------------------------------------

@@ -340,6 +340,21 @@ def test_trivialize_affine_shear_closed_form():
     assert all(cp.exact for cp in report.checkpoints)
 
 
+def test_trivialize_computes_each_checkpoint_defect_once(monkeypatch):
+    # one pass of 16 steps: the refinement's defects serve the report
+    calls = []
+    defect = transport._iso_defect
+
+    def counting(pf, t, *args):
+        calls.append(t)
+        return defect(pf, t, *args)
+
+    monkeypatch.setattr(transport, "_iso_defect", counting)
+    report = trivialize_via_transport(_nilpotent_family(), checkpoints=(0, F(1, 2), 1))
+    assert report.ok and report.steps == 16
+    assert calls == [F(0), F(1, 2), F(1)]
+
+
 def test_trivialize_rejects_outside_interval():
     with pytest.raises(StructuralError):
         trivialize_via_transport(_nilpotent_family(), checkpoints=(F(0), F(3, 2)))

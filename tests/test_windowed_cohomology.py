@@ -12,9 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algebroidlab.algebroid import LieAlgebroidPatch, adjoint_representation
-from algebroidlab.cohomology import (CEComplex, CohomologyRow, _boundaries, _window_boundaries,
-                                     _windowed_row, format_cochain, jet_cohomology,
-                                     weight_cohomology)
+from algebroidlab.cohomology import (CEComplex, CohomologyRow, _boundaries, _windowed_row,
+                                     format_cochain, jet_cohomology, weight_cohomology)
 from algebroidlab.errors import StructuralError
 from algebroidlab.library import (
     abelian_patch,
@@ -103,7 +102,8 @@ def _check_boundaries(a, weights=(None,), extra_shifts=(0,)):
                     cx, oracle_cx = CEComplex(a), CEComplex(a)
                     shift = cx.degree_shift() + extra
                     basis_q = cx.window_basis(q, n_deg, weight)
-                    got = _window_boundaries(cx, q, n_deg, weight, basis_q, shift).dense_rows()
+                    primitives = cx.window_basis(q - 1, n_deg + shift + 1, weight) if q else []
+                    got = _boundaries(cx, primitives, basis_q).dense_rows()
                     want = _kernel_then_apply(oracle_cx, q, n_deg, weight, basis_q, shift)
                     assert got == _rref(want, len(basis_q)), (a.name, weight, extra, q, n_deg)
                     cases += bool(got)
@@ -272,8 +272,9 @@ def _per_window_row(cx, q, weight, window):
     for n_deg in range(start, end + 1):
         basis = cx.window_basis(q, n_deg, weight)
         d = cx.d_matrix(basis, cx.window_basis(q + 1, n_deg + shift, weight))
-        betti, reps = quotient_dim_and_reps(
-            d.echelon().kernel(), _window_boundaries(cx, q, n_deg, weight, basis, shift))
+        primitives = cx.window_basis(q - 1, n_deg + shift + 1, weight) if q else []
+        betti, reps = quotient_dim_and_reps(d.echelon().kernel(),
+                                            _boundaries(cx, primitives, basis))
         history.append((n_deg, betti))
     tail = [b for _, b in history[-span:]]
     reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
