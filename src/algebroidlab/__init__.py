@@ -5,8 +5,8 @@ algebroid and representation validation, Chevalley-Eilenberg cohomology in
 weight-graded and jet-window modes, structured pullbacks with transversal
 normal forms, Cech double complexes with their spectral sequences, parallel
 transport and monodromy of algebroid families, and subexhaustion index
-combinatorics.  Everything structural runs over the rationals; floating
-point appears only inside the explicit ODE integrator.
+combinatorics.  Everything runs over the rationals, the transport flow
+included: its Peano-Baker series is exact or carries a certified radius.
 """
 
 from .errors import LabError, StructuralError, ValidationFailure

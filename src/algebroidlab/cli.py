@@ -131,7 +131,7 @@ def build_parser() -> _Parser:
     p = add("transport", "integrate the frame flow of a moving fibre")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--steps", type=int, default=1 << 16,
-                   help="refinement budget")
+                   help="series term budget")
 
     p = add("monodromy", "compare loop transport with the cover's holonomy")
     p.add_argument("--family", help="local-system family section")
@@ -329,7 +329,7 @@ def _cmd_transport(model: ModelFile, flags, rep: Report):
                                 max_steps=flags.get("steps", 1 << 16))
     t = rep.table("transport", ("steps", "defect", "exact", "invertible",
                                 "loop"))
-    t.add(result.steps, result.defect, result.exact, result.det_nonzero,
+    t.add(result.steps, float(result.defect), result.exact, result.det_nonzero,
           result.is_loop)
     tp = rep.table("frame_map", ("row", "entries"))
     for i, row in enumerate(result.phi.rows):
@@ -358,9 +358,10 @@ def _cmd_monodromy(model: ModelFile, flags, rep: Report):
               cech.rows == trans.rows)
     rep.notes.append("loop " + " -> ".join(str(i) for i in result.loop))
     rep.notes.append(
-        f"integrator steps {result.steps}, endpoint map "
-        + ("rationalized exactly" if result.exact_transport else "approximate")
-        + f", largest entry gap {cell(result.max_diff)}")
+        f"series terms {result.steps}, endpoint map "
+        + ("exact" if result.exact_transport
+           else f"within certified radius {cell(float(result.radius))}")
+        + f", largest entry gap {cell(float(result.max_diff))}")
     if result.matched_exactly:
         rep.notes.append("matched entry for entry")
     rep.verdict = "match" if result.match else "mismatch"

@@ -2,9 +2,11 @@
 
 The fibre structure constants and representation matrices depend
 polynomially on a time variable; a generator matrix moves the frame by
-the linear flow dPhi/dt = omega(t) Phi.  On top of the integrator sit
-loop monodromy on cohomology, trivialization data at checkpoints, and
-the flat cohomology bundle over a chart graph.
+the linear flow dPhi/dt = omega(t) Phi.  The flow is its Peano-Baker
+series summed over Q[t]: exact when the series terminates, else a
+rational centre with a certified tail radius.  On top of it sit loop
+monodromy on cohomology, trivialization data at checkpoints, and the
+flat cohomology bundle over a chart graph.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
@@ -24,19 +25,16 @@ from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology
 from .errors import LabError, StructuralError, ValidationFailure
 from .library import lie_algebra_patch
 from .linalg import QMatrix
-from .ratpoly import TruncatedPoly, parse_poly
+from .ratpoly import TruncatedPoly, _poly_mat_mul, parse_poly
 
 
 class IntegrationError(LabError):
-    """Step refinement hit its cap before the defect criterion was met."""
+    """The series term budget ran out before the tail bound met the tolerance."""
 
 
 # frozen-time samples for the Lie axioms
 TIME_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
                 Fraction(3, 4), Fraction(1))
-RATIONALIZE_DEN = 10 ** 6
-RATIONALIZE_TOL = 1e-10
-_APPROX_DEN = 10 ** 12
 
 
 def _as_tpoly(entry) -> TruncatedPoly:
@@ -221,188 +219,81 @@ def _require_valid(pf: PathFamily) -> None:
                                 {"kind": "not_flat"})
 
 
-# -- the integrator -------------------------------------------------------------------------
+# -- the flow -------------------------------------------------------------------------------
 
 
-def _term_table(mat: Sequence[Sequence[TruncatedPoly]]):
-    return [[[(e[0], float(cf)) for e, cf in p.sorted_terms()] for p in row]
-            for row in mat]
+def _peano_baker(omega: List[List[TruncatedPoly]], tol: Fraction, max_steps: int):
+    """Flow of dPhi/dt = omega(t) Phi, Phi(0) = I, on [0, 1] as the sum of
+    the Peano-Baker terms P_0 = I, P_k = int_0^t omega P_(k-1): the
+    polynomial matrix sum_(j<=K) P_j, the index K and its radius.
+
+    The radius is 0 when P_K vanishes; the sum is then the flow, and
+    its equation is checked as a polynomial identity.  Otherwise the radius
+    bounds every entry of the tail on [0, 1] by M^(K+1)/(K+1)! e^M, with
+    e^M <= 3^ceil(M) and M the largest row sum of coefficient sizes of
+    omega; summing stops at the first K whose radius is at most tol.
+    """
+    r = len(omega)
+    ident = QMatrix.identity(r).rows
+    phi = term = [[TruncatedPoly.const(1, x) for x in row] for row in ident]
+    m = max((sum(abs(c) for p in row for c in p.c.values()) for row in omega),
+            default=Fraction(0))
+    growth = None
+    for k in range(1, max_steps + 1):
+        term = [[TruncatedPoly(1, {(e + 1,): c / (e + 1) for (e,), c in p.c.items()})
+                 for p in row] for row in _poly_mat_mul(omega, term)]
+        if not any(p for row in term for p in row):
+            derivative = [[p.deriv(0) for p in row] for row in phi]
+            if ([[p.constant_term() for p in row] for row in phi] != ident
+                    or derivative != _poly_mat_mul(omega, phi)):
+                raise LabError("terminated series fails dPhi/dt = omega Phi")
+            return phi, k, Fraction(0)
+        phi = [[a + b for a, b in zip(x, y)] for x, y in zip(phi, term)]
+        if m >= max_steps + 1:
+            # M^(K+1)/(K+1)! >= 1 for every K within the budget, so every
+            # radius exceeds 1; an omega whose values generate a nilpotent
+            # algebra has terminated by K = r
+            if k >= r:
+                raise IntegrationError(
+                    f"series tail bound exceeds 1 within {max_steps} terms: "
+                    f"generator norm {float(m):.3e}")
+            continue
+        if growth is None:
+            growth = 3 ** math.ceil(m)
+        radius = m ** (k + 1) / math.factorial(k + 1) * growth
+        if radius <= tol:
+            return phi, k, radius
+    raise IntegrationError(f"series tail bound above tolerance {float(tol):.3e} "
+                           f"after {max_steps} terms")
 
 
-Matrix = List[List[float]]
-
-
-def _eval_table(table, t: float) -> Matrix:
-    return [[sum(cf * t ** e for e, cf in terms) for terms in row] for row in table]
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def _axpy(y: Matrix, h: float, k: Matrix) -> Matrix:
-    return [[u + h * v for u, v in zip(ry, rk)] for ry, rk in zip(y, k)]
-
-
-def _omega(table):
-    """t -> the generator's matrix at t; a constant one is evaluated once."""
-    if any(e for row in table for terms in row for e, _ in terms):
-        return lambda t: _eval_table(table, t)
-    m = _eval_table(table, 0.0)
-    return lambda t: m
-
-
-def _rk4_flow(tables, sizes, n_steps: int, save_at) -> Dict[int, List[Matrix]]:
-    h = 1.0 / n_steps
-    h2, h6 = h / 2, h / 6
-    omegas = [_omega(table) for table in tables]
-    states = [[[float(i == j) for j in range(s)] for i in range(s)] for s in sizes]
-    saved: Dict[int, List[Matrix]] = {}
-    if 0 in save_at:
-        saved[0] = list(states)
-    for s in range(n_steps):
-        t = s * h
-        for which, omega in enumerate(omegas):
-            y = states[which]
-            m2 = omega(t + h2)
-            k1 = _mat_mul(omega(t), y)
-            k2 = _mat_mul(m2, _axpy(y, h2, k1))
-            k3 = _mat_mul(m2, _axpy(y, h2, k2))
-            k4 = _mat_mul(omega(t + h), _axpy(y, h, k3))
-            states[which] = [[v + h6 * (a + 2 * b + 2 * c + d)
-                              for v, a, b, c, d in zip(*rows)]
-                             for rows in zip(y, k1, k2, k3, k4)]
-        if s + 1 in save_at:
-            saved[s + 1] = list(states)
-    return saved
-
-
-def _float_structure(pf: PathFamily, t: Fraction) -> List[Matrix]:
-    return [[[float(v) for v in row] for row in plane] for plane in pf.structure_at(t)]
-
-
-def _float_gammas(pf: PathFamily, t: Fraction) -> Optional[List[Matrix]]:
-    g = pf.gammas_at(t)
-    if g is None:
-        return None
-    return [[[float(v) for v in row] for row in gi] for gi in g]
-
-
-def _iso_defect(pf: PathFamily, t: Fraction, phi: Matrix, q: Optional[Matrix],
-                c0: List[Matrix], g0: Optional[List[Matrix]]) -> float:
-    """Largest entry of phi[e_a, e_b]_0 - [phi e_a, phi e_b]_t over the
-    frame pairs, and with a representation of gamma_t(phi e_a) q - q gamma_0(e_a)."""
-    r = pf.rank
-    ct = _float_structure(pf, t)
-    worst = 0.0
-    for a in range(r):
-        for b in range(r):
-            for k in range(r):
-                lhs = sum(phi[k][m] * c0[a][b][m] for m in range(r))
-                rhs = sum(phi[i][a] * phi[j][b] * ct[i][j][k]
-                          for i in range(r) for j in range(r))
-                worst = max(worst, abs(lhs - rhs))
-    if q is not None:
-        gt = _float_gammas(pf, t)
-        for a in range(r):
-            moved = [[sum(phi[l][a] * gt[l][x][y] for l in range(r))
-                      for y in range(len(q))] for x in range(len(q))]
-            mq, qg = _mat_mul(moved, q), _mat_mul(q, g0[a])
-            worst = max([worst] + [abs(x - y) for rx, ry in zip(mq, qg)
-                                   for x, y in zip(rx, ry)])
-    return worst
-
-
-def _integrate_with_refinement(pf: PathFamily, tol: float,
-                               checkpoints: Sequence[Fraction],
-                               max_steps: int):
-    """RK4 steps, doubled until the isomorphism defect at the checkpoints
-    and t = 1 is at most tol: the step count, the saved states, the largest
-    defect and the defect at each checkpoint."""
+def _flows(pf: PathFamily, tol: float, max_steps: int):
+    """Series flows of the valid family's frame and, with a representation,
+    of its rep frame: their polynomial matrices, the largest term index and
+    the largest radius."""
     if not (math.isfinite(tol) and tol > 0):
         raise StructuralError("tolerance must be finite and positive")
     if max_steps < 1:
         raise StructuralError("steps must be positive")
     _require_valid(pf)
-    cps = sorted({Fraction(t) for t in checkpoints} | {Fraction(1)})
-    base = 1
-    for t in cps:
-        base = base * t.denominator // math.gcd(base, t.denominator)
-    tables = [_term_table(pf.omega)]
-    sizes = [pf.rank]
-    if pf.omega_rep is not None:
-        tables.append(_term_table(pf.omega_rep))
-        sizes.append(pf.rep_rank)
-    c0 = _float_structure(pf, Fraction(0))
-    g0 = _float_gammas(pf, Fraction(0))
-    n = base
-    while n < 16:
-        n *= 2
-    while True:
-        save = {int(t * n) for t in cps} | {0}
-        saved = _rk4_flow(tables, sizes, n, save)
-        defects = {}
-        for t in cps:
-            state = saved[int(t * n)]
-            qv = state[1] if pf.omega_rep is not None else None
-            defects[t] = _iso_defect(pf, t, state[0], qv, c0, g0)
-        defect = max([0.0, *defects.values()])
-        if defect <= tol:
-            return n, saved, defect, defects
-        n *= 2
-        if n > max_steps:
-            raise IntegrationError(
-                f"isomorphism defect {defect:.3e} above tolerance {tol:.3e} "
-                f"at {n // 2} steps")
+    gens = [pf.omega] if pf.omega_rep is None else [pf.omega, pf.omega_rep]
+    flows = [_peano_baker(w, Fraction(tol), max_steps) for w in gens]
+    return ([phi for phi, _, _ in flows], max(k for _, k, _ in flows),
+            max(radius for _, _, radius in flows))
 
 
-# -- rationalization and exact certification ------------------------------------------------
-
-
-def _rationalize_matrix(m: Matrix, den: int = RATIONALIZE_DEN,
-                        tol: float = RATIONALIZE_TOL) -> Optional[List[List[Fraction]]]:
-    rows = []
-    for row in m:
-        out = []
-        for x in row:
-            fr = Fraction(x).limit_denominator(den)
-            if abs(float(fr) - x) > tol:
-                return None
-            out.append(fr)
-        rows.append(out)
-    return rows
-
-
-def _best_rational(m: Matrix) -> List[List[Fraction]]:
-    return [[Fraction(x).limit_denominator(_APPROX_DEN) for x in row]
-            for row in m]
-
-
-def _certified_maps(pf: PathFamily, t: Fraction, phi_f: Matrix,
-                    q_f: Optional[Matrix]
+def _certified_maps(pf: PathFamily, t: Fraction, polys, radius: Fraction
                     ) -> Tuple[QMatrix, Optional[QMatrix], bool, bool]:
-    """Float frame (and fibre) maps at time t as exact matrices, certified
-    exact when they rationalize and carry the frozen fibre at time 0 to the
-    one at t by the fibre-morphism check of `covers`, else the nearest
-    bounded-denominator fractions; with both verdicts (exact, invertible).
-    The fibre-morphism check is linear in the fibre map, so it never fixes
-    its scale; a fibre map is certified only where the flow fixes it: a
-    vanishing omega_rep keeps it the identity, which it must then equal."""
-    phi_rows = _rationalize_matrix(phi_f)
-    q_rows = _rationalize_matrix(q_f) if q_f is not None else None
-    exact = (phi_rows is not None
-             and (q_f is None or (q_rows == QMatrix.identity(pf.rep_rank).rows
-                                  and all(e.is_zero() for row in pf.omega_rep for e in row)))
+    """Frame (and fibre) maps at time t from the series flows, with both
+    verdicts (exact, invertible).  Exact needs every series terminated
+    (radius 0) and the maps to carry the frozen fibre at time 0 to the one
+    at t by the fibre-morphism check of `covers`."""
+    maps = [QMatrix([[p.evaluate((t,)) for p in row] for row in phi]) for phi in polys]
+    phi_q, q_q = maps[0], maps[1] if len(maps) > 1 else None
+    exact = (radius == 0
              and _morphism_failure(ChartData(pf.algebra_at(0), pf.rep_at(0)),
                                    ChartData(pf.algebra_at(t), pf.rep_at(t)),
-                                   QMatrix(phi_rows),
-                                   QMatrix(q_rows) if q_rows is not None else None) is None)
-    if not exact:
-        phi_rows = _best_rational(phi_f)
-        q_rows = _best_rational(q_f) if q_f is not None else None
-    phi_q = QMatrix(phi_rows)
-    q_q = QMatrix(q_rows) if q_rows is not None else None
+                                   phi_q, q_q) is None)
     inv = phi_q.rank() == pf.rank and (q_q is None or q_q.rank() == pf.rep_rank)
     return phi_q, q_q, exact, inv
 
@@ -414,38 +305,30 @@ def _certified_maps(pf: PathFamily, t: Fraction, phi_f: Matrix,
 class TransportResult:
     steps: int
     tol: float
-    defect: float
+    defect: Fraction
     exact: bool
     is_loop: bool
     phi: QMatrix
-    phi_float: List[List[float]]
     q_rep: Optional[QMatrix]
     det_nonzero: bool
     mon: Optional[Dict[int, QMatrix]]
 
 
-DEFAULT_CHECKPOINTS = (Fraction(1, 2), Fraction(1))
-
-
 def parallel_transport(pf: PathFamily, tol: float = 1e-8,
                        max_steps: int = 1 << 16) -> TransportResult:
-    """Time-1 frame map by classical fourth order steps, doubling the step
-    count until the bracket defect at the checkpoints is below tol.
+    """Time-1 frame map from the Peano-Baker series of the frame flow,
+    summed over Q[t] with at most max_steps terms.
 
-    When every entry of the result sits within 1e-10 of a fraction with
-    denominator at most 10**6 and the exact bracket identity then holds,
-    the result is certified exact and the loop action on cohomology is
-    computed in exact arithmetic.
+    steps is the largest term count and defect the largest certified
+    radius of the frame and rep-frame series.  When both series terminate
+    the map is exact, and the loop action on cohomology is the exact one;
+    otherwise it is induced by the centre of the radius-defect ball.
     """
-    n, saved, defect, _ = _integrate_with_refinement(pf, tol, DEFAULT_CHECKPOINTS,
-                                                     max_steps)
-    phi_f = saved[n][0]
-    q_f = saved[n][1] if pf.omega_rep is not None else None
-    phi_q, q_q, exact, det_ok = _certified_maps(pf, Fraction(1), phi_f, q_f)
+    polys, steps, radius = _flows(pf, tol, max_steps)
+    phi_q, q_q, exact, det_ok = _certified_maps(pf, Fraction(1), polys, radius)
     loop = pf.is_loop()
     mon = _loop_monodromy(pf, phi_q, q_q) if loop and det_ok else None
-    return TransportResult(n, tol, defect, exact, loop, phi_q, phi_f, q_q,
-                           det_ok, mon)
+    return TransportResult(steps, tol, radius, exact, loop, phi_q, q_q, det_ok, mon)
 
 
 def _loop_monodromy(pf: PathFamily, phi_q: QMatrix,
@@ -491,7 +374,7 @@ class TrivializationCheckpoint:
     t: Fraction
     phi: QMatrix
     q_rep: Optional[QMatrix]
-    defect: float
+    defect: Fraction
     exact: bool
     invertible: bool
 
@@ -507,24 +390,21 @@ class TrivializationReport:
 def trivialize_via_transport(pf: PathFamily, tol: float = 1e-8,
                              checkpoints=(Fraction(0), Fraction(1, 2), Fraction(1)),
                              max_steps: int = 1 << 16) -> TrivializationReport:
-    """Frame maps at the requested times, each certified against the frozen
-    structure there; together they trivialize the family over the interval."""
+    """Frame maps at the requested times, each the series flow evaluated
+    there and certified against the frozen structure there; together they
+    trivialize the family over the interval.  The one series radius bounds
+    every checkpoint."""
     cps = sorted({Fraction(t) for t in checkpoints})
     for t in cps:
         if not 0 <= t <= 1:
             raise StructuralError("checkpoints must lie in [0, 1]")
-    n, saved, _, defects = _integrate_with_refinement(pf, tol, cps, max_steps)
+    polys, steps, radius = _flows(pf, tol, max_steps)
     rows_out = []
-    all_ok = True
     for t in cps:
-        state = saved[int(t * n)]
-        phi_f = state[0]
-        q_f = state[1] if pf.omega_rep is not None else None
-        phi_q, q_q, exact, inv = _certified_maps(pf, t, phi_f, q_f)
-        ok = defects[t] <= tol and inv
-        all_ok = all_ok and ok
-        rows_out.append(TrivializationCheckpoint(t, phi_q, q_q, defects[t], exact, inv))
-    return TrivializationReport(n, tol, rows_out, all_ok)
+        phi_q, q_q, exact, inv = _certified_maps(pf, t, polys, radius)
+        rows_out.append(TrivializationCheckpoint(t, phi_q, q_q, radius, exact, inv))
+    return TrivializationReport(steps, tol, rows_out,
+                                all(cp.invertible for cp in rows_out))
 
 
 # -- loop monodromy two ways ------------------------------------------------------------------
@@ -535,7 +415,8 @@ class MonodromyReport:
     match: bool
     matched_exactly: bool
     exact_transport: bool
-    max_diff: float
+    max_diff: Fraction
+    radius: Fraction
     loop: Tuple[int, ...]
     by_degree: Dict[int, Tuple[QMatrix, QMatrix]]
     steps: int
@@ -547,7 +428,10 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
 
     The chart route composes the transition-induced maps on cohomology
     around the cyclic cover in increasing index order.  The transport
-    route takes the inverse pullback along the integrated time-1 map.
+    route takes the inverse pullback along the time-1 map of the series
+    flow.  With an exact transport the two match when they are equal;
+    otherwise when their largest entry gap is at most tol, and radius is
+    the certified radius of the series.
     """
     _require_valid_family(lsf)
     tr = parallel_transport(pf, tol)
@@ -571,26 +455,18 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     loop = tuple(range(ncharts)) + (0,)
     edge = _edge_maps(lsf, lcs)
     by_deg: Dict[int, Tuple[QMatrix, QMatrix]] = {}
-    max_diff = 0.0
-    match = True
-    exactly = True
+    same_dims = True
+    gap = Fraction(0)
     for q in range(pf.rank + 1):
-        hol = _holonomy(edge, loop, q)
-        monq = tr.mon[q]
-        by_deg[q] = (hol, monq)
+        hol, monq = by_deg[q] = (_holonomy(edge, loop, q), tr.mon[q])
         if hol.nrows != monq.nrows:
-            match = False
-            exactly = False
+            same_dims = False
             continue
-        diff = 0.0
-        for ra, rb in zip(hol.rows, monq.rows):
-            for x, y in zip(ra, rb):
-                diff = max(diff, abs(float(x - y)))
-        max_diff = max(max_diff, diff)
-        exactly = exactly and hol == monq
-        match = match and diff <= tol
-    return MonodromyReport(match, exactly, tr.exact, max_diff, loop, by_deg,
-                           tr.steps)
+        gap = max([gap] + [abs(x - y) for ra, rb in zip(hol.rows, monq.rows)
+                           for x, y in zip(ra, rb)])
+    match = same_dims and (gap == 0 if tr.exact else gap <= Fraction(tol))
+    return MonodromyReport(match, match and tr.exact, tr.exact, gap, tr.defect,
+                           loop, by_deg, tr.steps)
 
 
 # -- the flat cohomology bundle over a chart graph --------------------------------------------

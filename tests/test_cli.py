@@ -1,7 +1,9 @@
 """Command dispatch, report emission, exit taxonomy, determinism."""
 
+import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -287,6 +289,76 @@ def test_monodromy_command(capsysbinary):
     assert code == 0
     assert b"verdict: match" in out
     assert b"matched entry for entry" in out
+
+
+# rank-1 abelian fibres over the circle, twisted by a fraction within 1e-7
+# of e, and a path family moving the frame by exp(omega t)
+_GROWTH = """version 1
+
+algebroid ab1 {
+  rank = 1
+}
+
+cover circle {
+  charts = U0, U1, U2
+  overlaps = (0,1), (0,2), (1,2)
+}
+
+family twist {
+  cover = circle
+  fibre[0] = ab1
+  fibre[1] = ab1
+  fibre[2] = ab1
+  transition[0][2] = 2716289/999267
+}
+
+path_family grow {
+  rank = 1
+  omega = OMEGA
+}
+"""
+
+
+def _growth_model(tmp_path, omega):
+    model = tmp_path / "growth.alab"
+    model.write_text(_GROWTH.replace("OMEGA", omega))
+    return str(model)
+
+
+def test_transport_of_exp_t_is_a_certified_ball_around_e(tmp_path, capsysbinary):
+    code, out = run(["transport", _growth_model(tmp_path, "1"), "--format",
+                     "structured"], capsysbinary)
+    assert code == 0
+    rep = parse_structured(out)
+    steps, radius, exact, invertible, _ = next(
+        t for t in rep.tables if t.name == "transport").rows[0]
+    assert (steps, exact, invertible) == ("11", "no", "yes")
+    # sum_(j<=11) 1/j!, with radius 1/12! 3^1
+    centre = next(t for t in rep.tables if t.name == "frame_map").rows[0][1]
+    assert centre == "13563139/4989600"
+    assert 0 < float(radius) <= 1e-8
+    assert abs(float(Fraction(centre)) - math.e) <= float(radius)
+
+
+def test_transport_refuses_a_huge_generator_at_once(tmp_path, capsysbinary):
+    model = _growth_model(tmp_path, "100000000")
+    start = time.process_time()
+    code, out = run(["transport", model, "--steps", "64"], capsysbinary)
+    assert time.process_time() - start < 1.0
+    assert code == 1
+    assert b"verdict: error" in out and b"series tail bound" in out
+    assert b"internal error" not in out
+
+
+def test_monodromy_of_an_approximate_transport_claims_no_exactness(tmp_path,
+                                                                   capsysbinary):
+    # the centre's induced map sits about 4.4e-8 from the twist's
+    model = _growth_model(tmp_path, "1")
+    for tol, verdict in (("1e-8", b"verdict: mismatch"), ("1e-7", b"verdict: match")):
+        code, out = run(["monodromy", model, "--tol", tol], capsysbinary)
+        assert code == (0 if verdict == b"verdict: match" else 2)
+        assert verdict in out and b"within certified radius" in out
+        assert b"exact" not in out and b"matched entry for entry" not in out
 
 
 @pytest.mark.parametrize("q_text", ["0", "1, 0 ; 0, 1"], ids=["singular", "mis_sized"])

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from algebroidlab import covers, transport
 from algebroidlab.covers import (ChartData, CoverDatum, LocalSystemFamily,
-                                 _bracket_vec, _gamma_action, _induced_on_cohomology)
+                                 _induced_on_cohomology)
 from algebroidlab.cohomology import lie_algebra_cohomology
 from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
 from algebroidlab.linalg import QMatrix
+from algebroidlab.ratpoly import TruncatedPoly
 from algebroidlab.transport import (GaussManinBundle, IntegrationError, PathFamily,
                                     gauss_manin, monodromy_check, parallel_transport,
                                     reverse_path, trivialize_via_transport,
@@ -193,14 +194,18 @@ def test_reverse_composition_is_identity():
         assert worst <= 2e-8
 
 
+def _in_ball(centre, radius, value):
+    # the float error of value is far below the radii these tests meet
+    return abs(float(centre) - value) <= float(radius)
+
+
 def test_refinement_on_inexact_flow():
     tr = parallel_transport(_sl2_diagonal_family(), tol=1e-8)
-    assert tr.steps > 16              # step doubling actually ran
-    assert not tr.exact               # e^2 is not recognizably rational
-    assert tr.defect <= 1e-8
-    assert abs(tr.phi_float[1][1] - math.exp(2)) < 1e-6
-    assert abs(tr.phi_float[2][2] - math.exp(-2)) < 1e-6
-    assert abs(tr.phi_float[1][1] * tr.phi_float[2][2] - 1.0) <= 1e-8
+    assert not tr.exact               # the series of e^2 never terminates
+    # M = 2: the first K with 2^(K+1)/(K+1)! 3^2 <= 1e-8 is 16
+    assert tr.steps == 16 and tr.defect == F(2 ** 17, math.factorial(17)) * 9
+    assert _in_ball(tr.phi.rows[1][1], tr.defect, math.exp(2))
+    assert _in_ball(tr.phi.rows[2][2], tr.defect, math.exp(-2))
     assert tr.mon[0].rows == [[F(1)]]
     assert abs(float(tr.mon[3].rows[0][0]) - 1.0) < 1e-6
 
@@ -215,9 +220,9 @@ def test_time_dependent_generator():
     # the derivation ad(h) at rate 2t integrates to diag(1, e, 1/e)
     pf = PathFamily(3, _sl2_constants(), [[0, 0, 0], [0, "2*t", 0], [0, 0, "-2*t"]])
     tr = parallel_transport(pf, tol=1e-8)
-    assert tr.steps > 16 and not tr.exact and tr.defect <= 1e-8
-    assert abs(tr.phi_float[1][1] - math.e) < 1e-6
-    assert abs(tr.phi_float[2][2] - 1 / math.e) < 1e-6
+    assert not tr.exact and 0 < tr.defect <= 1e-8
+    assert _in_ball(tr.phi.rows[1][1], tr.defect, math.e)
+    assert _in_ball(tr.phi.rows[2][2], tr.defect, 1 / math.e)
 
 
 def test_integration_failure_at_step_cap():
@@ -225,12 +230,82 @@ def test_integration_failure_at_step_cap():
         parallel_transport(_sl2_diagonal_family(), tol=1e-300, max_steps=64)
 
 
+def test_large_generator_is_refused_not_exact():
+    # e^(10^6) has no series tail within 1 at any budget below 10^6 terms
+    with pytest.raises(IntegrationError, match="series tail bound exceeds 1"):
+        parallel_transport(PathFamily.from_brackets(1, {}, [[10 ** 6]]))
+    with pytest.raises(IntegrationError, match="series tail bound above tolerance"):
+        parallel_transport(PathFamily.from_brackets(1, {}, [[10]]), max_steps=20)
+    # a nilpotent generator terminates however large its norm
+    tr = parallel_transport(PathFamily.from_brackets(2, {}, [[0, 10 ** 8], [0, 0]]),
+                            max_steps=4)
+    assert tr.exact and tr.steps == 2 and tr.defect == 0
+    assert tr.phi.rows == [[F(1), F(10 ** 8)], [F(0), F(1)]]
+
+
+_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def _generators(draw):
+    """(omega, whether strictly upper triangular, whether constant) with
+    small rational entries: general constant, positive scalar, or strictly
+    upper triangular with entries of degree up to 2 in t."""
+    kind = draw(st.sampled_from(["constant", "scalar", "nilpotent"]))
+    if kind == "scalar":
+        return [[Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 3)))]], False, True
+    r = draw(st.integers(1, 3))
+    if kind == "constant":
+        return [[draw(_SMALL) for _ in range(r)] for _ in range(r)], False, True
+    const = draw(st.booleans())
+    deg = 0 if const else 2
+    omega = [[TruncatedPoly(1, {(e,): draw(_SMALL) for e in range(deg + 1)}) if j > i
+              else TruncatedPoly.zero(1) for j in range(r)] for i in range(r)]
+    return omega, True, const
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_generators(), st.sampled_from([1e-3, 1e-8, 1e-20]))
+def test_series_flow_against_an_independent_exponential(gen, tol):
+    omega, nilpotent, const = gen
+    r = len(omega)
+    tr = parallel_transport(PathFamily.from_brackets(r, {}, omega), tol=tol)
+    if nilpotent:
+        # the series terminates within r terms; constant: sum_(k<r) omega^k / k!
+        assert tr.exact and tr.defect == 0 and tr.steps <= r
+        if const:
+            w = QMatrix([[p.constant_term() for p in row] for row in omega])
+            power, total = QMatrix.identity(r), QMatrix.identity(r).rows
+            for k in range(1, r):
+                power = power @ w
+                total = [[a + x / math.factorial(k) for a, x in zip(ra, rx)]
+                         for ra, rx in zip(total, power.rows)]
+            assert tr.phi.rows == total
+        return
+    mpmath = pytest.importorskip("mpmath")
+    # a general constant draw may still be nilpotent and terminate with
+    # radius 0; 1e-50 then covers the oracle's own rounding
+    assert tr.exact == (tr.defect == 0) and tr.defect <= Fraction(tol)
+    with mpmath.workdps(60):
+        exp = mpmath.expm(mpmath.matrix([[mpmath.mpf(x.numerator) / x.denominator
+                                          for x in row] for row in omega]))
+        gaps = [[mpmath.mpf(x.numerator) / x.denominator - exp[i, j]
+                 for j, x in enumerate(row)] for i, row in enumerate(tr.phi.rows)]
+        radius = max(mpmath.mpf(tr.defect.numerator) / tr.defect.denominator,
+                     mpmath.mpf(10) ** -50)
+        assert all(abs(g) <= radius for row in gaps for g in row)
+        if r == 1 and omega[0][0] > 0:
+            # a positive scalar's tail is at least its first term,
+            # M^(K+1)/(K+1)! = radius / 3^ceil(M)
+            assert -gaps[0][0] >= radius / 3 ** math.ceil(omega[0][0])
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
 def test_tolerance_must_be_finite_and_positive(monkeypatch, tol):
     def no_integration(*args):
         raise AssertionError("integrated with a bad tolerance")
 
-    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    monkeypatch.setattr(transport, "_peano_baker", no_integration)
     pf, fam = _nilpotent_family(), _abelian_circle_family(QMatrix([[1, 1], [0, 1]]))
     for run in (lambda: parallel_transport(pf, tol=tol),
                 lambda: trivialize_via_transport(pf, tol=tol),
@@ -244,7 +319,7 @@ def test_step_budget_must_be_positive(monkeypatch, max_steps):
     def no_integration(*args):
         raise AssertionError("integrated with a bad step budget")
 
-    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    monkeypatch.setattr(transport, "_peano_baker", no_integration)
     pf = _nilpotent_family()
     for run in (lambda: parallel_transport(pf, max_steps=max_steps),
                 lambda: trivialize_via_transport(pf, max_steps=max_steps)):
@@ -258,64 +333,20 @@ def test_rank_zero_fibre_transports_to_the_empty_frame(with_rep):
     rep = {"gammas": [], "omega_rep": [["1"]]} if with_rep else {}
     pf = PathFamily(0, [], [], **rep)
     tr = parallel_transport(pf)
-    assert (tr.phi.nrows, tr.phi.ncols) == (0, 0) and tr.phi_float == []
-    assert tr.det_nonzero and tr.is_loop and tr.defect == 0.0
+    assert (tr.phi.nrows, tr.phi.ncols) == (0, 0)
+    # the defect is the rep frame's radius: 1^12/12! 3^1 after 11 terms
+    assert tr.det_nonzero and tr.is_loop
+    assert tr.defect == (F(3, math.factorial(12)) if with_rep else 0)
     report = trivialize_via_transport(pf)
     assert report.ok and [cp.t for cp in report.checkpoints] == [F(0), F(1, 2), F(1)]
     assert all(cp.phi.nrows == 0 and cp.invertible for cp in report.checkpoints)
     if not with_rep:
         assert tr.exact and tr.q_rep is None and tr.mon[0].rows == [[F(1)]]
         return
-    # no frame element constrains the rep frame, so it is never certified
-    assert not tr.exact and abs(float(tr.q_rep.rows[0][0]) - math.e) < 1e-5
+    # the rep frame's series exp(t) never terminates, so it is never exact
+    assert not tr.exact and _in_ball(tr.q_rep.rows[0][0], tr.defect, math.e)
     for cp in report.checkpoints:
-        assert not cp.exact and abs(float(cp.q_rep.rows[0][0]) - math.exp(cp.t)) < 1e-5
-
-
-_SMALL = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
-
-
-def _arrays(*shape):
-    if not shape:
-        return _SMALL
-    return st.lists(_arrays(*shape[1:]), min_size=shape[0], max_size=shape[0])
-
-
-@st.composite
-def _defect_data(draw):
-    r, m = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    return (draw(_arrays(r, r)), draw(_arrays(r, r, r)), draw(_arrays(r, r, r)),
-            draw(_arrays(m, m)), draw(_arrays(r, m, m)), draw(_arrays(r, m, m)))
-
-
-def _floats(x):
-    return [_floats(v) for v in x] if isinstance(x, list) else float(x)
-
-
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(_defect_data())
-def test_float_defect_matches_the_exact_identities(data):
-    # the float defect at t against the same two identities in Fractions:
-    # phi [e_a, e_b]_0 = [phi e_a, phi e_b]_t and
-    # gamma_t(phi e_a) q = q gamma_0(e_a), on arbitrary (non-Lie) data
-    phi, c0, ct, q, g0, gt = data
-    r, m = len(phi), len(q)
-    zero, zero_m = [[0] * r for _ in range(r)], [[0] * m for _ in range(m)]
-    pf_0, pf_t = (PathFamily(r, c, zero, g, zero_m) for c, g in ((c0, g0), (ct, gt)))
-    at_0, at_t = (ChartData(pf.algebra_at(0), pf.rep_at(0)) for pf in (pf_0, pf_t))
-    p, qm = QMatrix(phi), QMatrix(q)
-    cols, units = p.transpose().rows, QMatrix.identity(r).rows
-    bracket = max(abs(x - y) for a in range(r) for b in range(r)
-                  for x, y in zip(p.apply(c0[a][b]), _bracket_vec(ct, cols[a], cols[b])))
-    moved = max(abs(x) for a in range(r)
-                for row in (_gamma_action(at_t, cols[a]) @ qm
-                            - qm @ _gamma_action(at_0, units[a])).rows for x in row)
-    got = transport._iso_defect(pf_t, F(0), _floats(phi), _floats(q), _floats(c0),
-                                _floats(g0))
-    assert abs(got - float(max(bracket, moved))) <= 1e-12
-    got = transport._iso_defect(PathFamily(r, ct, zero), F(0), _floats(phi), None,
-                                _floats(c0), None)
-    assert abs(got - float(bracket)) <= 1e-12
+        assert not cp.exact and _in_ball(cp.q_rep.rows[0][0], cp.defect, math.exp(cp.t))
 
 
 # -- trivialization ------------------------------------------------------------------------
@@ -338,21 +369,6 @@ def test_trivialize_affine_shear_closed_form():
     assert got[F(1, 2)] == [[F(1), F(1, 2)], [F(0), F(1)]]
     assert got[F(1)] == [[F(1), F(1)], [F(0), F(1)]]
     assert all(cp.exact for cp in report.checkpoints)
-
-
-def test_trivialize_computes_each_checkpoint_defect_once(monkeypatch):
-    # one pass of 16 steps: the refinement's defects serve the report
-    calls = []
-    defect = transport._iso_defect
-
-    def counting(pf, t, *args):
-        calls.append(t)
-        return defect(pf, t, *args)
-
-    monkeypatch.setattr(transport, "_iso_defect", counting)
-    report = trivialize_via_transport(_nilpotent_family(), checkpoints=(0, F(1, 2), 1))
-    assert report.ok and report.steps == 16
-    assert calls == [F(0), F(1, 2), F(1)]
 
 
 def test_trivialize_rejects_outside_interval():
@@ -408,7 +424,7 @@ def test_monodromy_validates_the_family_before_integrating(monkeypatch):
     def no_integration(*args):
         raise AssertionError("integrated for an invalid family")
 
-    monkeypatch.setattr(transport, "_rk4_flow", no_integration)
+    monkeypatch.setattr(transport, "_peano_baker", no_integration)
     singular = _abelian_circle_family(QMatrix([[1, 1], [0, 0]]))
     with pytest.raises(ValidationFailure) as ei:
         monodromy_check(_nilpotent_family(), singular)
