@@ -322,35 +322,42 @@ def validate_representation(rho: Representation, order: Optional[int] = None) ->
     return ValidationReport(flatness.ok, certified, [flatness])
 
 
+def semidirect_table(structure: Sequence, gammas: Sequence, zero) -> List[List[List]]:
+    """Brackets of g + V on the frame of g followed by the frame of V, with
+    entries of any ring (zero fills the empty blocks): [e_i, e_j] as given,
+    [e_i, f_b] = sum_a gammas[i][a][b] f_a = -[f_b, e_i], [f_a, f_b] = 0.
+    A representation of g is the same thing as this bracket table."""
+    r, m = len(structure), len(gammas[0]) if gammas else 0
+    total = r + m
+    c = [[[zero for _ in range(total)] for _ in range(total)] for _ in range(total)]
+    for i in range(r):
+        for j in range(r):
+            c[i][j][:r] = structure[i][j]
+        for be in range(m):
+            for al in range(m):
+                val = gammas[i][al][be]
+                c[i][r + be][r + al] = val
+                c[r + be][i][r + al] = -val
+    return c
+
+
 def semidirect(a: LieAlgebroidPatch, rho: Representation) -> LieAlgebroidPatch:
     """Semidirect sum: frame = algebroid frame followed by fibre frame.
 
-    Anchor kills the fibre part; brackets are [e_i, e_j] as before,
-    [e_i, f_b] = covariant derivative, [f_a, f_b] = 0.
+    Anchor kills the fibre part; the brackets are `semidirect_table`.
     """
     if rho.algebroid is not a:
         raise StructuralError("representation does not belong to this algebroid")
     r, m, n = a.rank, rho.rank, a.n_vars
-    total = r + m
     z = TruncatedPoly.zero(n, a.jet_order)
-    anchor = [[a.anchor[i][l] for l in range(n)] for i in range(r)]
-    anchor += [[z for _ in range(n)] for _ in range(m)]
-    c = [[[z for _ in range(total)] for _ in range(total)] for _ in range(total)]
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                c[i][j][k] = a.structure[i][j][k]
-    for i in range(r):
-        for be in range(m):
-            for al in range(m):
-                val = rho.gammas[i][al][be]
-                c[i][r + be][r + al] = val
-                c[r + be][i][r + al] = -val
+    anchor = [list(row) for row in a.anchor] + [[z] * n for _ in range(m)]
+    # a representation of the zero algebra has no matrix to read m from
+    c = semidirect_table(a.structure, rho.gammas or [[[z] * m] * m], z)
     fw = None
     if a.frame_weights is not None or rho.fibre_weights is not None:
         fw = tuple([a.frame_weight(i) for i in range(r)]
                    + [rho.fibre_weight(b) for b in range(m)])
-    return LieAlgebroidPatch(a.var_names, a.jet_order, total, anchor, c,
+    return LieAlgebroidPatch(a.var_names, a.jet_order, r + m, anchor, c,
                              weights=a.weights, frame_weights=fw,
                              name=(a.name + "+rep") if a.name else "semidirect")
 

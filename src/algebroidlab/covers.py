@@ -13,8 +13,10 @@ assembled as sparse rows.
 
 The local system has one layer here, which `transport` reuses.
 `_morphism_failure` is the one exact check that (P, Q) carries the fibre
-data of one chart to another: it checks the edges of `validate_family`
-and certifies a transported frame map.  `_require_valid_family` raises
+data of one chart to another, as a bracket morphism P + Q of the two
+semidirect tables g + V: it checks the edges of `validate_family`, which
+judges each chart's connection over that chart's own fibre, and
+certifies a transported frame map.  `_require_valid_family` raises
 the one invalid-family error, and refuses a cover other than the family's.
 `_per_fibre` runs a per-chart computation once per distinct fibre object:
 `validate_family` validates the fibres through it, and `_chart_cohomology`
@@ -36,7 +38,7 @@ touches the filtration reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -47,6 +49,7 @@ from .algebroid import (
     Representation,
     ValidationReport,
     CheckResult,
+    semidirect_table,
     validate_algebroid,
     validate_representation,
 )
@@ -111,8 +114,6 @@ def nerve(c: CoverDatum) -> Nerve:
     if edges:
         levels.append(list(edges))
     if tris:
-        if len(levels) == 1:
-            levels.append([])
         levels.append(list(tris))
     return Nerve(levels)
 
@@ -222,16 +223,13 @@ def _bracket_vec(c: List[List[List[Fraction]]], u: Sequence[Fraction], v: Sequen
     return out
 
 
-def _gamma_action(cd: ChartData, u: Sequence[Fraction]) -> QMatrix:
-    m = cd.rep.rank
-    out: List[SparseRow] = [{} for _ in range(m)]
-    for i in range(cd.algebra.rank):
-        if u[i] == 0:
-            continue
-        for al in range(m):
-            _axpy(out[al], u[i], {be: val for be in range(m)
-                                  if (val := cd.rep.gammas[i][al][be].constant_term())})
-    return QMatrix.of_sparse(out, m)
+def _fibre_table(algebra: LieAlgebroidPatch, rep: Optional[Representation]
+                 ) -> List[List[List[Fraction]]]:
+    """Constant bracket table of a chart fibre, or of its semidirect sum
+    with rep when rep is given."""
+    c = [[[e.constant_term() for e in row] for row in plane] for plane in algebra.structure]
+    return c if rep is None else semidirect_table(
+        c, [[[e.constant_term() for e in row] for row in g] for g in rep.gammas], Fraction(0))
 
 
 def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
@@ -239,33 +237,42 @@ def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
     """Witness of the first identity by which the frame map p and fibre map
     q fail to carry the fibre data of src to that of dst, or None.
 
-    The bracket identity p[e_a, e_b] = [p e_a, p e_b] is checked on every
-    ordered frame pair (a, b) in lexicographic order, so on antisymmetric
-    data the first failing pair has a < b.  When both charts carry a
-    representation, q gamma_src(e_b) = gamma_dst(p e_b) q is checked per
-    frame element.  Invertibility is the caller's check.
+    M[x, y] = [M x, M y] is checked for M = p + q on the semidirect tables
+    when both charts carry a representation, else for M = p on the fibres:
+    first on every frame pair (e_a, e_b) in lexicographic order, so on
+    antisymmetric data the first failing pair has a < b; then, frame
+    element by frame element, on (e_a, f_b), where it says that q
+    intertwines the actions of e_a.  The other pairs hold by construction
+    of the tables.  Invertibility is the caller's check.
     """
     r = src.algebra.rank
-    c_src, c_dst = ([[[e.constant_term() for e in row] for row in plane]
-                     for plane in cd.algebra.structure] for cd in (src, dst))
-    cols, units = p.transpose().rows, QMatrix.identity(r).rows
-    for a in range(r):
-        for b in range(r):
-            if p.apply(c_src[a][b]) != _bracket_vec(c_dst, cols[a], cols[b]):
+    with_rep = src.rep is not None and dst.rep is not None
+    c_src, c_dst = (_fibre_table(cd.algebra, cd.rep if with_rep else None)
+                    for cd in (src, dst))
+    m = len(c_src) - r
+    big = p if not with_rep else QMatrix(
+        [row + [0] * m for row in p.rows] + [[0] * r + row for row in q.rows])
+    cols = big.transpose().rows
+    for a, b in ([(a, b) for a in range(r) for b in range(r)]
+                 + [(a, r + b) for a in range(r) for b in range(m)]):
+        if big.apply(c_src[a][b]) != _bracket_vec(c_dst, cols[a], cols[b]):
+            if b < r:
                 return {"pair": (a + 1, b + 1), "reason": "not a Lie algebra morphism"}
-    if src.rep is not None and dst.rep is not None:
-        for b in range(r):
-            if not (q @ _gamma_action(src, units[b])
-                    - _gamma_action(dst, cols[b]) @ q).is_zero():
-                return {"frame": b + 1, "reason": "transition does not intertwine"}
+            return {"frame": a + 1, "reason": "transition does not intertwine"}
     return None
+
+
+def _fibre_valid(cd: ChartData) -> bool:
+    """The fibre is a Lie algebra, and the connection, if any, is flat over
+    that fibre, whatever patch it names (StructuralError if it cannot act)."""
+    return validate_algebroid(cd.algebra).ok and (
+        cd.rep is None or validate_representation(replace(cd.rep, algebroid=cd.algebra)).ok)
 
 
 def validate_family(f: LocalSystemFamily) -> ValidationReport:
     """Chart data validity, per-edge compatibility, cocycle on triples."""
     checks: List[CheckResult] = []
-    valid = _per_fibre(f, lambda cd: validate_algebroid(cd.algebra).ok and (
-        cd.rep is None or validate_representation(cd.rep).ok))
+    valid = _per_fibre(f, _fibre_valid)
     for idx, ok in enumerate(valid):
         checks.append(CheckResult(f"chart[{idx}]", ok,
                                   None if ok else {"chart": idx}))

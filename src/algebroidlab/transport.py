@@ -2,7 +2,9 @@
 
 The fibre structure constants and representation matrices depend
 polynomially on a time variable; a generator matrix moves the frame by
-the linear flow dPhi/dt = omega(t) Phi.  The flow is its Peano-Baker
+the linear flow dPhi/dt = omega(t) Phi.  One identity on the semidirect
+table of fibre and representation says the motion is flat, and the
+frozen fibre at time t is one `ChartData`.  The flow is its Peano-Baker
 series summed over Q[t]: exact when the series terminates, else a
 rational centre with a certified tail radius.  On top of it sit loop
 monodromy on cohomology, trivialization data at checkpoints, and the
@@ -16,14 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import (LieAlgebroidPatch, Representation, validate_algebroid,
-                        validate_representation)
+from .algebroid import LieAlgebroidPatch, Representation, semidirect_table, trivial_representation
 from .cohomology import lie_algebra_cohomology
 from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology,
-                     _chart_forest, _edge_maps, _holonomy, _induced_on_cohomology,
-                     _morphism_failure, _require_valid_family)
+                     _chart_forest, _edge_maps, _fibre_table, _fibre_valid, _holonomy,
+                     _induced_on_cohomology, _morphism_failure, _require_valid_family)
 from .errors import LabError, StructuralError, ValidationFailure
-from .library import lie_algebra_patch
 from .linalg import QMatrix
 from .ratpoly import TruncatedPoly, _poly_mat_mul, parse_poly
 
@@ -110,74 +110,50 @@ class PathFamily:
     def rep_rank(self) -> int:
         return len(self.omega_rep) if self.omega_rep is not None else 0
 
-    def structure_at(self, t) -> List[List[List[Fraction]]]:
-        pt = (Fraction(t),)
-        return [[[e.evaluate(pt) for e in row] for row in plane]
-                for plane in self.structure]
+    def fibre_at(self, t) -> ChartData:
+        """The frozen fibre at time t as constant data over a point, with its
+        representation built over that same patch."""
+        def frozen(table):
+            return [[[TruncatedPoly.const(0, e.evaluate((Fraction(t),)), 0) for e in row]
+                     for row in plane] for plane in table]
 
-    def gammas_at(self, t) -> Optional[List[List[List[Fraction]]]]:
-        if self.gammas is None:
-            return None
-        pt = (Fraction(t),)
-        return [[[e.evaluate(pt) for e in row] for row in g] for g in self.gammas]
-
-    def algebra_at(self, t) -> LieAlgebroidPatch:
-        return lie_algebra_patch(self.structure_at(t), name=self.name)
-
-    def rep_at(self, t) -> Optional[Representation]:
-        if self.gammas is None:
-            return None
-        g = self.gammas_at(t)
-        m = self.rep_rank
-        gam = [[[TruncatedPoly.const(0, g[i][a][b], 0) for b in range(m)]
-                for a in range(m)] for i in range(self.rank)]
-        return Representation(self.algebra_at(t), m, gam)
+        algebra = LieAlgebroidPatch((), 0, self.rank, [[] for _ in range(self.rank)],
+                                    frozen(self.structure), name=self.name)
+        return ChartData(algebra, None if self.gammas is None else
+                         Representation(algebra, self.rep_rank, frozen(self.gammas)))
 
     def is_loop(self) -> bool:
-        if self.structure_at(0) != self.structure_at(1):
-            return False
-        if self.gammas is not None and self.gammas_at(0) != self.gammas_at(1):
-            return False
-        return True
+        return self.fibre_at(0) == self.fibre_at(1)
 
 
 # -- identities tying the motion to the generator ------------------------------------------
 
 
-def _structure_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
-    # residual of dc_ijk/dt = sum_l (w_kl c_ijl - w_li c_ljk - w_lj c_ilk)
-    r = pf.rank
+def _flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
+    """Indices (i, j, k) where dc_ijk/dt = sum_l (w_kl c_ijl - w_li c_ljk - w_lj c_ilk)
+    fails, for c the semidirect table of fibre and representation and
+    w = block-diag(omega, omega_rep).  Indices below the rank are the fibre
+    identity; the others say dG_i/dt = w_rep G_i - G_i w_rep - sum_l w_li G_l."""
+    z, r, m = TruncatedPoly.zero(1), pf.rank, pf.rep_rank
     c, w = pf.structure, pf.omega
+    if pf.gammas is not None:
+        c = semidirect_table(c, pf.gammas, z)
+        w = [row + [z] * m for row in w] + [[z] * r + row for row in pf.omega_rep]
+    n = len(c)
     bad = []
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
                 acc = c[i][j][k].deriv(0)
-                for l in range(r):
-                    acc = acc - w[k][l] * c[i][j][l]
-                    acc = acc + w[l][i] * c[l][j][k]
-                    acc = acc + w[l][j] * c[i][l][k]
+                for l in range(n):      # w is mostly zero (its off-diagonal blocks)
+                    if w[k][l]:
+                        acc = acc - w[k][l] * c[i][j][l]
+                    if w[l][i]:
+                        acc = acc + w[l][i] * c[l][j][k]
+                    if w[l][j]:
+                        acc = acc + w[l][j] * c[i][l][k]
                 if not acc.is_zero():
                     bad.append((i, j, k))
-    return bad
-
-
-def _rep_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
-    # residual of dG_i/dt = w_rep G_i - G_i w_rep - sum_l w_li G_l
-    r, m = pf.rank, pf.rep_rank
-    g, w, wr = pf.gammas, pf.omega, pf.omega_rep
-    bad = []
-    for i in range(r):
-        for a in range(m):
-            for b in range(m):
-                acc = g[i][a][b].deriv(0)
-                for x in range(m):
-                    acc = acc - wr[a][x] * g[i][x][b]
-                    acc = acc + g[i][a][x] * wr[x][b]
-                for l in range(r):
-                    acc = acc + w[l][i] * g[l][a][b]
-                if not acc.is_zero():
-                    bad.append((i, a, b))
     return bad
 
 
@@ -196,15 +172,10 @@ class PathFamilyReport:
 def validate_path_family(pf: PathFamily) -> PathFamilyReport:
     """Frozen Lie axioms at rational time samples plus the exact polynomial
     identities that make the frame flow carry brackets to brackets."""
-    frozen = []
-    for t in TIME_SAMPLES:
-        a = pf.algebra_at(t)
-        ok = validate_algebroid(a).ok
-        if ok and pf.gammas is not None:
-            ok = validate_representation(pf.rep_at(t)).ok
-        frozen.append((t, ok))
-    flat_c = not _structure_flat_residuals(pf)
-    flat_g = None if pf.gammas is None else not _rep_flat_residuals(pf)
+    frozen = [(t, _fibre_valid(pf.fibre_at(t))) for t in TIME_SAMPLES]
+    bad = _flat_residuals(pf)
+    flat_c = all(max(ijk) >= pf.rank for ijk in bad)
+    flat_g = None if pf.gammas is None else all(max(ijk) < pf.rank for ijk in bad)
     return PathFamilyReport(frozen, flat_c, flat_g)
 
 
@@ -291,9 +262,7 @@ def _certified_maps(pf: PathFamily, t: Fraction, polys, radius: Fraction
     maps = [QMatrix([[p.evaluate((t,)) for p in row] for row in phi]) for phi in polys]
     phi_q, q_q = maps[0], maps[1] if len(maps) > 1 else None
     exact = (radius == 0
-             and _morphism_failure(ChartData(pf.algebra_at(0), pf.rep_at(0)),
-                                   ChartData(pf.algebra_at(t), pf.rep_at(t)),
-                                   phi_q, q_q) is None)
+             and _morphism_failure(pf.fibre_at(0), pf.fibre_at(t), phi_q, q_q) is None)
     inv = phi_q.rank() == pf.rank and (q_q is None or q_q.rank() == pf.rep_rank)
     return phi_q, q_q, exact, inv
 
@@ -334,26 +303,21 @@ def parallel_transport(pf: PathFamily, tol: float = 1e-8,
 def _loop_monodromy(pf: PathFamily, phi_q: QMatrix,
                     q_q: Optional[QMatrix]) -> Dict[int, QMatrix]:
     # inverse pullback along the time-1 map, degree by degree
-    lc = lie_algebra_cohomology(pf.algebra_at(Fraction(0)), pf.rep_at(Fraction(0)))
+    fibre = pf.fibre_at(0)
+    lc = lie_algebra_cohomology(fibre.algebra, fibre.rep)
     qm = q_q if q_q is not None else QMatrix.identity(1)
     return {q: _induced_on_cohomology(phi_q, qm, lc, lc, q) for q in range(pf.rank + 1)}
 
 
 def reverse_path(pf: PathFamily) -> PathFamily:
     """The same motion run backwards: coefficients in 1 - t, negated generator."""
-    def flip(p):
-        return _compose_one_minus_t(p)
-
-    def nflip(p):
-        return -_compose_one_minus_t(p)
-
+    flip = _compose_one_minus_t
     structure = [[[flip(e) for e in row] for row in plane] for plane in pf.structure]
-    omega = [[nflip(e) for e in row] for row in pf.omega]
-    gammas = None
-    omega_rep = None
+    omega = [[-flip(e) for e in row] for row in pf.omega]
+    gammas = omega_rep = None
     if pf.gammas is not None:
         gammas = [[[flip(e) for e in row] for row in g] for g in pf.gammas]
-        omega_rep = [[nflip(e) for e in row] for row in pf.omega_rep]
+        omega_rep = [[-flip(e) for e in row] for row in pf.omega_rep]
     return PathFamily(pf.rank, structure, omega, gammas, omega_rep,
                       name=pf.name + "~" if pf.name else "")
 
@@ -444,12 +408,12 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     expected = sorted([(i, i + 1) for i in range(ncharts - 1)] + [(0, ncharts - 1)])
     if sorted(cover.overlaps) != expected:
         raise StructuralError("cover is not a cyclic chain in index order")
-    base = lsf.charts[0].algebra
-    if base.rank != pf.rank:
+    if lsf.fibre_rank(0) != pf.rank:
         raise StructuralError("basepoint chart rank differs from the fibre rank")
-    base_c = [[[base.structure[i][j][k].constant_term() for k in range(pf.rank)]
-               for j in range(pf.rank)] for i in range(pf.rank)]
-    if base_c != pf.structure_at(Fraction(0)):
+    # no representation means the trivial rank-1 coefficients, as in cohomology
+    base, start = (_fibre_table(cd.algebra, cd.rep or trivial_representation(cd.algebra))
+                   for cd in (lsf.charts[0], pf.fibre_at(0)))
+    if base != start:
         raise StructuralError("basepoint chart does not carry the time-0 fibre")
     lcs = _chart_cohomology(lsf)
     loop = tuple(range(ncharts)) + (0,)

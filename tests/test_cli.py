@@ -380,6 +380,105 @@ def test_family_commands_reject_a_bad_fibre_transition(tmp_path, capsysbinary, q
                    for w in rep.witnesses), (argv, rep.witnesses)
 
 
+
+# abelian fibres whose charts name sl2's adjoint connection: flat over sl2,
+# not over the abelian fibre, so the family is no local system
+_FOREIGN_CONNECTION = """version 1
+
+algebroid ab3 {
+  rank = 3
+}
+
+algebroid sl2 {
+  rank = 3
+  bracket[0][1] = 0, 2, 0
+  bracket[0][2] = 0, 0, -2
+  bracket[1][2] = 1, 0, 0
+}
+
+representation adj {
+  of = sl2
+  rank = 3
+  gamma[0] = 0, 0, 0 ; 0, 2, 0 ; 0, 0, -2
+  gamma[1] = 0, 0, 1 ; -2, 0, 0 ; 0, 0, 0
+  gamma[2] = 0, -1, 0 ; 0, 0, 0 ; 2, 0, 0
+}
+
+cover pair {
+  charts = U, V
+  overlaps = (0,1)
+}
+
+family fam {
+  cover = pair
+  fibre[0] = ab3
+  fibre[1] = ab3
+  rep[0] = adj
+  rep[1] = adj
+}
+"""
+
+
+def test_family_connection_is_judged_over_the_chart_fibre(tmp_path, capsysbinary):
+    model = tmp_path / "foreign.alab"
+    model.write_text(_FOREIGN_CONNECTION)
+    code, out = run(["check", str(model), "--format", "structured"], capsysbinary)
+    assert code == 2, out
+    rows = {row[0]: row for row in next(
+        t for t in parse_structured(out).tables if t.name == "checks").rows}
+    assert rows["fam"][2:] == ("no", "chart[0]")
+    assert rows["adj"][2] == "yes"
+    for argv in (["ss"], ["localize", "--at", "0", "--deg", "0"]):
+        code, out = run([argv[0], str(model), *argv[1:]], capsysbinary)
+        assert code == 2 and b"family data invalid: chart[0]" in out, (argv, out)
+
+
+# the charts' rank-2 nilpotent coefficients and the path's differ by the
+# transpose; both have trivial monodromy, so only the fibre comparison tells
+_TRANSPOSED_COEFFICIENTS = """version 1
+
+algebroid ab1 {
+  rank = 1
+}
+
+representation nil {
+  of = ab1
+  rank = 2
+  gamma[0] = 0, 0 ; 1, 0
+}
+
+cover circle {
+  charts = U0, U1, U2
+  overlaps = (0,1), (0,2), (1,2)
+}
+
+family fam {
+  cover = circle
+  fibre[0] = ab1
+  fibre[1] = ab1
+  fibre[2] = ab1
+  rep[0] = nil
+  rep[1] = nil
+  rep[2] = nil
+}
+
+path_family loop {
+  rank = 1
+  omega = 0
+  gamma[0] = 0, 1 ; 0, 0
+  omega_rep = 0, 0 ; 0, 0
+}
+"""
+
+
+def test_monodromy_compares_the_basepoint_representation(tmp_path, capsysbinary):
+    model = tmp_path / "transposed.alab"
+    model.write_text(_TRANSPOSED_COEFFICIENTS)
+    code, out = run(["monodromy", str(model)], capsysbinary)
+    assert code == 2, out
+    assert b"basepoint chart does not carry the time-0 fibre" in out
+    assert b"verdict: match" not in out
+
 # each command on its shipped model, with the boundary values of the flags it takes
 BOUNDARY_VALUES = {"--deg": ("-1", "0", "9"), "--rmax": ("-1", "0"), "--at": ("-1", "99"),
                    "--tol": ("nan", "inf", "-1", "0"), "--steps": ("0", "-5"),

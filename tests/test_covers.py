@@ -316,6 +316,14 @@ def test_validate_family_names_every_chart_of_a_shared_bad_fibre(monkeypatch):
     assert len(calls) == 2
 
 
+def test_validate_family_refuses_a_connection_shaped_for_another_fibre():
+    # one connection matrix, for the frame of ab1, on charts of rank 3
+    f = _constant_family(_circle(3), abelian_patch(3),
+                         trivial_representation(abelian_patch(1), 2))
+    with pytest.raises(StructuralError, match="one connection matrix per frame element"):
+        validate_family(f)
+
+
 def _bracket_reference(a, u, v):
     r = a.rank
     return [sum(u[i] * v[j] * a.structure[i][j][k].constant_term()

@@ -149,8 +149,8 @@ path_family shear {
     pf = m.path_families["shear"]
     assert pf.rank == 2
     assert validate_path_family(pf).ok
-    c = pf.structure_at(Fraction(1, 2))
-    assert c[0][1][0] == Fraction(1, 2) and c[0][1][1] == 1
+    c = pf.fibre_at(Fraction(1, 2)).algebra.structure
+    assert c[0][1][0].constant_term() == Fraction(1, 2) and c[0][1][1].constant_term() == 1
 
 
 def test_path_family_with_moving_rep():

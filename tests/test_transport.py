@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,87 @@ def test_path_family_shape_errors():
         PathFamily.from_brackets(2, {(1, 0): [0, 0]}, [[0, 0], [0, 0]])
     with pytest.raises(StructuralError):
         PathFamily.from_brackets(2, {}, [[0, 1], [0, 0]], gammas=[[["1"]], [["0"]]])
+
+
+# The two flatness identities as they were written before the semidirect
+# table joined them, kept verbatim as references.
+
+
+def _structure_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
+    # residual of dc_ijk/dt = sum_l (w_kl c_ijl - w_li c_ljk - w_lj c_ilk)
+    r = pf.rank
+    c, w = pf.structure, pf.omega
+    bad = []
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                acc = c[i][j][k].deriv(0)
+                for l in range(r):
+                    acc = acc - w[k][l] * c[i][j][l]
+                    acc = acc + w[l][i] * c[l][j][k]
+                    acc = acc + w[l][j] * c[i][l][k]
+                if not acc.is_zero():
+                    bad.append((i, j, k))
+    return bad
+
+
+def _rep_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
+    # residual of dG_i/dt = w_rep G_i - G_i w_rep - sum_l w_li G_l
+    r, m = pf.rank, pf.rep_rank
+    g, w, wr = pf.gammas, pf.omega, pf.omega_rep
+    bad = []
+    for i in range(r):
+        for a in range(m):
+            for b in range(m):
+                acc = g[i][a][b].deriv(0)
+                for x in range(m):
+                    acc = acc - wr[a][x] * g[i][x][b]
+                    acc = acc + g[i][a][x] * wr[x][b]
+                for l in range(r):
+                    acc = acc + w[l][i] * g[l][a][b]
+                if not acc.is_zero():
+                    bad.append((i, a, b))
+    return bad
+
+
+_COEFF = st.sampled_from([0, 0, 0, 1, -1, 2])
+
+
+@st.composite
+def _moving_tables(draw, *shape):
+    """A table of the given shape whose entries are all zero, all constant
+    or all linear in t, with small and mostly zero coefficients."""
+    kind = draw(st.sampled_from(["zero", "constant", "linear"]))
+
+    def entry():
+        if kind == "zero":
+            return TruncatedPoly.zero(1)
+        return TruncatedPoly(1, {(0,): draw(_COEFF),
+                                 (1,): draw(_COEFF) if kind == "linear" else 0})
+
+    def table(dims):
+        return [table(dims[1:]) for _ in range(dims[0])] if len(dims) > 1 else \
+            [entry() for _ in range(dims[0])]
+    return table(shape)
+
+
+@st.composite
+def _path_families(draw):
+    r = draw(st.integers(1, 3))
+    m = draw(st.sampled_from([None, 1, 2]))
+    structure, omega = draw(_moving_tables(r, r, r)), draw(_moving_tables(r, r))
+    if m is None:
+        return PathFamily(r, structure, omega)
+    return PathFamily(r, structure, omega, draw(_moving_tables(r, m, m)),
+                      draw(_moving_tables(m, m)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_path_families())
+def test_one_flatness_identity_agrees_with_both_references(pf):
+    report = validate_path_family(pf)
+    assert report.flat_structure == (not _structure_flat_residuals(pf))
+    assert report.flat_rep == (None if pf.gammas is None else not _rep_flat_residuals(pf))
 
 
 # -- transport -----------------------------------------------------------------------------
@@ -383,7 +465,7 @@ def test_transported_class_equals_pullback_class():
     report = trivialize_via_transport(pf, tol=1e-8)
     phi_half = next(cp.phi for cp in report.checkpoints if cp.t == F(1, 2))
     assert phi_half.rows == [[F(1), F(1, 2)], [F(0), F(1)]]
-    lc = lie_algebra_cohomology(pf.algebra_at(0))
+    lc = lie_algebra_cohomology(pf.fibre_at(0).algebra)
     ind = _induced_on_cohomology(phi_half, QMatrix.identity(1), lc, lc, 1)
     moved = ind.apply([F(1), F(0)])
     assert moved == [F(1), F(-1, 2)]
