@@ -16,27 +16,32 @@ Two computation modes:
   stabilization flag, like jet mode.
 
 * jet mode: cochain coefficients are windowed by total degree.  The
-  differential is computed exactly from window N into window N + shift,
-  so d after d is exactly zero; boundaries are intersected back into the
-  window.  Betti numbers are reported per window with a stabilization
-  flag over the requested span.  One routine, `_windowed_row`, gives the
-  windows N = a..b for jet mode and for the windowed weight strata alike.
-  The windows nest, so the ones below b are counted, not eliminated: one
-  degree-ordered pass per (degree, weight), memoized on the complex,
-  feeds d of the basis in ascending coefficient degree to one
+  differential is computed exactly from window N into window N + shift;
+  boundaries are intersected back into the window.  Betti numbers are
+  reported per window with a stabilization flag over the requested span.
+  One routine, `_windowed_row`, gives the windows N = a..b for jet mode
+  and for the windowed weight strata alike.  The windows nest, so they are
+  counted, not eliminated one by one: one degree-ordered pass per (degree,
+  weight), memoized on the complex, feeds d of the basis up to coefficient
+  degree b + shift + 1 in ascending coefficient degree to one
   `persistence_pairs` elimination over target columns numbered from the
   highest coefficient degree down.  Its (source degree, pivot degree)
   pairs give the rank of d on every window, and, read from the pass one
-  degree lower, the boundaries that land inside every window.  The last
-  window N = b is eliminated canonically and stays on sparse rows until a
-  representative is printed.  Its cocycles are the kernel read off the
-  reduced sparse rows of d (`d_matrix`, which is built sparse and made
-  dense only for a reader of its rows).  Its boundaries come from one
-  sparse elimination: the rows d(eta) of all windowed primitives, with the
-  coordinates outside the window ordered first, so the reduced rows
-  pivoted inside the window span the images that vanish outside it.  The
-  cocycles are then reduced into that same echelon, and only the accepted
-  residuals, the representatives, are made dense.
+  degree lower, the boundaries that land inside every window, the last
+  one included.  A pass feeds no row for an element that the pass one
+  degree lower pivots on (clearing; Chen and Kerber 2011), which leaves
+  every count unchanged on a complex; so before its first pass a complex
+  checks d o d = 0 exactly, once (`CEComplex._certify`).  The last window
+  N = b is eliminated canonically only in the degrees where its betti
+  number is not 0, since only those print representatives.  Its cocycles
+  are the kernel read off the reduced sparse rows of d (`d_matrix`, which
+  is built sparse and made dense only for a reader of its rows).  Its
+  boundaries come from one sparse elimination: the rows d(eta) of all
+  windowed primitives, with the coordinates outside the window ordered
+  first, so the reduced rows pivoted inside the window span the images
+  that vanish outside it.  The cocycles are then reduced into that same
+  echelon, and only the accepted residuals, the representatives, are made
+  dense.
 
 Each complex compiles its static data once.  d applies, to each monomial
 cochain f e^I (x) f_beta, a term table built from the uncapped data on the
@@ -61,11 +66,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, persistence_pairs, quotient_dim_and_reps
+from .linalg import Echelon, QMatrix, SparseRow, _axpy, persistence_pairs, quotient_dim_and_reps
 from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
 
 Exponent = Tuple[int, ...]
@@ -73,8 +78,9 @@ BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibr
 Cochain = Dict[BasisElement, Fraction]
 # (derivative index or None, coefficient exponent, scalar, target wedge, target fibre)
 Term = Tuple[Optional[int], Exponent, Fraction, Tuple[int, ...], int]
-# (ascending basis degrees, persistence pairs as (source degree, pivot degree))
-DegreePass = Tuple[List[int], List[Tuple[int, int]]]
+# (ascending basis degrees, persistence pairs as (source degree, pivot degree),
+#  pivot elements)
+DegreePass = Tuple[List[int], List[Tuple[int, int]], Set[BasisElement]]
 
 
 def wedge_tuples(rank: int, q: int) -> List[Tuple[int, ...]]:
@@ -110,6 +116,7 @@ class CEComplex:
         self._d: Dict[BasisElement, Cochain] = {}
         self._passes: Dict[Tuple[int, Optional[int], int], DegreePass] = {}
         self._low_weight: Dict[int, Optional[int]] = {}
+        self._certified = False
 
     # -- degrees and weights -----------------------------------------------------
 
@@ -197,7 +204,8 @@ class CEComplex:
 
     def _table(self, wedge: Tuple[int, ...], beta: int) -> List[Term]:
         """The terms of d on f e^wedge (x) f_beta, compiled once from the
-        uncapped data, so d o d = 0 holds on the nose."""
+        uncapped data, so d o d = 0 holds on the nose when the data satisfy
+        the algebroid identities (`_certify` checks it)."""
         terms = self._tables.get((wedge, beta))
         if terms is not None:
             return terms
@@ -248,25 +256,58 @@ class CEComplex:
                 rows[i][j] = val
         return QMatrix.of_sparse(rows, len(source))
 
+    def _certify(self) -> None:
+        """Check d o d = 0 exactly, once per complex.
+
+        d o d is a differential operator of order <= 2 with polynomial
+        coefficients, so it vanishes if it vanishes on x^m e^I (x) f_beta
+        for every wedge I, fibre index beta and monomial of degree <= 2."""
+        if self._certified:
+            return
+        for q in range(self.a.rank - 1):        # d o d vanishes into degrees > rank
+            for elem in self._window(q, 2, None):
+                dd: Cochain = {}
+                for key, val in self.d_of_element(elem).items():
+                    _axpy(dd, val, self.d_of_element(key))
+                if dd:
+                    names, fibre_rank = self.a.var_names, self.rho.rank
+                    keys = sorted(dd)
+                    raise ValidationFailure("differential does not square to zero", {
+                        "kind": "not_complex", "degree": q,
+                        "element": format_element(elem, names, fibre_rank),
+                        "d_of_d": format_cochain([dd[k] for k in keys], keys, names, fibre_rank)})
+        self._certified = True
+
     def _degree_pass(self, q: int, weight: Optional[int], top: int) -> DegreePass:
         """The coefficient degrees of the basis of C^q_{<=top}, ascending,
-        and the persistence pairs (source degree, pivot degree) of d on it.
+        the persistence pairs (source degree, pivot degree) of d on it, and
+        the elements of C^{q+1} that the pass pivots on.
 
         d(e) enters one `persistence_pairs` pass in ascending coefficient
         degree of e, over the target window numbered by (-coefficient
         degree, canonical position), so every prefix of sources of degree
         <= M has its reduced image pivoted at degree <= N exactly on the
-        part that vanishes above degree N.  Memoized per (q, weight, top)."""
+        part that vanishes above degree N.  No row enters for a pivot e of
+        the pass one degree lower: its accepted row R is a boundary, so
+        d(R) = 0, and every other term of R has degree <= deg e; the
+        pivots being distinct, d(e) lies in the span of d of the fed
+        sources of degree <= deg e, and the span at every degree boundary
+        is unchanged.  That needs d o d = 0, which `_certify` checks before
+        the first pass.  Memoized per (q, weight, top)."""
         key = (q, weight, top)
         if key not in self._passes:
+            self._certify()
+            cleared = self._degree_pass(q - 1, weight, top)[2] if q else set()
             source = sorted(self._window(q, top, weight), key=_degree)
+            fed = [e for e in source if e not in cleared]
             target = sorted(self._window(q + 1, top + self.degree_shift(), weight),
                             key=lambda e: -_degree(e))
             col = {elem: k for k, elem in enumerate(target)}
-            rows = ({col[c]: x for c, x in self.d_of_element(e).items()} for e in source)
+            rows = ({col[c]: x for c, x in self.d_of_element(e).items()} for e in fed)
+            pairs = [(fed[i], target[p]) for i, p in persistence_pairs(len(target), rows)]
             self._passes[key] = ([_degree(e) for e in source],
-                                [(_degree(source[i]), _degree(target[p]))
-                                 for i, p in persistence_pairs(len(target), rows)])
+                                [(_degree(e), _degree(pivot)) for e, pivot in pairs],
+                                {pivot for _, pivot in pairs})
         return self._passes[key]
 
     # -- interior contraction (for the scaling homotopy) ------------------------------
@@ -398,32 +439,34 @@ def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
 
     The betti estimate on window N counts cocycles with coefficients of
     degree <= N modulo the boundaries of windowed primitives, of degree
-    <= N + shift + 1, that land inside the window.  The windows below b
-    are counted off the persistence pairs of degrees q and q - 1
-    (`CEComplex._degree_pass`); the last window is eliminated canonically
-    and carries the representatives.  The row is stabilized when the last s
-    estimates agree."""
+    <= N + shift + 1, that land inside the window.  Every window is counted
+    off the persistence pairs of degrees q and q - 1
+    (`CEComplex._degree_pass`); the last window is eliminated canonically,
+    for its representatives, only when its betti number is not 0.  The row
+    is stabilized when the last s estimates agree."""
     start, end, span = window
     shift = cx.degree_shift()
+    # sources up to b + shift + 1 serve both degrees' windows up to b
+    degrees, cocycle_pairs, _ = cx._degree_pass(q, weight, end + shift + 1)
+    boundary_pairs = cx._degree_pass(q - 1, weight, end + shift + 1)[1] if q else []
     history: List[Tuple[int, int]] = []
-    if start < end:
-        # sources up to (b - 1) + shift + 1 serve both degrees' windows below b
-        degrees, cocycle_pairs = cx._degree_pass(q, weight, end + shift)
-        boundary_pairs = cx._degree_pass(q - 1, weight, end + shift)[1] if q else []
-        for n_deg in range(start, end):
-            rank = sum(1 for src, _ in cocycle_pairs if src <= n_deg)
-            bounded = sum(1 for src, piv in boundary_pairs
-                          if src <= n_deg + shift + 1 and piv <= n_deg)
-            history.append((n_deg, bisect_right(degrees, n_deg) - rank - bounded))
-    basis = cx.window_basis(q, end, weight)
-    d = cx.d_matrix(basis, cx.window_basis(q + 1, end + shift, weight))
-    primitives = cx.window_basis(q - 1, end + shift + 1, weight) if q else []
-    betti, reps = quotient_dim_and_reps(d.echelon().kernel(), _boundaries(cx, primitives, basis))
-    history.append((end, betti))
+    for n_deg in range(start, end + 1):
+        rank = sum(1 for src, _ in cocycle_pairs if src <= n_deg)
+        bounded = sum(1 for src, piv in boundary_pairs
+                      if src <= n_deg + shift + 1 and piv <= n_deg)
+        history.append((n_deg, bisect_right(degrees, n_deg) - rank - bounded))
+    betti = history[-1][1]
+    reps_str: List[str] = []
+    if betti:
+        basis = cx.window_basis(q, end, weight)
+        d = cx.d_matrix(basis, cx.window_basis(q + 1, end + shift, weight))
+        primitives = cx.window_basis(q - 1, end + shift + 1, weight) if q else []
+        _, reps = quotient_dim_and_reps(d.echelon().kernel(), _boundaries(cx, primitives, basis))
+        reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
     tail = [b for _, b in history[-span:]]
-    reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
     return CohomologyRow(q, betti, weight, window, len(tail) == span and len(set(tail)) == 1,
-                         exact=False, history=history, representatives=reps_str), len(basis)
+                         exact=False, history=history, representatives=reps_str
+                         ), bisect_right(degrees, end)
 
 
 def _check_window(window: Tuple[int, int, int]) -> None:

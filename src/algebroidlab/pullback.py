@@ -561,14 +561,18 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
         # restriction surjectivity on representatives: the rank of the
-        # restricted cocycles modulo the slice boundaries at this window
-        basis_big = cx.window_basis(q, end)
-        cocycles = cx.d_matrix(basis_big, cx.window_basis(q + 1, end + shift)).echelon().kernel()
-        index = {e: i for i, e in enumerate(basis_s)}
-        img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep, minor,
-                                                     len(frame), index)) is not None
-                       for zvec in cocycles)
-        surjective = img_rank >= betti_s
+        # restricted cocycles modulo the slice boundaries at this window;
+        # onto a zero slice class space it holds with nothing to restrict
+        surjective = True
+        if betti_s:
+            basis_big = cx.window_basis(q, end)
+            cocycles = cx.d_matrix(basis_big,
+                                   cx.window_basis(q + 1, end + shift)).echelon().kernel()
+            index = {e: i for i, e in enumerate(basis_s)}
+            img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep, minor,
+                                                         len(frame), index)) is not None
+                           for zvec in cocycles)
+            surjective = img_rank >= betti_s
         rows.append(TransversalIsoRow(q, betti_a, betti_s, betti_a == betti_s, surjective))
     ok = all(r.equal and r.restriction_surjective for r in rows)
     return TransversalIsoReport(ok, rows, sliced.rank, window)

@@ -112,6 +112,26 @@ def test_cohomology_deg_three_row(capsysbinary):
     assert betti.rows[0][3] == "1"
 
 
+def test_jet_cohomology_refuses_a_differential_that_does_not_square_to_zero(
+        tmp_path, capsysbinary):
+    # anchor([e1, e2]) = 5 d_y but [anchor(e1), anchor(e2)] = -d_y: d o d != 0,
+    # and the window counts would be betti numbers of no complex
+    bad = tmp_path / "bad.alab"
+    bad.write_text("version 1\n\nalgebroid bad {\n  vars = x, y\n  jet_order = 6\n"
+                   "  rank = 2\n  anchor[0] = 1, y\n  anchor[1] = 0, 1\n"
+                   "  bracket[0][1] = 0, 5\n}\n")
+    code, out = run(["check", str(bad)], capsysbinary)
+    assert code == 2 and b"anchor_bracket" in out
+    code, out = run(["cohomology", str(bad), "--mode", "jet", "--window", "3:5:3",
+                     "--format", "structured"], capsysbinary)
+    assert code == 2
+    rep = parse_structured(out)
+    assert rep.verdict == "fail"
+    assert rep.notes == ["differential does not square to zero"]
+    assert rep.witnesses == [{"kind": "not_complex", "degree": 0, "element": "y",
+                              "d_of_d": "-6*e[1,2]"}]
+
+
 def test_cohomology_requires_unique_or_named_section(capsysbinary):
     code, out = run(["cohomology", SL2], capsysbinary)
     assert code == 0          # only one algebroid in the file: no --name needed

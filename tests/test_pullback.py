@@ -31,6 +31,7 @@ from algebroidlab.library import (
     sl2_patch,
     tangent_patch,
 )
+import algebroidlab.pullback as pullback
 from algebroidlab.pullback import (
     EulerSection,
     PullbackReport,
@@ -48,6 +49,7 @@ from algebroidlab.pullback import (
 from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, minors, parse_poly
 from test_ratpoly import _reference_remap, _reference_restrict
+from test_windowed_cohomology import _affine_patch
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -726,6 +728,25 @@ def test_transversal_iso_differentiates_each_element_once(monkeypatch):
     assert rep.ok
     assert len({cx for cx, _ in built}) == 2
     assert len(built) == len(set(built))
+
+
+def test_transversal_iso_restricts_only_onto_nonzero_slice_classes(monkeypatch):
+    # with betti_slice = 0 surjectivity holds with nothing to restrict, so
+    # no cocycle of that degree is restricted
+    restricted = []
+
+    def counting(a, vec, basis, q, *rest):
+        restricted.append(q)
+        return _restrict_cochain(a, vec, basis, q, *rest)
+
+    monkeypatch.setattr(pullback, "_restrict_cochain", counting)
+    _, line = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+    for a, keep, slice_classes in ((line, (), {0, 3}), (_affine_patch([Fraction(2)], 6), (0,), {0})):
+        restricted.clear()
+        rep = transversal_iso_check(a, None, keep=keep, window=(3, 5, 3))
+        assert rep.ok
+        assert {row.degree for row in rep.rows if row.betti_slice} == slice_classes
+        assert set(restricted) == slice_classes, a.name
 
 
 def _reference_restrict_cochain(a, vec, basis, q, keep, frame, slice_basis):

@@ -4,6 +4,7 @@ window pass and their guards."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algebroidlab.algebroid import LieAlgebroidPatch, adjoint_representation
-from algebroidlab.cohomology import (CEComplex, CohomologyRow, _boundaries, _windowed_row,
-                                     format_cochain, jet_cohomology, weight_cohomology)
-from algebroidlab.errors import StructuralError
+from algebroidlab.algebroid import LieAlgebroidPatch, Representation, adjoint_representation
+from algebroidlab.cohomology import (CEComplex, CohomologyRow, _boundaries, _degree,
+                                     _windowed_row, format_cochain, jet_cohomology,
+                                     weight_cohomology)
+from algebroidlab.errors import StructuralError, ValidationFailure
 from algebroidlab.library import (
     abelian_patch,
     euler_vector_field_patch,
@@ -24,11 +26,14 @@ from algebroidlab.library import (
     sl2_patch,
     tangent_patch,
 )
-from algebroidlab.linalg import Echelon, QMatrix, quotient_dim_and_reps
+from algebroidlab.linalg import Echelon, QMatrix, _axpy, persistence_pairs, quotient_dim_and_reps
 from algebroidlab.modelfile import parse_model
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
 from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient
+
+# the module; the package exports a function of the same name
+COHOMOLOGY = sys.modules["algebroidlab.cohomology"]
 
 SLOPES = (F(1), F(-1), F(2), F(-2), F(3), F(1, 2), F(-1, 2), F(2, 3), F(-3, 2))
 
@@ -393,3 +398,184 @@ def test_jet_history_costs_no_elimination_per_window(monkeypatch):
         assert [row.betti for row in rep.rows] == [1, 0, 0]
         counts.append(len(made))
     assert 0 < counts[1] <= counts[0], counts
+
+
+# -- clearing and the d o d certificate -------------------------------------------------
+
+
+def _uncleared_pass(cx, q, weight, top):
+    """The degree pass before clearing, kept as its oracle: every source of
+    C^q_{<=top} fed in ascending coefficient degree.  Returns the source
+    degrees, the sorted (source degree, pivot degree) pairs and the pivot
+    elements."""
+    source = sorted(cx.window_basis(q, top, weight), key=_degree)
+    target = sorted(cx.window_basis(q + 1, top + cx.degree_shift(), weight),
+                    key=lambda e: -_degree(e))
+    col = {elem: k for k, elem in enumerate(target)}
+    rows = ({col[c]: x for c, x in cx.d_of_element(e).items()} for e in source)
+    pairs = [(source[i], target[p]) for i, p in persistence_pairs(len(target), rows)]
+    return ([_degree(e) for e in source], sorted((_degree(e), _degree(p)) for e, p in pairs),
+            {p for _, p in pairs})
+
+
+def _assert_passes_match(a, rho, tops, degrees, weights):
+    """Every cleared pass has the degrees, pairs and pivots of the uncleared
+    one; one complex per top serves every degree and weight, as in the
+    reports."""
+    n_pairs = 0
+    for top in tops:
+        cx, oracle_cx = CEComplex(a, rho), CEComplex(a, rho)
+        for w in weights:
+            for q in degrees:
+                degrees_q, pairs, pivots = cx._degree_pass(q, w, top)
+                want = _uncleared_pass(oracle_cx, q, w, top)
+                assert (degrees_q, sorted(pairs), pivots) == want, (a.name, top, w, q)
+                n_pairs += len(pairs)
+    return n_pairs
+
+
+def _weights_of(a):
+    """None, and the weights -2..2 when the patch can weigh its cochains."""
+    graded = a.weights is not None or a.n_vars == 0
+    return (None,) + (tuple(range(-2, 3)) if graded else ())
+
+
+def test_cleared_passes_match_uncleared_on_tier1_patches():
+    pairs = 0
+    for a, rho in _tier1_patches():
+        shift = CEComplex(a, rho).degree_shift()
+        tops = sorted({end + shift + 1 for _, end, _ in ((0, 3, 2), (1, 4, 3), (2, 2, 1))})
+        pairs += _assert_passes_match(a, rho, tops, range(a.rank + 2), _weights_of(a))
+    assert pairs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_windowed_cases())
+def test_cleared_pass_matches_uncleared_hypothesis(case):
+    a, (_, end, _), q, weight = case
+    top = end + CEComplex(a).degree_shift() + 1
+    _assert_passes_match(a, None, [top], range(q + 1), [weight])
+
+
+def test_last_window_eliminates_only_where_a_class_survives(monkeypatch):
+    a = _affine_patch([F(2)], 5)
+    quotients, passes = [], []
+    quotient, pairs = COHOMOLOGY.quotient_dim_and_reps, COHOMOLOGY.persistence_pairs
+
+    def counting_quotient(cycles, boundaries):
+        quotients.append(boundaries.dim)
+        return quotient(cycles, boundaries)
+
+    def counting_pairs(dim, rows):
+        rows = list(rows)
+        passes.append((dim, len(rows)))
+        return pairs(dim, rows)
+
+    monkeypatch.setattr(COHOMOLOGY, "quotient_dim_and_reps", counting_quotient)
+    monkeypatch.setattr(COHOMOLOGY, "persistence_pairs", counting_pairs)
+    rep = jet_cohomology(a, window=(3, 5, 3))
+    assert [r.betti for r in rep.rows] == [1, 0, 0]
+    cx = CEComplex(a)
+    top = 5 + cx.degree_shift() + 1
+    assert quotients == [len(cx.window_basis(0, 5))]
+    # passes of degrees 0, 1, 2 in that order; degree 1 feeds no row for
+    # the pivots of degree 0 inside its source window
+    assert [dim for dim, _ in passes] == [len(cx.window_basis(q + 1, top)) for q in range(3)]
+    pivots_0 = _uncleared_pass(CEComplex(a), 0, None, top)[2]
+    cleared = sum(1 for e in pivots_0 if _degree(e) <= top)
+    assert 0 < cleared and passes[1][1] == len(cx.window_basis(1, top)) - cleared
+
+
+def _d_of_d(cx, elem):
+    out = {}
+    for key, val in cx.d_of_element(elem).items():
+        _axpy(out, val, cx.d_of_element(key))
+    return out
+
+
+def _squares_to_zero_up_to(cx, top):
+    """Brute force: d o d vanishes on every basis element of coefficient
+    degree <= top in every cochain degree."""
+    return all(not _d_of_d(cx, e) for q in range(cx.a.rank + 1) for e in cx.window_basis(q, top))
+
+
+def _poly(n, terms, jet_order):
+    """sum of v * x^mono over (mono, v) in terms."""
+    out = TruncatedPoly.zero(n, jet_order)
+    for mono, v in terms:
+        out = out + TruncatedPoly.monomial(n, mono, v, jet_order)
+    return out
+
+
+def _bump_bracket(a, i, j, k, delta):
+    structure = [[list(col) for col in plane] for plane in a.structure]
+    bump = TruncatedPoly.const(a.n_vars, delta, a.jet_order)
+    structure[i][j][k] = structure[i][j][k] + bump
+    structure[j][i][k] = structure[j][i][k] - bump
+    return LieAlgebroidPatch(a.var_names, a.jet_order, a.rank, a.anchor, structure,
+                             a.weights, a.frame_weights, a.name + "_bumped")
+
+
+def _drop_anchor_term(a, i, l):
+    anchor = [list(row) for row in a.anchor]
+    anchor[i][l] = TruncatedPoly.zero(a.n_vars, a.jet_order)
+    return LieAlgebroidPatch(a.var_names, a.jet_order, a.rank, anchor, a.structure,
+                             a.weights, a.frame_weights, a.name + "_dropped")
+
+
+def _rank_one_connection(a, gammas):
+    """The rank-1 representation with connection forms gammas[i]."""
+    return Representation(a, 1, [[[g]] for g in gammas], name="line")
+
+
+def _certifies(cx):
+    try:
+        cx._certify()
+    except ValidationFailure as exc:
+        assert exc.witness["kind"] == "not_complex"
+        return False
+    return True
+
+
+def test_certificate_refuses_each_broken_identity():
+    a = _affine_patch([F(2)], 6)
+    assert _certifies(CEComplex(a))
+    n = a.n_vars
+    y = _poly(n, [((0, 1), 1)], 6)
+    zero = TruncatedPoly.zero(n, 6)
+    for bad, rho in ((_bump_bracket(a, 0, 1, 1, F(1, 3)), None),
+                     (_drop_anchor_term(a, 0, 1), None),
+                     (a, _rank_one_connection(a, [y, zero]))):
+        assert not _certifies(CEComplex(bad, rho)), bad.name
+        with pytest.raises(ValidationFailure, match="does not square to zero"):
+            jet_cohomology(bad, rho, window=(1, 2, 1))
+    # a flat connection passes: gamma_2 = 0 and d_y gamma_1 = 0
+    assert _certifies(CEComplex(a, _rank_one_connection(a, [_poly(n, [((1, 0), 2)], 6), zero])))
+
+
+@st.composite
+def _maybe_broken(draw):
+    """An affine or product patch, maybe with a bumped structure constant, a
+    dropped anchor entry or a rank-1 connection with drawn polynomial forms."""
+    a, _, _, _ = draw(_windowed_cases())
+    n, r = a.n_vars, a.rank
+    rho = None
+    kind = draw(st.sampled_from(["none", "bump", "drop", "connection"]))
+    if kind == "bump" and r > 1:
+        i, j = sorted(draw(st.lists(st.integers(0, r - 1), min_size=2, max_size=2, unique=True)))
+        a = _bump_bracket(a, i, j, draw(st.integers(0, r - 1)), draw(st.sampled_from(SLOPES)))
+    elif kind == "drop" and n:
+        a = _drop_anchor_term(a, draw(st.integers(0, r - 1)), draw(st.integers(0, n - 1)))
+    elif kind == "connection":
+        monos = [(0,) * n] + [tuple(int(i == l) for i in range(n)) for l in range(n)]
+        rho = _rank_one_connection(a, [_poly(n, draw(st.lists(
+            st.tuples(st.sampled_from(monos), st.sampled_from(SLOPES)), max_size=2)), a.jet_order)
+            for _ in range(r)])
+    return a, rho, draw(st.integers(2, 4))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_maybe_broken())
+def test_certificate_is_complete_hypothesis(case):
+    a, rho, top = case
+    assert _certifies(CEComplex(a, rho)) == _squares_to_zero_up_to(CEComplex(a, rho), top)
