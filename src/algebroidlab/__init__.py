@@ -19,7 +19,7 @@ from .ratpoly import (
     monomials_up_to,
     grlex_key,
 )
-from .linalg import QMatrix, NotAComplexError, kernel_quotient_dims
+from .linalg import QMatrix
 from .algebroid import (
     LieAlgebroidPatch,
     Representation,
@@ -95,7 +95,7 @@ __all__ = [
     "LabError", "StructuralError", "ValidationFailure",
     "TruncatedPoly", "WeightAssignment", "parse_poly", "format_poly",
     "format_rational", "monomials_up_to", "grlex_key",
-    "QMatrix", "NotAComplexError", "kernel_quotient_dims",
+    "QMatrix",
     "LieAlgebroidPatch", "Representation", "ValidationReport",
     "validate_algebroid", "validate_representation",
     "trivial_representation", "adjoint_representation", "semidirect",

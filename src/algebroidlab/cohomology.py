@@ -13,7 +13,10 @@ Two computation modes:
   honest subcomplex.  When every coordinate has positive weight the
   stratum is finite dimensional and the answer is exact; transversal
   (weight zero) coordinates are handled through a degree window with a
-  stabilization flag, like jet mode.
+  stabilization flag, like jet mode.  Weight mode, like jet mode and
+  `lie_algebra_cohomology`, refuses a complex on which d o d is not 0
+  (`CEComplex._certify`), so every betti number it prints is one of a
+  complex.
 
 * jet mode: cochain coefficients are windowed by total degree.  The
   differential is computed exactly from window N into window N + shift;
@@ -71,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
 from .linalg import Echelon, QMatrix, SparseRow, _axpy, persistence_pairs, quotient_dim_and_reps
-from .ratpoly import TruncatedPoly, format_poly, monomials_up_to
+from .ratpoly import TruncatedPoly, _monomial_table, format_poly
 
 Exponent = Tuple[int, ...]
 BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibre)
@@ -158,7 +161,7 @@ class CEComplex:
         """The memoized window_basis, shared by every caller."""
         key = (q, max_deg)
         if key not in self._bases:
-            monos = monomials_up_to(self.a.n_vars, max_deg)
+            monos = _monomial_table(self.a.n_vars, max_deg)
             self._bases[key] = [(mono, wedge, beta) for wedge in wedge_tuples(self.a.rank, q)
                                 for beta in range(self.rho.rank) for mono in monos]
         if weight is None:
@@ -523,8 +526,9 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
                        degrees: Optional[Sequence[int]], window: Tuple[int, int, int]
                        ) -> CohomologyReport:
     """weight_cohomology on a graded complex, so callers can share its
-    differential cache."""
+    differential cache; the complex is certified first."""
     _check_window(window)
+    cx._certify()
     a = cx.a
     degrees = _degree_list(degrees, a.rank)
     if weights is None:
@@ -583,10 +587,12 @@ class LieCohomology:
 
 def lie_algebra_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None
                            ) -> LieCohomology:
-    """Full CE cohomology of a constant-coefficient Lie algebra patch."""
+    """Full CE cohomology of a constant-coefficient Lie algebra patch, on a
+    certified complex."""
     if a.n_vars != 0:
         raise StructuralError("constant-coefficient path requires a point base")
     cx = CEComplex(a, rho)
+    cx._certify()
     r = a.rank
     bases = [cx.window_basis(q, 0) for q in range(r + 2)]
     mats = [cx.d_matrix(bases[q], bases[q + 1]) for q in range(r + 1)]

@@ -755,7 +755,11 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
         raise StructuralError("chart index out of range")
     if n < 0:
         raise StructuralError("negative degree")
-    lc = lie_algebra_cohomology(f.charts[chart].algebra, f.charts[chart].rep)
+    try:
+        lc = lie_algebra_cohomology(f.charts[chart].algebra, f.charts[chart].rep)
+    except ValidationFailure:
+        _require_valid_family(f, c)     # a fibre that is no complex fails its chart check
+        raise
     hyp_a = all(lc.betti[q] == 0 for q in range(min(max(n - 1, 0), len(lc.betti))))
     hyp_b = len(nerve_components(c)) == 1
     h_prev = lc.betti[n - 1] if 0 <= n - 1 < len(lc.betti) else 0

@@ -1,25 +1,29 @@
 """Exact linear algebra over the rationals.
 
-All computations run on Fraction entries; there is no floating point in
-this module.  There is one stored form and one elimination engine.  A
-`QMatrix` holds only sparse rows, {column: Fraction} dicts of the nonzero
-entries; its products, differences and applications accumulate those rows,
-and its dense `rows` are a read-out for reports.  `Echelon` is a reduced
-row echelon span over the same sparse rows: rank, kernel, image, rref,
-solve and inverse of a `QMatrix` are all one `Echelon` pass over its rows
-(augmented for solve and inverse).  `Echelon.kernel` reads the null space
-off the reduced rows, `quotient_dim_and_reps` reduces sparse cycles
-against a boundary echelon, and `persistence_pairs` records the pivot of
-each accepted row of a filtration-ordered pass.  The reduced row echelon
-form of a matrix is unique, so pivots, kernel and image bases, solutions,
-inverses and quotient representatives do not depend on the order of
-elimination and are reproducible byte for byte.
+Every entry is exact, a Fraction or an integer; there is no floating point
+in this module.  There is one stored form of a matrix and one elimination
+engine.  A `QMatrix` holds only sparse rows, {column: Fraction} dicts of
+the nonzero entries; its products, differences and applications accumulate
+those rows, and its dense `rows` are a read-out for reports.  `Echelon` is
+a reduced row echelon span kept fraction-free: each vector enters with its
+denominators cleared, and its rows are primitive integer multiples of the
+reduced rational rows, which are made only where they are read.  Rank,
+kernel, image, rref, solve and inverse of a `QMatrix` are all one
+`Echelon` pass over its rows (augmented for solve and inverse).
+`Echelon.kernel` reads the null space off the reduced rows,
+`quotient_dim_and_reps` reduces sparse cycles against a boundary echelon,
+and `persistence_pairs` records the pivot of each accepted row of a
+filtration-ordered pass, making no Fraction at all.  The reduced row
+echelon form of a matrix is unique, so pivots, kernel and image bases,
+solutions, inverses and quotient representatives do not depend on the
+order of elimination and are reproducible byte for byte.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 QZERO = Fraction(0)
@@ -27,19 +31,7 @@ QONE = Fraction(1)
 
 Vector = List[Fraction]
 SparseRow = Dict[int, Fraction]
-
-
-class NotAComplexError(ValueError):
-    """Composite of two maps expected to vanish does not.
-
-    Carries the first nonzero witness entry as (row, col, value).
-    """
-
-    def __init__(self, witness: Tuple[int, int, Fraction]):
-        row, col, value = witness
-        super().__init__(
-            f"not a complex: composite has nonzero entry {value} at row {row}, column {col}")
-        self.witness = witness
+IntRow = Dict[int, int]
 
 
 class QMatrix:
@@ -152,7 +144,7 @@ class QMatrix:
         in pivot order, followed by zero rows up to the original height.
         """
         ech = self.echelon()
-        rows = [ech._row_at[p] for p in ech.pivots] + [{} for _ in range(self.nrows - ech.rank)]
+        rows = [ech.row(p) for p in ech.pivots] + [{} for _ in range(self.nrows - ech.rank)]
         return QMatrix.of_sparse(rows, self.ncols), list(ech.pivots)
 
     def echelon(self) -> "Echelon":
@@ -193,7 +185,7 @@ class QMatrix:
             return None
         x = [QZERO] * n
         for p in ech.pivots:
-            x[p] = ech._row_at[p].get(n, QZERO)
+            x[p] = ech.row(p).get(n, QZERO)
         return x
 
     def inverse(self) -> Optional["QMatrix"]:
@@ -208,80 +200,100 @@ class QMatrix:
         ech = Echelon(2 * n, aug)
         if ech.pivots != list(range(n)):
             return None
-        return QMatrix.of_sparse([{c - n: x for c, x in ech._row_at[p].items() if c >= n}
+        return QMatrix.of_sparse([{c - n: x for c, x in ech.row(p).items() if c >= n}
                                   for p in ech.pivots], n)
 
 
 class Echelon:
-    """Reduced row echelon span with sparse rows, built one vector at a time.
+    """Reduced row echelon span with sparse integer rows, built one vector at a time.
 
-    Each row is a {column: Fraction} dict of its nonzero entries, equal to 1
-    at its own pivot and 0 at every other pivot.  `pivots` is ascending.
-    The columns of a vector are 0..dim-1.  A sparse row may also carry
-    negative columns, for coordinates to eliminate: they order before every
-    other column, and `dense_rows` leaves out the rows pivoted there, so
-    its rows are the reduced basis of the part of the span that vanishes
-    at those coordinates.  The initial sparse rows are consumed.
+    Each row is a {column: int} dict of its nonzero entries: a primitive
+    integer vector (content 1) whose pivot entry is positive, a nonzero
+    multiple of the reduced rational row, so it is 0 at every other pivot
+    (fraction-free elimination; Bareiss 1968).  `pivots` is ascending.
+    The rational row at pivot p is row / row[p]; `row` reads it out, and
+    so do `dense_rows`, `kernel` and `quotient_dim_and_reps`.  The columns
+    of a vector are 0..dim-1.  A sparse row may also carry negative
+    columns, for coordinates to eliminate: they order before every other
+    column, and `dense_rows` leaves out the rows pivoted there, so its rows
+    are the reduced basis of the part of the span that vanishes at those
+    coordinates.  Vectors enter with rational (or integer) entries and are
+    consumed.
     """
 
     def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):
         self.dim = dim
         self.pivots: List[int] = []
-        self._row_at: Dict[int, SparseRow] = {}      # pivot -> row
+        self._row_at: Dict[int, IntRow] = {}        # pivot -> primitive integer row
         for row in rows:
             self.add(row)
 
-    def reduce(self, v: SparseRow) -> SparseRow:
-        """Residual of the sparse vector v against the span, computed in place.
+    def reduce(self, v: SparseRow) -> IntRow:
+        """A residual of the sparse vector v against the span, computed in place.
 
-        Subtracting the row of one pivot leaves v unchanged at every other
-        pivot, so the factors are the entries of v at the pivots.
+        The denominators of v are cleared first; each pivot p of v is then
+        cancelled by v <- a*v - v[p]*row_p, with a the pivot entry of row_p
+        (both divided by their gcd).  That leaves v unchanged up to scale
+        at every other pivot, so the result is a nonzero integer multiple of
+        the rational residual, and empty exactly when v lies in the span.
         """
+        den = lcm(*[x.denominator for x in v.values()])
+        for c, x in v.items():
+            v[c] = x.numerator * (den // x.denominator)
         rows = self._row_at
         for p in [p for p in v if p in rows]:
-            _axpy(v, -v[p], rows[p])
+            _cancel(v, p, rows[p])
         return v
 
-    def add(self, v: SparseRow) -> Optional[SparseRow]:
+    def add(self, v: SparseRow) -> Optional[IntRow]:
         """Insert the sparse vector v (consumed).
 
-        Returns the new reduced row if v enlarged the span, else None.  The
+        Returns the new primitive row if v enlarged the span, else None.  The
         row is the echelon's own: later insertions back-substitute into it.
         """
         v = self.reduce(v)
         if not v:
             return None
         pivot = min(v)
-        inv = 1 / v[pivot]
-        v = {c: x * inv for c, x in v.items()}
+        _make_primitive(v, pivot)
         # Back-substitute into existing rows to keep the echelon reduced.
-        for row in self._row_at.values():
+        for p, row in self._row_at.items():
             if pivot in row:
-                _axpy(row, -row[pivot], v)
+                _cancel(row, pivot, v)
+                _make_primitive(row, p)
         insort(self.pivots, pivot)
         self._row_at[pivot] = v
         return v
 
     def copy(self) -> "Echelon":
         """An independent echelon with the same rows."""
-        return Echelon(self.dim, [dict(self._row_at[p]) for p in self.pivots])
+        out = Echelon(self.dim)
+        out.pivots = list(self.pivots)
+        out._row_at = {p: dict(row) for p, row in self._row_at.items()}
+        return out
+
+    def row(self, pivot: int) -> SparseRow:
+        """The reduced rational row at a pivot: 1 there, 0 at every other pivot."""
+        row = self._row_at[pivot]
+        a = row[pivot]
+        return {c: Fraction(x, a) for c, x in row.items()}
 
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
-        return [_dense(self._row_at[p], self.dim) for p in self.pivots if p >= 0]
+        return [_dense(self.row(p), self.dim) for p in self.pivots if p >= 0]
 
     def kernel(self) -> List[SparseRow]:
         """Canonical basis of the null space of `dense_rows`, as sparse vectors.
 
         One vector per free column in 0..dim-1, in column order: 1 at its
-        free column, 0 at the other free columns and minus the row entries
-        at the pivots.  A row pivoted at p >= 0 holds only columns >= p, so
-        each entry besides its pivot sits at a free column.
+        free column, 0 at the other free columns and minus the reduced row
+        entries at the pivots.  A row pivoted at p >= 0 holds only columns
+        >= p, so each entry besides its pivot sits at a free column.
         """
         basis = {j: {j: QONE} for j in range(self.dim) if j not in self._row_at}
         for p in self.pivots:
             if p >= 0:
-                for c, x in self._row_at[p].items():
+                for c, x in self.row(p).items():
                     if c != p:
                         basis[c][p] = -x
         return list(basis.values())
@@ -289,6 +301,31 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def _cancel(v: IntRow, p: int, row: IntRow) -> None:
+    """v <- a*v - b*row in place, with a/b = row[p]/v[p] in lowest terms, so
+    v vanishes at p; integer rows only."""
+    a, b = row[p], v[p]
+    g = gcd(a, b)
+    if g != 1:
+        a //= g
+        b //= g
+    if a != 1:
+        for c in v:
+            v[c] *= a
+    _axpy(v, -b, row)
+
+
+def _make_primitive(v: IntRow, pivot: int) -> None:
+    """Divide the integer row v in place by its content, signed so that
+    v[pivot] > 0."""
+    g = gcd(*v.values())
+    if v[pivot] < 0:
+        g = -g
+    if g != 1:
+        for c in v:
+            v[c] //= g
 
 
 def _dense(v: SparseRow, dim: int) -> Vector:
@@ -346,33 +383,5 @@ def quotient_dim_and_reps(cycles: Iterable[SparseRow], boundaries: "Echelon"
     for z in cycles:
         row = boundaries.add(z)
         if row is not None:
-            reps.append(_dense(row, boundaries.dim))
+            reps.append(_dense(boundaries.row(min(row)), boundaries.dim))
     return len(reps), reps
-
-
-def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
-    """Exact homology data of the two-step complex  . --d_in--> . --d_out--> .
-
-    Verifies d_out @ d_in = 0 first and raises NotAComplexError with the
-    first nonzero entry as a witness otherwise.  Returns kernel dimension,
-    image dimension, quotient dimension, and canonical bases.
-    """
-    if d_in.ncols and d_out.ncols != d_in.nrows:
-        raise ValueError("chain maps are not composable")
-    for i, row in enumerate((d_out @ d_in)._sparse):
-        if row:
-            j = min(row)
-            raise NotAComplexError((i, j, row[j]))
-    cocycles = d_out.echelon().kernel()
-    kernel = [_dense(v, d_out.ncols) for v in cocycles]
-    image = d_in.image_basis()
-    boundaries = d_in.column_echelon() if d_in.ncols else Echelon(d_out.ncols)
-    betti, reps = quotient_dim_and_reps(cocycles, boundaries)
-    return {
-        "kernel_dim": len(kernel),
-        "image_dim": len(image),
-        "betti": betti,
-        "kernel_basis": kernel,
-        "image_basis": image,
-        "representatives": reps,
-    }

@@ -15,10 +15,14 @@ semantics (the degree <= N part of a product is determined by the degree
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from .errors import LabError
 
 Exponent = Tuple[int, ...]
 
@@ -37,8 +41,14 @@ def monomials_up_to(n_vars: int, max_deg: int) -> List[Exponent]:
     Returned in ascending graded-lex order; for zero variables the single
     empty monomial is returned.
     """
+    return list(_monomial_table(n_vars, max_deg))
+
+
+@lru_cache(maxsize=64)
+def _monomial_table(n_vars: int, max_deg: int) -> Tuple[Exponent, ...]:
+    """`monomials_up_to` as a shared tuple, built once per size."""
     if n_vars == 0:
-        return [()]
+        return ((),)
     out: List[Exponent] = []
     for deg in range(max_deg + 1):
         batch = set()
@@ -48,7 +58,7 @@ def monomials_up_to(n_vars: int, max_deg: int) -> List[Exponent]:
                 exp[idx] += 1
             batch.add(tuple(exp))
         out.extend(sorted(batch))
-    return out
+    return tuple(out)
 
 
 def _merge_cap(a: Optional[int], b: Optional[int]) -> Optional[int]:
@@ -393,7 +403,16 @@ def parse_poly(text: str, var_names: Sequence[str], cap: Optional[int] = None) -
 
 
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """p/q in lowest terms, or p for an integer.
+
+    Raises LabError, naming the limit, when the numerator or denominator
+    has more digits than `sys.get_int_max_str_digits()` lets Python print."""
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise LabError(f"rational too large to print: its numerator or denominator has more "
+                       f"than {limit} digits (sys.get_int_max_str_digits() = {limit})") from None
 
 
 def format_poly(p: TruncatedPoly, var_names: Sequence[str]) -> str:

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from algebroidlab import cli
 from algebroidlab.cli import main, run_command
-from algebroidlab.modelfile import parse_model
+from algebroidlab.cohomology import lie_algebra_cohomology
+from algebroidlab.errors import LabError, ValidationFailure
+from algebroidlab.linalg import QMatrix
+from algebroidlab.modelfile import parse_model, parse_model_text
+from algebroidlab.transport import TransportResult
 from algebroidlab.report import (Report, Table, cell, emit_report,
                                  parse_structured)
 from fractions import Fraction
@@ -130,6 +135,64 @@ def test_jet_cohomology_refuses_a_differential_that_does_not_square_to_zero(
     assert rep.notes == ["differential does not square to zero"]
     assert rep.witnesses == [{"kind": "not_complex", "degree": 0, "element": "y",
                               "d_of_d": "-6*e[1,2]"}]
+
+
+NOT_JACOBI = ("version 1\n\nalgebroid g {\n  rank = 3\n"
+              "  bracket[0][1] = 1, 0, 0\n  bracket[0][2] = 0, 0, 1\n}\n")
+
+
+def test_weight_cohomology_refuses_a_differential_that_does_not_square_to_zero(
+        tmp_path, capsysbinary):
+    # [e1, e2] = e1 and [e1, e3] = e3 break the Jacobi identity, so d o d != 0
+    # on the constant cochains, and the finite strata hold no complex
+    bad = tmp_path / "g.alab"
+    bad.write_text(NOT_JACOBI)
+    code, out = run(["check", str(bad)], capsysbinary)
+    assert code == 2 and b"jacobi" in out
+    code, out = run(["cohomology", str(bad), "--format", "structured"], capsysbinary)
+    assert code == 2
+    rep = parse_structured(out)
+    assert rep.verdict == "fail"
+    assert rep.notes == ["differential does not square to zero"]
+    assert rep.witnesses == [{"kind": "not_complex", "degree": 1, "element": "e[3]",
+                              "d_of_d": "e[1,2,3]"}]
+    g = parse_model_text(NOT_JACOBI).algebroids["g"]
+    with pytest.raises(ValidationFailure) as err:
+        lie_algebra_cohomology(g)
+    assert err.value.witness["kind"] == "not_complex"
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default limit on the digits of an int made into a string."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_unprintable_rational_is_a_named_error(digit_limit):
+    huge = Fraction(10 ** digit_limit + 1, 3)
+    assert cell(Fraction(10 ** (digit_limit - 1), 7)).endswith("/7")
+    for value in (huge, 1 / huge, (Fraction(1), huge), QMatrix([[1, huge]])):
+        with pytest.raises(LabError, match=f"more than {digit_limit} digits"):
+            cell(value)
+
+
+def test_transport_with_an_unprintable_entry_is_an_error(digit_limit, monkeypatch,
+                                                         capsysbinary):
+    huge = Fraction(10 ** digit_limit + 1, 3)
+    result = TransportResult(1, 1e-8, Fraction(0), True, False, QMatrix([[huge]]), None,
+                             True, None)
+    monkeypatch.setattr(cli, "parallel_transport", lambda pf, tol, max_steps: result)
+    with pytest.raises(LabError, match=f"sys.get_int_max_str_digits\\(\\) = {digit_limit}"):
+        run_command("transport", parse_model(CIRCLE), {"name": "loop"})
+    code, out = run(["transport", CIRCLE, "--name", "loop", "--format", "structured"],
+                    capsysbinary)
+    assert code == 1
+    rep = parse_structured(out)
+    assert rep.verdict == "error"
+    assert len(rep.notes) == 1 and f"more than {digit_limit} digits" in rep.notes[0]
 
 
 def test_cohomology_requires_unique_or_named_section(capsysbinary):

@@ -36,7 +36,7 @@ from algebroidlab.library import abelian_patch, heisenberg_patch, sl2_patch
 from algebroidlab.linalg import Echelon, QMatrix, quotient_dim_and_reps
 from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, minors
-from test_linalg import _sparse
+from test_linalg import _sparse, compare_engines
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -910,6 +910,31 @@ def test_pages_match_oracle_on_twisted_circles():
                                       (0, 4): (u, QMatrix([[2]]))})
     rep = _assert_pages_match_oracle(build_double_complex(f, _circle(5)))
     assert rep.convergence_ok and rep.e2_ok
+
+
+def test_filtration_columns_reduce_alike_in_both_engines(monkeypatch):
+    """The columns of every total differential of sl2 with its adjoint
+    representation on a twisted circle of 8 charts are accepted at the same
+    partners by the fraction-free Echelon and by the Fraction oracle."""
+    fed = []
+
+    def twin(dim, rows):
+        rows = list(rows)
+        fed.append(len(rows))
+        return compare_engines(dim, rows)
+
+    g = sl2_patch()
+    cover = _circle(8)
+    twists = {(0, 1): Fraction(2), (3, 4): Fraction(-3, 5), (0, 7): Fraction(7, 2)}
+    f = LocalSystemFamily(cover, [ChartData(g, adjoint_representation(g)) for _ in cover.charts],
+                          {edge: (p, p) for edge, lam in twists.items()
+                           for p in [QMatrix([[1, 0, 0], [0, lam, 0], [0, 0, 1 / lam]])]})
+    assert validate_family(f).ok
+    dc = build_double_complex(f, cover)
+    monkeypatch.setattr(covers, "persistence_pairs", twin)
+    rep = ss_pages(dc, r_max=3)
+    assert rep.convergence_ok and rep.e2_ok
+    assert len(fed) == 5 and sum(fed) > 300, fed
 
 
 def test_sphere_cover_two_dimensional_nerve():

@@ -9,14 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisect import insort
+from math import gcd
+from typing import Dict, Iterable, List, Optional, Tuple
+
 from algebroidlab.linalg import (
     Echelon,
-    NotAComplexError,
     QMatrix,
+    SparseRow,
+    Vector,
     _dense,
-    kernel_quotient_dims,
+    persistence_pairs,
     quotient_dim_and_reps,
 )
+
+QZERO = Fraction(0)
+QONE = Fraction(1)
 
 
 def _random_matrix(rng, nrows, ncols, lo=-3, hi=3):
@@ -91,6 +99,47 @@ def test_echelon_membership_and_reduction():
     assert ech.rank == 2
 
 
+class NotAComplexError(ValueError):
+    """Composite of two maps expected to vanish does not.
+
+    Carries the first nonzero witness entry as (row, col, value).
+    """
+
+    def __init__(self, witness: Tuple[int, int, Fraction]):
+        row, col, value = witness
+        super().__init__(
+            f"not a complex: composite has nonzero entry {value} at row {row}, column {col}")
+        self.witness = witness
+
+
+def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
+    """Exact homology data of the two-step complex  . --d_in--> . --d_out--> .
+
+    Verifies d_out @ d_in = 0 first and raises NotAComplexError with the
+    first nonzero entry as a witness otherwise.  Returns kernel dimension,
+    image dimension, quotient dimension, and canonical bases.
+    """
+    if d_in.ncols and d_out.ncols != d_in.nrows:
+        raise ValueError("chain maps are not composable")
+    for i, row in enumerate((d_out @ d_in).sparse_rows()):
+        if row:
+            j = min(row)
+            raise NotAComplexError((i, j, row[j]))
+    cocycles = d_out.echelon().kernel()
+    kernel = [_dense(v, d_out.ncols) for v in cocycles]
+    image = d_in.image_basis()
+    boundaries = d_in.column_echelon() if d_in.ncols else Echelon(d_out.ncols)
+    betti, reps = quotient_dim_and_reps(cocycles, boundaries)
+    return {
+        "kernel_dim": len(kernel),
+        "image_dim": len(image),
+        "betti": betti,
+        "kernel_basis": kernel,
+        "image_basis": image,
+        "representatives": reps,
+    }
+
+
 def _brute_force_betti(d_in, d_out):
     """Independent oracle: betti from ranks only, via sympy."""
     sympy = pytest.importorskip("sympy")
@@ -162,11 +211,11 @@ def test_quotient_representatives_reduced():
 def _two_echelon_quotient(cycles, boundaries, dim):
     """The earlier construction, kept as the oracle: residuals modulo the
     boundary echelon, then modulo a second echelon of accepted residuals."""
-    ech = Echelon(dim)
+    ech = FractionEchelon(dim)
     for b in boundaries:
         ech.add(_sparse(b))
     reps = []
-    rep_ech = Echelon(dim)
+    rep_ech = FractionEchelon(dim)
     for z in cycles:
         resid = _dense(rep_ech.reduce(ech.reduce(_sparse(z))), dim)
         pivot = next((i for i, x in enumerate(resid) if x != 0), None)
@@ -482,7 +531,9 @@ def test_echelon_rows_stay_reduced_and_sparse():
         assert ech.pivots == pivots
         assert ech.dense_rows() == rows[:len(pivots)]
         assert all(x != 0 and type(x) is Fraction
-                   for row in ech._row_at.values() for x in row.values())
+                   for p in ech.pivots for x in ech.row(p).values())
+        assert _all_fractions(ech.dense_rows()) and _all_fractions(v.values() for v in ech.kernel())
+        _check_stored_rows(ech)
         for v in vecs:
             assert not ech.reduce(_sparse(v))
 
@@ -647,3 +698,217 @@ def _echelon_rows(draw):
 @given(_echelon_rows())
 def test_echelon_kernel_matches_gauss_jordan_hypothesis(case):
     _check_kernel(*case)
+
+
+# -- the Fraction engine, kept as the oracle of the fraction-free Echelon --------------
+
+
+class FractionEchelon:
+    """Reduced row echelon span with sparse rows, built one vector at a time.
+
+    Each row is a {column: Fraction} dict of its nonzero entries, equal to 1
+    at its own pivot and 0 at every other pivot.  `pivots` is ascending.
+    The columns of a vector are 0..dim-1.  A sparse row may also carry
+    negative columns, for coordinates to eliminate: they order before every
+    other column, and `dense_rows` leaves out the rows pivoted there, so
+    its rows are the reduced basis of the part of the span that vanishes
+    at those coordinates.  The initial sparse rows are consumed.
+    """
+
+    def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):
+        self.dim = dim
+        self.pivots: List[int] = []
+        self._row_at: Dict[int, SparseRow] = {}      # pivot -> row
+        for row in rows:
+            self.add(row)
+
+    def reduce(self, v: SparseRow) -> SparseRow:
+        """Residual of the sparse vector v against the span, computed in place.
+
+        Subtracting the row of one pivot leaves v unchanged at every other
+        pivot, so the factors are the entries of v at the pivots.
+        """
+        rows = self._row_at
+        for p in [p for p in v if p in rows]:
+            _fraction_axpy(v, -v[p], rows[p])
+        return v
+
+    def add(self, v: SparseRow) -> Optional[SparseRow]:
+        """Insert the sparse vector v (consumed).
+
+        Returns the new reduced row if v enlarged the span, else None.  The
+        row is the echelon's own: later insertions back-substitute into it.
+        """
+        v = self.reduce(v)
+        if not v:
+            return None
+        pivot = min(v)
+        inv = 1 / v[pivot]
+        v = {c: x * inv for c, x in v.items()}
+        # Back-substitute into existing rows to keep the echelon reduced.
+        for row in self._row_at.values():
+            if pivot in row:
+                _fraction_axpy(row, -row[pivot], v)
+        insort(self.pivots, pivot)
+        self._row_at[pivot] = v
+        return v
+
+    def copy(self) -> "FractionEchelon":
+        """An independent echelon with the same rows."""
+        return FractionEchelon(self.dim, [dict(self._row_at[p]) for p in self.pivots])
+
+    def dense_rows(self) -> List[Vector]:
+        """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
+        return [_dense(self._row_at[p], self.dim) for p in self.pivots if p >= 0]
+
+    def kernel(self) -> List[SparseRow]:
+        """Canonical basis of the null space of `dense_rows`, as sparse vectors.
+
+        One vector per free column in 0..dim-1, in column order: 1 at its
+        free column, 0 at the other free columns and minus the row entries
+        at the pivots.  A row pivoted at p >= 0 holds only columns >= p, so
+        each entry besides its pivot sits at a free column.
+        """
+        basis = {j: {j: QONE} for j in range(self.dim) if j not in self._row_at}
+        for p in self.pivots:
+            if p >= 0:
+                for c, x in self._row_at[p].items():
+                    if c != p:
+                        basis[c][p] = -x
+        return list(basis.values())
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _fraction_axpy(v: SparseRow, f: Fraction, row: SparseRow) -> None:
+    """v += f * row in place, dropping entries that cancel."""
+    for c, x in row.items():
+        if c in v:
+            y = v[c] + f * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
+        else:
+            v[c] = f * x
+
+
+def fraction_persistence_pairs(dim: int, rows: Iterable[SparseRow]) -> List[Tuple[int, int]]:
+    """(index, pivot) of every row that enlarges the span as the rows enter
+    one Echelon in order; the rows are consumed.
+
+    Fed in filtration order, with the columns numbered from the latest
+    filtration step down, the pivot of each accepted row is the earliest
+    coordinate its reduced image reaches: its persistence partner
+    (Edelsbrunner, Letscher and Zomorodian 2002).  The pivots of the
+    accepted rows of any prefix are the pivots of its reduced span."""
+    ech = FractionEchelon(dim)
+    pairs = []
+    for i, row in enumerate(rows):
+        new = ech.add(row)
+        if new is not None:
+            pairs.append((i, min(new)))
+    return pairs
+
+
+def _fraction_quotient(cycles: Iterable[SparseRow], boundaries: FractionEchelon):
+    """quotient_dim_and_reps on the Fraction engine."""
+    reps = [_dense(row, boundaries.dim) for row in map(boundaries.add, cycles)
+            if row is not None]
+    return len(reps), reps
+
+
+def _check_stored_rows(ech: Echelon) -> None:
+    """The stored form: each row a primitive integer vector with a positive
+    pivot entry, 0 at every other pivot."""
+    assert sorted(ech._row_at) == ech.pivots
+    for p, row in ech._row_at.items():
+        assert min(row) == p and row[p] > 0
+        assert all(type(x) is int and x != 0 for x in row.values())
+        assert gcd(*row.values()) == 1
+        assert not any(q in row for q in ech.pivots if q != p)
+
+
+def compare_engines(dim: int, rows: Iterable[SparseRow]) -> List[Tuple[int, int]]:
+    """Feed copies of the rows to the fraction-free Echelon and to the
+    Fraction oracle, checking after each row that both accept it or not at
+    the same pivot; then compare the rational rows, dense rows and kernels,
+    check the stored integer rows and return the persistence pairs."""
+    new, old = Echelon(dim), FractionEchelon(dim)
+    pairs = []
+    for i, row in enumerate(rows):
+        got, want = new.add(dict(row)), old.add(dict(row))
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert min(got) == min(want)
+            pairs.append((i, min(got)))
+    assert new.pivots == old.pivots
+    assert {p: new.row(p) for p in new.pivots} == old._row_at
+    assert new.dense_rows() == old.dense_rows()
+    assert new.kernel() == old.kernel()
+    assert _all_fractions(v.values() for v in new.kernel())
+    _check_stored_rows(new)
+    copy = new.copy()
+    assert copy._row_at == new._row_at and copy.pivots == new.pivots
+    copy.add({c: QONE for c in range(dim)})              # the copy is independent
+    assert new.pivots == old.pivots and new.dense_rows() == old.dense_rows()
+    return pairs
+
+
+def _large_q(draw_zero=True):
+    """Rationals with large, mostly coprime denominators and mixed signs."""
+    big = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**9))
+    small = st.fractions(-3, 3, max_denominator=4)
+    return st.one_of(st.just(0), st.just(0), big, small) if draw_zero else st.one_of(big, small)
+
+
+@st.composite
+def _engine_case(draw):
+    n_neg, dim = draw(st.integers(0, 2)), draw(st.integers(0, 6))
+    width = n_neg + dim
+    entry = _large_q()
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=7))
+    if rows and draw(st.booleans()):
+        # a combination of earlier rows, so that some rows are dependent
+        k = draw(st.integers(0, len(rows) - 1))
+        f = draw(_large_q(False))
+        rows.append([a + f * b for a, b in zip(rows[-1], rows[k])])
+    cycles = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), max_size=5))
+    return n_neg, dim, rows, cycles
+
+
+def _check_engines(n_neg, dim, rows, cycles):
+    sparse = _sparse_rows(rows, n_neg)
+    pairs = compare_engines(dim, sparse)
+    assert persistence_pairs(dim, [dict(r) for r in sparse]) == pairs
+    assert fraction_persistence_pairs(dim, [dict(r) for r in sparse]) == pairs
+    got = quotient_dim_and_reps(_sparse_rows(cycles), Echelon(dim, _sparse_rows(rows, n_neg)))
+    want = _fraction_quotient(_sparse_rows(cycles),
+                              FractionEchelon(dim, _sparse_rows(rows, n_neg)))
+    assert got == want and _all_fractions(got[1])
+    if not n_neg:
+        red, pivots = QMatrix(rows, dim).rref()
+        oracle = FractionEchelon(dim, _sparse_rows(rows))
+        assert pivots == oracle.pivots
+        assert red.rows[:len(pivots)] == oracle.dense_rows() and _all_fractions(red.rows)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_engine_case())
+def test_fraction_free_echelon_matches_fraction_oracle_hypothesis(case):
+    _check_engines(*case)
+
+
+def test_fraction_free_echelon_matches_fraction_oracle_edge_shapes():
+    big = Fraction(999999937, 1000000007)          # coprime, near the drawn bound
+    for n_neg, dim, rows, cycles in [
+            (0, 0, [], []), (0, 0, [[], []], [[]]), (0, 4, [], [[1, 0, big, 0]]),
+            (0, 3, [[0, 0, 0]] * 3, [[1, 2, 3]]), (1, 2, [[big, -big, 0]], [[0, 1]]),
+            (0, 3, [[-big, 1, Fraction(-1, 3)], [big, -1, Fraction(1, 3)],
+                    [Fraction(-2, 999999929), 0, big]], [[1, 1, 1], [0, 0, 1]])]:
+        _check_engines(n_neg, dim, rows, cycles)
+    # a negative leading entry is stored with a positive pivot
+    ech = Echelon(2, [{0: Fraction(-6, 7), 1: Fraction(4, 21)}])
+    assert ech._row_at == {0: {0: 9, 1: -2}} and ech.row(0) == {0: 1, 1: Fraction(-2, 9)}

@@ -30,7 +30,7 @@ from algebroidlab.linalg import Echelon, QMatrix, _axpy, persistence_pairs, quot
 from algebroidlab.modelfile import parse_model
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
-from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient
+from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient, compare_engines
 
 # the module; the package exports a function of the same name
 COHOMOLOGY = sys.modules["algebroidlab.cohomology"]
@@ -455,6 +455,27 @@ def test_cleared_pass_matches_uncleared_hypothesis(case):
     a, (_, end, _), q, weight = case
     top = end + CEComplex(a).degree_shift() + 1
     _assert_passes_match(a, None, [top], range(q + 1), [weight])
+
+
+def test_degree_pass_rows_reduce_alike_in_both_engines(monkeypatch):
+    """Every row a degree pass feeds, on the tier-1 patches, is accepted at
+    the same pivot by the fraction-free Echelon and by the Fraction oracle,
+    and both end on the same reduced rows and kernel."""
+    fed = []
+
+    def twin(dim, rows):
+        rows = list(rows)
+        fed.append(len(rows))
+        return compare_engines(dim, rows)
+
+    monkeypatch.setattr(COHOMOLOGY, "persistence_pairs", twin)
+    for a, rho in _tier1_patches():
+        for end in (2, 6):
+            cx = CEComplex(a, rho)
+            for w in _weights_of(a):
+                for q in range(a.rank + 1):
+                    cx._degree_pass(q, w, end + cx.degree_shift() + 1)
+    assert len(fed) > 700 and sum(fed) > 2500, (len(fed), sum(fed))
 
 
 def test_last_window_eliminates_only_where_a_class_survives(monkeypatch):
