@@ -168,18 +168,13 @@ def _cmd_check(model: ModelFile, flags, rep: Report):
         return (vr.ok, bad[0].name if bad else fine or f"order {vr.certified_order}",
                 bad[0].witness if bad else None)
 
-    def flat(pf):
-        pr = validate_path_family(pf)
-        return pr.ok, "flat" if pr.ok else (
-            "frozen fibre fails axioms" if not all(ok for _, ok in pr.frozen_ok)
-            else "flatness fails"), None
-
     kinds = (("algebroid", model.algebroids, lambda a: validated(validate_algebroid(a))),
              ("representation", model.representations,
               lambda rho: validated(validate_representation(rho))),
              ("cover", model.covers, lambda c: (True, "well formed", None)),
              ("family", model.families, lambda f: validated(validate_family(f), "compatible")),
-             ("path_family", model.path_families, flat),
+             ("path_family", model.path_families,
+              lambda pf: validated(validate_path_family(pf), "flat")),
              ("exhaustion", model.exhaustions, lambda e: (True, "well formed", None)))
     all_ok = True
     found = False

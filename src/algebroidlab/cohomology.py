@@ -371,12 +371,6 @@ class CohomologyReport:
     rows: List[CohomologyRow]
     dims: Dict[int, int] = field(default_factory=dict)
 
-    def betti_by_degree(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for row in self.rows:
-            out[row.degree] = out.get(row.degree, 0) + row.betti
-        return out
-
 
 def format_element(elem: BasisElement, var_names: Sequence[str], fibre_rank: int) -> str:
     mono, wedge, beta = elem

@@ -263,8 +263,9 @@ def _morphism_failure(src: ChartData, dst: ChartData, p: QMatrix,
 
 
 def _fibre_valid(cd: ChartData) -> bool:
-    """The fibre is a Lie algebra, and the connection, if any, is flat over
-    that fibre, whatever patch it names (StructuralError if it cannot act)."""
+    """A chart's fibre is a Lie algebra, and its connection, if any, is flat
+    over that fibre, whatever patch the connection names (StructuralError if
+    it cannot act there)."""
     return validate_algebroid(cd.algebra).ok and (
         cd.rep is None or validate_representation(replace(cd.rep, algebroid=cd.algebra)).ok)
 

@@ -2,8 +2,11 @@
 
 The fibre structure constants and representation matrices depend
 polynomially on a time variable; a generator matrix moves the frame by
-the linear flow dPhi/dt = omega(t) Phi.  One identity on the semidirect
-table of fibre and representation says the motion is flat, and the
+the linear flow dPhi/dt = omega(t) Phi.  The family is a Lie algebroid
+over the line t: the fibre frame plus a horizontal section h with anchor
+d/dt, whose bracket with the fibre frame is -omega.  It is validated by
+the algebroid and representation checks of that patch, where the Jacobi
+identity and the curvature through h say the motion is flat, and the
 frozen fibre at time t is one `ChartData`.  The flow is its Peano-Baker
 series summed over Q[t]: exact when the series terminates, else a
 rational centre with a certified tail radius.  On top of it sit loop
@@ -18,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebroid import LieAlgebroidPatch, Representation, semidirect_table, trivial_representation
+from .algebroid import (LieAlgebroidPatch, Representation, ValidationReport,
+                        trivial_representation, validate_algebroid, validate_representation)
 from .cohomology import lie_algebra_cohomology
 from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology,
-                     _chart_forest, _edge_maps, _fibre_table, _fibre_valid, _holonomy,
+                     _chart_forest, _edge_maps, _fibre_table, _holonomy,
                      _induced_on_cohomology, _morphism_failure, _require_valid_family)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix
@@ -30,11 +34,6 @@ from .ratpoly import TruncatedPoly, _poly_mat_mul, parse_poly
 
 class IntegrationError(LabError):
     """The series term budget ran out before the tail bound met the tolerance."""
-
-
-# frozen-time samples for the Lie axioms
-TIME_SAMPLES = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2),
-                Fraction(3, 4), Fraction(1))
 
 
 def _as_tpoly(entry) -> TruncatedPoly:
@@ -110,6 +109,32 @@ class PathFamily:
     def rep_rank(self) -> int:
         return len(self.omega_rep) if self.omega_rep is not None else 0
 
+    def line_patch(self) -> Tuple[LieAlgebroidPatch, Optional[Representation]]:
+        """The family as an algebroid over the line t, with its representation.
+
+        The frame is e_1 .. e_rank followed by the horizontal section h, with
+        anchor h -> d/dt, [e_i, e_j] as given and [h, e_i] = -sum_k omega_ki e_k;
+        the connection is nabla_(e_i) = G_i and nabla_h = -omega_rep.  The
+        Jacobi identity and the curvature through h say the motion is flat.
+        The jet order is three times the largest t-degree d of the data (at
+        least 3), so the certified order is at least 2d and every residual
+        is checked in full.
+        """
+        r, z = self.rank, TruncatedPoly.zero(1)
+        data = [e for table in (self.structure, self.gammas or [])
+                for plane in table for row in plane for e in row]
+        data += [e for w in (self.omega, self.omega_rep or []) for row in w for e in row]
+        order = 3 * max([1] + [e.total_degree() for e in data])
+        col = [[self.omega[k][i] for k in range(r)] + [z] for i in range(r)]   # [e_i, h]
+        c = [[self.structure[i][j] + [z] for j in range(r)] + [col[i]] for i in range(r)]
+        c.append([[-e for e in col[i]] for i in range(r)] + [[z] * (r + 1)])
+        anchor = [[z] for _ in range(r)] + [[TruncatedPoly.const(1, 1)]]
+        algebra = LieAlgebroidPatch(("t",), order, r + 1, anchor, c, name=self.name)
+        if self.gammas is None:
+            return algebra, None
+        nabla_h = [[-e for e in row] for row in self.omega_rep]
+        return algebra, Representation(algebra, self.rep_rank, self.gammas + [nabla_h])
+
     def fibre_at(self, t) -> ChartData:
         """The frozen fibre at time t as constant data over a point, with its
         representation built over that same patch."""
@@ -126,68 +151,31 @@ class PathFamily:
         return self.fibre_at(0) == self.fibre_at(1)
 
 
-# -- identities tying the motion to the generator ------------------------------------------
-
-
-def _flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
-    """Indices (i, j, k) where dc_ijk/dt = sum_l (w_kl c_ijl - w_li c_ljk - w_lj c_ilk)
-    fails, for c the semidirect table of fibre and representation and
-    w = block-diag(omega, omega_rep).  Indices below the rank are the fibre
-    identity; the others say dG_i/dt = w_rep G_i - G_i w_rep - sum_l w_li G_l."""
-    z, r, m = TruncatedPoly.zero(1), pf.rank, pf.rep_rank
-    c, w = pf.structure, pf.omega
-    if pf.gammas is not None:
-        c = semidirect_table(c, pf.gammas, z)
-        w = [row + [z] * m for row in w] + [[z] * r + row for row in pf.omega_rep]
-    n = len(c)
-    bad = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                acc = c[i][j][k].deriv(0)
-                for l in range(n):      # w is mostly zero (its off-diagonal blocks)
-                    if w[k][l]:
-                        acc = acc - w[k][l] * c[i][j][l]
-                    if w[l][i]:
-                        acc = acc + w[l][i] * c[l][j][k]
-                    if w[l][j]:
-                        acc = acc + w[l][j] * c[i][l][k]
-                if not acc.is_zero():
-                    bad.append((i, j, k))
-    return bad
-
-
-@dataclass
-class PathFamilyReport:
-    frozen_ok: List[Tuple[Fraction, bool]]
-    flat_structure: bool
-    flat_rep: Optional[bool]
-
-    @property
-    def ok(self) -> bool:
-        return (all(ok for _, ok in self.frozen_ok) and self.flat_structure
-                and self.flat_rep is not False)
-
-
-def validate_path_family(pf: PathFamily) -> PathFamilyReport:
-    """Frozen Lie axioms at rational time samples plus the exact polynomial
-    identities that make the frame flow carry brackets to brackets."""
-    frozen = [(t, _fibre_valid(pf.fibre_at(t))) for t in TIME_SAMPLES]
-    bad = _flat_residuals(pf)
-    flat_c = all(max(ijk) >= pf.rank for ijk in bad)
-    flat_g = None if pf.gammas is None else all(max(ijk) < pf.rank for ijk in bad)
-    return PathFamilyReport(frozen, flat_c, flat_g)
+def validate_path_family(pf: PathFamily) -> ValidationReport:
+    """The algebroid checks of the family's line patch, then the flatness of
+    its representation, if any, in one report."""
+    algebra, rep = pf.line_patch()
+    reports = [validate_algebroid(algebra)]
+    if rep is not None:
+        reports.append(validate_representation(rep))
+    return ValidationReport(all(vr.ok for vr in reports),
+                            min(vr.certified_order for vr in reports),
+                            [c for vr in reports for c in vr.checks])
 
 
 def _require_valid(pf: PathFamily) -> None:
-    report = validate_path_family(pf)
-    bad = [t for t, ok in report.frozen_ok if not ok]
-    if bad:
-        raise ValidationFailure("frozen fibre violates the Lie axioms",
-                                {"kind": "frozen_axioms", "t": str(bad[0])})
-    if not report.flat_structure or report.flat_rep is False:
+    """Raise on the first failing identity: one through the horizontal
+    section h (frame index rank + 1) says the motion is not flat, any other
+    that the frozen fibre is not a Lie algebra with a flat connection."""
+    bad = validate_path_family(pf).failing()
+    if not bad:
+        return
+    witness = bad[0].witness
+    if pf.rank + 1 in witness["indices"]:
         raise ValidationFailure("structure motion does not match the generator",
-                                {"kind": "not_flat"})
+                                {"kind": "not_flat", **witness})
+    raise ValidationFailure("frozen fibre violates the Lie axioms",
+                            {"kind": "frozen_axioms", **witness})
 
 
 # -- the flow -------------------------------------------------------------------------------

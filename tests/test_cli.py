@@ -444,6 +444,38 @@ def test_monodromy_of_an_approximate_transport_claims_no_exactness(tmp_path,
         assert b"exact" not in out and b"matched entry for entry" not in out
 
 
+# a fibre bracket that moves with no generator to move it, and a constant
+# fibre that is no Lie algebra ([e1,e2] = e1 and [e1,e3] = e3)
+_FAILING_PATHS = {
+    "bent": ("  rank = 2\n  bracket[0][1] = 0, t\n  omega = 0, 0 ; 0, 0\n",
+             "not_flat", [1, 2, 3, 2]),
+    "nonlie": ("  rank = 3\n  bracket[0][1] = 1, 0, 0\n  bracket[0][2] = 0, 0, 1\n"
+               "  omega = 0, 0, 0 ; 0, 0, 0 ; 0, 0, 0\n", "frozen_axioms", [1, 2, 3, 3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAILING_PATHS))
+def test_failing_path_family_is_witnessed_by_check_and_transport(tmp_path, capsysbinary,
+                                                                 name):
+    body, kind, indices = _FAILING_PATHS[name]
+    model = tmp_path / f"{name}.alab"
+    model.write_text(f"version 1\n\npath_family {name} {{\n{body}}}\n")
+    code, out = run(["check", str(model), "--format", "structured"], capsysbinary)
+    assert code == 2, out
+    rep = parse_structured(out)
+    assert rep.verdict == "fail"
+    assert rep.tables[0].rows == [(name, "path_family", "no", "jacobi")]
+    (witness,) = rep.witnesses
+    assert witness["name"] == name and witness["identity"] == "Jacobi"
+    assert witness["indices"] == indices
+    code, out = run(["transport", str(model), "--format", "structured"], capsysbinary)
+    assert code == 2, out
+    rep = parse_structured(out)
+    assert rep.verdict == "fail"
+    (witness,) = rep.witnesses
+    assert witness["kind"] == kind and witness["indices"] == indices
+
+
 @pytest.mark.parametrize("q_text", ["0", "1, 0 ; 0, 1"], ids=["singular", "mis_sized"])
 def test_family_commands_reject_a_bad_fibre_transition(tmp_path, capsysbinary, q_text):
     # rank-1 trivial coefficients need an invertible 1 x 1 transition Q

@@ -82,20 +82,33 @@ def _abelian_circle_family(twist=None):
 def test_validate_flat_nilpotent_family():
     report = validate_path_family(_nilpotent_family())
     assert report.ok
-    assert report.flat_structure
-    assert all(ok for _, ok in report.frozen_ok)
-    assert report.flat_rep is None
+    assert [c.name for c in report.checks] == ["antisymmetry", "jacobi", "anchor_bracket"]
+    # constant data: jet order 3, every residual certified in full
+    assert report.certified_order == 3
 
 
 def test_validate_flat_family_with_rep():
     report = validate_path_family(_nilpotent_family(with_rep=True))
     assert report.ok
-    assert report.flat_rep is True
+    assert [c.name for c in report.checks][-1] == "flatness"
+    # the t in the connection: jet order 3, certified order 2 = 2 * degree
+    assert report.certified_order == 2
+
+
+def test_line_patch_frame_puts_the_horizontal_section_last():
+    pf = _affine_shear_family()
+    algebra, rep = pf.line_patch()
+    assert rep is None and algebra.var_names == ("t",) and algebra.rank == 3
+    assert [row[0].constant_term() for row in algebra.anchor] == [0, 0, 1]
+    # [e1, e2] = t e1 + e2 kept; [h, e2] = -(omega_12 e1) = -e1
+    assert algebra.structure[0][1][:2] == pf.structure[0][1]
+    assert [e.constant_term() for e in algebra.structure[2][1]] == [-1, 0, 0]
+    assert algebra.certified_order() >= 2 * algebra.data_degree()
 
 
 def test_validate_rejects_non_flat_motion():
     pf = PathFamily.from_brackets(2, {(0, 1): ["0", "t"]}, [[0, 0], [0, 0]])
-    assert not validate_path_family(pf).flat_structure
+    assert not validate_path_family(pf).ok
     with pytest.raises(ValidationFailure) as ei:
         parallel_transport(pf)
     assert ei.value.witness["kind"] == "not_flat"
@@ -123,8 +136,13 @@ def test_path_family_shape_errors():
         PathFamily.from_brackets(2, {}, [[0, 1], [0, 0]], gammas=[[["1"]], [["0"]]])
 
 
-# The two flatness identities as they were written before the semidirect
-# table joined them, kept verbatim as references.
+# The path-family validation layer that the line patch replaced, rebuilt as
+# the reference: the frozen Lie axioms at six rational times, and the two
+# flatness identities as they were written before the semidirect table
+# joined them, kept verbatim.  Six samples decide the frozen axioms exactly
+# for data of t-degree at most 2, whose residuals have degree at most 4.
+
+_SAMPLE_TIMES = (F(0), F(1, 4), F(1, 3), F(1, 2), F(3, 4), F(1))
 
 
 def _structure_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
@@ -164,20 +182,24 @@ def _rep_flat_residuals(pf: PathFamily) -> List[Tuple[int, int, int]]:
     return bad
 
 
+def _sampled_verdict(pf: PathFamily) -> bool:
+    return (all(covers._fibre_valid(pf.fibre_at(t)) for t in _SAMPLE_TIMES)
+            and not _structure_flat_residuals(pf)
+            and (pf.gammas is None or not _rep_flat_residuals(pf)))
+
+
 _COEFF = st.sampled_from([0, 0, 0, 1, -1, 2])
 
 
 @st.composite
 def _moving_tables(draw, *shape):
-    """A table of the given shape whose entries are all zero, all constant
-    or all linear in t, with small and mostly zero coefficients."""
-    kind = draw(st.sampled_from(["zero", "constant", "linear"]))
+    """A table of the given shape whose entries are all zero, all constant,
+    all linear or all quadratic in t, with small and mostly zero
+    coefficients."""
+    degree = draw(st.sampled_from([-1, 0, 1, 2]))
 
     def entry():
-        if kind == "zero":
-            return TruncatedPoly.zero(1)
-        return TruncatedPoly(1, {(0,): draw(_COEFF),
-                                 (1,): draw(_COEFF) if kind == "linear" else 0})
+        return TruncatedPoly(1, {(e,): draw(_COEFF) for e in range(degree + 1)})
 
     def table(dims):
         return [table(dims[1:]) for _ in range(dims[0])] if len(dims) > 1 else \
@@ -196,12 +218,28 @@ def _path_families(draw):
                       draw(_moving_tables(m, m)))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(_path_families())
 def test_one_flatness_identity_agrees_with_both_references(pf):
-    report = validate_path_family(pf)
-    assert report.flat_structure == (not _structure_flat_residuals(pf))
-    assert report.flat_rep == (None if pf.gammas is None else not _rep_flat_residuals(pf))
+    # the checks of the line patch give the sampled layer's verdict
+    assert validate_path_family(pf).ok == _sampled_verdict(pf)
+
+
+def test_quadratic_frozen_failure_is_certified_in_full():
+    # t^2 times a non-Lie table: the frozen Jacobi residual is a multiple
+    # of t^4, past the certified order of a jet order of 2 * degree + 1;
+    # the line patch's jet order 6 sees it before the flatness failure
+    c = [[[TruncatedPoly.zero(1)] * 3 for _ in range(3)] for _ in range(3)]
+    t2 = TruncatedPoly(1, {(2,): F(1)})
+    for i, j, k in ((0, 1, 0), (0, 2, 2)):
+        c[i][j][k], c[j][i][k] = t2, -t2
+    pf = PathFamily(3, c, [[0] * 3 for _ in range(3)])
+    assert not _sampled_verdict(pf)
+    with pytest.raises(ValidationFailure) as ei:
+        parallel_transport(pf)
+    witness = ei.value.witness
+    assert witness["kind"] == "frozen_axioms" and witness["identity"] == "Jacobi"
+    assert witness["indices"][:3] == (1, 2, 3) and witness["monomial"] == (4,)
 
 
 # -- transport -----------------------------------------------------------------------------
@@ -250,6 +288,21 @@ def test_transport_with_moving_representation():
     assert tr.q_rep.rows == [[F(1)]]
     assert not tr.is_loop
     assert tr.mon is None
+
+
+def test_connection_conjugated_by_the_rep_generator():
+    # G(t) = exp(tA) G(0) exp(-tA) for the nilpotent A = omega_rep: flat only
+    # through nabla_h = -omega_rep, so the opposite generator is not flat
+    def family(a):
+        return PathFamily.from_brackets(1, {}, [[0]], gammas=[[["0", "t"], ["0", "1"]]],
+                                        omega_rep=[["0", a], ["0", "0"]])
+    tr = parallel_transport(family("1"))
+    assert tr.exact and tr.phi.rows == [[F(1)]]
+    assert tr.q_rep.rows == [[F(1), F(1)], [F(0), F(1)]]
+    with pytest.raises(ValidationFailure) as ei:
+        parallel_transport(family("-1"))
+    assert ei.value.witness["kind"] == "not_flat"
+    assert ei.value.witness["identity"] == "curvature = 0"
 
 
 def test_rep_frame_moved_by_a_nonzero_generator_is_never_certified():
