@@ -37,8 +37,7 @@ Two computation modes:
   checks d o d = 0 exactly, once (`CEComplex._certify`).  The last window
   N = b is eliminated canonically only in the degrees where its betti
   number is not 0, since only those print representatives.  Its cocycles
-  are the kernel read off the reduced sparse rows of d (`d_matrix`, which
-  is built sparse and made dense only for a reader of its rows).  Its
+  are the kernel read off the reduced sparse rows of d (`cocycles`).  Its
   boundaries come from one sparse elimination: the rows d(eta) of all
   windowed primitives, with the coordinates outside the window ordered
   first, so the reduced rows pivoted inside the window span the images
@@ -46,14 +45,20 @@ Two computation modes:
   echelon, and only the accepted residuals, the representatives, are made
   dense.
 
-Each complex compiles its static data once.  d applies, to each monomial
-cochain f e^I (x) f_beta, a term table built from the uncapped data on the
-first use of (I, beta): exponent sums and one multiplication per term, no
-polynomial objects.  The Euler contraction applies a table of the same
-kind, and the degree shift is read off the tables.  The d of every basis
-element is memoized, and each window basis is built once per (degree,
-coefficient degree) and split into weight buckets when a stratum of it is
-first asked for.
+Each complex compiles its static data once, to integer scalars under one
+denominator D, the lcm of the denominators of every anchor, structure and
+connection coefficient.  D * d applies, to each monomial cochain
+f e^I (x) f_beta, a term table built from the uncapped data on the first
+use of (I, beta): exponent sums and one integer multiplication per term,
+no polynomial objects and no Fraction.  D * d of every basis element is
+memoized; the certificate, the degree passes, the boundaries and the
+kernel reads (`cocycles`) eliminate it as it is, since spans, pivots,
+reduced rows and kernels do not depend on the scale.  The exact d is made
+only where it is read: `d_of_element`, `d_matrix` and the `not_complex`
+witness divide by D (by D^2 for d o d).  The Euler contraction applies an
+exact table of the same kind, and the degree shift is read off the tables.
+Each window basis is built once per (degree, coefficient degree) and split
+into weight buckets when a stratum of it is first asked for.
 
 The basis order is canonical: wedge tuple (lexicographic), then fibre
 index, then monomial in graded-lex order.  All representative cocycles
@@ -67,20 +72,23 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 from operator import add
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, grading_violations, trivial_representation
 from .errors import StructuralError, ValidationFailure
-from .linalg import Echelon, QMatrix, SparseRow, _axpy, persistence_pairs, quotient_dim_and_reps
+from .linalg import (Echelon, IntRow, QMatrix, SparseRow, _axpy, persistence_pairs,
+                     quotient_dim_and_reps)
 from .ratpoly import TruncatedPoly, _monomial_table, format_poly
 
 Exponent = Tuple[int, ...]
 BasisElement = Tuple[Exponent, Tuple[int, ...], int]    # (monomial, wedge, fibre)
 Cochain = Dict[BasisElement, Fraction]
+IntCochain = Dict[BasisElement, int]                    # D times a cochain
 # (derivative index or None, coefficient exponent, scalar, target wedge, target fibre)
-Term = Tuple[Optional[int], Exponent, Fraction, Tuple[int, ...], int]
+Term = Tuple[Optional[int], Exponent, int, Tuple[int, ...], int]
 # (ascending basis degrees, persistence pairs as (source degree, pivot degree),
 #  pivot elements)
 DegreePass = Tuple[List[int], List[Tuple[int, int]], Set[BasisElement]]
@@ -112,11 +120,14 @@ class CEComplex:
                 raise StructuralError("representation is over a different patch")
         self.a = a
         self.rho = rho
+        # D: every data coefficient times D is an integer (see `_table`)
+        self._den = lcm(*{x.denominator for e in chain(
+            *a.anchor, *chain(*a.structure), *chain(*rho.gammas)) for x in e.c.values()})
         self._shift: Optional[int] = None
         self._tables: Dict[Tuple[Tuple[int, ...], int], List[Term]] = {}
         self._bases: Dict[Tuple[int, int], List[BasisElement]] = {}
         self._buckets: Dict[Tuple[int, int], Dict[int, List[BasisElement]]] = {}
-        self._d: Dict[BasisElement, Cochain] = {}
+        self._d: Dict[BasisElement, IntCochain] = {}
         self._passes: Dict[Tuple[int, Optional[int], int], DegreePass] = {}
         self._low_weight: Dict[int, Optional[int]] = {}
         self._certified = False
@@ -192,27 +203,33 @@ class CEComplex:
     # -- the differential -------------------------------------------------------------
 
     def d_of_element(self, elem: BasisElement) -> Cochain:
-        """Differential of one basis element, built once per complex.
+        """Differential of one basis element, exact, as a new cochain."""
+        den = self._den
+        return {key: Fraction(x, den) for key, x in self._int_d(elem).items()}
 
-        The cochain is shared by every caller and must not be mutated.
-        """
+    def _int_d(self, elem: BasisElement) -> IntCochain:
+        """D * d of one basis element, built once per complex; the cochain
+        is shared by every caller and must not be mutated."""
         d = self._d.get(elem)
         if d is None:
             d = self._d[elem] = self._build_d(elem)
         return d
 
-    def _build_d(self, elem: BasisElement) -> Cochain:
+    def _build_d(self, elem: BasisElement) -> IntCochain:
         mono, wedge, beta = elem
         return _apply(self._table(wedge, beta), mono)
 
     def _table(self, wedge: Tuple[int, ...], beta: int) -> List[Term]:
-        """The terms of d on f e^wedge (x) f_beta, compiled once from the
+        """The terms of D * d on f e^wedge (x) f_beta, compiled once from the
         uncapped data, so d o d = 0 holds on the nose when the data satisfy
         the algebroid identities (`_certify` checks it)."""
         terms = self._tables.get((wedge, beta))
         if terms is not None:
             return terms
-        a = self.a
+        a, den = self.a, self._den
+
+        def scaled(p: TruncatedPoly):
+            return ((m, v.numerator * (den // v.denominator)) for m, v in p.c.items())
         terms = self._tables[(wedge, beta)] = []
         # Insertions: anchor derivative and connection action.
         for j in range(a.rank):
@@ -220,11 +237,11 @@ class CEComplex:
             if sign == 0:
                 continue
             for l, e in enumerate(a.anchor[j]):
-                for m, v in e.c.items():
+                for m, v in scaled(e):
                     exp = tuple(x - (i == l) for i, x in enumerate(m))
                     terms.append((l, exp, sign * v, wedge2, beta))
             for gamma in range(self.rho.rank):
-                for m, v in self.rho.gammas[j][gamma][beta].c.items():
+                for m, v in scaled(self.rho.gammas[j][gamma][beta]):
                     terms.append((None, m, sign * v, wedge2, gamma))
         # Contractions: replace e^k inside the wedge by a structure pair.
         for pos_k, k in enumerate(wedge):
@@ -241,26 +258,41 @@ class CEComplex:
                     if len(wedge2) != len(rest) + 2:
                         continue
                     sign = sigma * (-1) ** (wedge2.index(u) + wedge2.index(v))
-                    for m, c in c_uv_k.c.items():
+                    for m, c in scaled(c_uv_k):
                         terms.append((None, m, sign * c, wedge2, beta))
         return terms
 
     def d_matrix(self, source: List[BasisElement], target: List[BasisElement]) -> QMatrix:
-        """The differential from span(source) to span(target), one row per
-        target element and one column per source element, built sparse."""
+        """The exact differential from span(source) to span(target), one row
+        per target element and one column per source element, built sparse."""
+        den = self._den
+        return QMatrix.of_sparse([{j: Fraction(x, den) for j, x in row.items()}
+                                  for row in self._int_rows(source, target)], len(source))
+
+    def cocycles(self, source: List[BasisElement], target: List[BasisElement]
+                 ) -> List[SparseRow]:
+        """`Echelon.kernel` of d from span(source) to span(target): the
+        canonical kernel basis, eliminated from the integer rows of D * d."""
+        return Echelon(len(source), self._int_rows(source, target)).kernel()
+
+    def _int_rows(self, source: List[BasisElement], target: List[BasisElement]
+                  ) -> List[IntRow]:
+        """D * d from span(source) to span(target) as sparse integer rows,
+        one per target element."""
         index = {elem: i for i, elem in enumerate(target)}
-        rows: List[SparseRow] = [{} for _ in target]
+        rows: List[IntRow] = [{} for _ in target]
         for j, elem in enumerate(source):
-            for key, val in self.d_of_element(elem).items():
+            for key, val in self._int_d(elem).items():
                 i = index.get(key)
                 if i is None:
                     raise StructuralError(
                         f"differential leaves the target window at {key}")
                 rows[i][j] = val
-        return QMatrix.of_sparse(rows, len(source))
+        return rows
 
     def _certify(self) -> None:
-        """Check d o d = 0 exactly, once per complex.
+        """Check d o d = 0 exactly, once per complex, on the integer
+        D^2 * (d o d); a witness prints d o d itself.
 
         d o d is a differential operator of order <= 2 with polynomial
         coefficients, so it vanishes if it vanishes on x^m e^I (x) f_beta
@@ -269,16 +301,17 @@ class CEComplex:
             return
         for q in range(self.a.rank - 1):        # d o d vanishes into degrees > rank
             for elem in self._window(q, 2, None):
-                dd: Cochain = {}
-                for key, val in self.d_of_element(elem).items():
-                    _axpy(dd, val, self.d_of_element(key))
+                dd: IntCochain = {}
+                for key, val in self._int_d(elem).items():
+                    _axpy(dd, val, self._int_d(key))
                 if dd:
                     names, fibre_rank = self.a.var_names, self.rho.rank
-                    keys = sorted(dd)
+                    keys, den2 = sorted(dd), self._den ** 2
                     raise ValidationFailure("differential does not square to zero", {
                         "kind": "not_complex", "degree": q,
                         "element": format_element(elem, names, fibre_rank),
-                        "d_of_d": format_cochain([dd[k] for k in keys], keys, names, fibre_rank)})
+                        "d_of_d": format_cochain([Fraction(dd[k], den2) for k in keys], keys,
+                                                 names, fibre_rank)})
         self._certified = True
 
     def _degree_pass(self, q: int, weight: Optional[int], top: int) -> DegreePass:
@@ -306,7 +339,7 @@ class CEComplex:
             target = sorted(self._window(q + 1, top + self.degree_shift(), weight),
                             key=lambda e: -_degree(e))
             col = {elem: k for k, elem in enumerate(target)}
-            rows = ({col[c]: x for c, x in self.d_of_element(e).items()} for e in fed)
+            rows = ({col[c]: x for c, x in self._int_d(e).items()} for e in fed)
             pairs = [(fed[i], target[p]) for i, p in persistence_pairs(len(target), rows)]
             self._passes[key] = ([_degree(e) for e in source],
                                 [(_degree(e), _degree(pivot)) for e, pivot in pairs],
@@ -422,7 +455,7 @@ def _boundaries(cx: CEComplex, primitives: List[BasisElement],
     ech = Echelon(len(basis_q))
     for eta in primitives:
         row = {}
-        for key, val in cx.d_of_element(eta).items():
+        for key, val in cx._int_d(eta).items():
             col = inside.get(key)
             row[~outside.setdefault(key, len(outside)) if col is None else col] = val
         ech.add(row)
@@ -456,9 +489,9 @@ def _windowed_row(cx: CEComplex, q: int, weight: Optional[int],
     reps_str: List[str] = []
     if betti:
         basis = cx.window_basis(q, end, weight)
-        d = cx.d_matrix(basis, cx.window_basis(q + 1, end + shift, weight))
+        cocycles = cx.cocycles(basis, cx.window_basis(q + 1, end + shift, weight))
         primitives = cx.window_basis(q - 1, end + shift + 1, weight) if q else []
-        _, reps = quotient_dim_and_reps(d.echelon().kernel(), _boundaries(cx, primitives, basis))
+        _, reps = quotient_dim_and_reps(cocycles, _boundaries(cx, primitives, basis))
         reps_str = [format_cochain(v, basis, cx.a.var_names, cx.rho.rank) for v in reps]
     tail = [b for _, b in history[-span:]]
     return CohomologyRow(q, betti, weight, window, len(tail) == span and len(set(tail)) == 1,
@@ -539,7 +572,7 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
             if finite:
                 basis = cx.stratum_basis(q, w)
                 betti, reps = quotient_dim_and_reps(
-                    cx.d_matrix(basis, cx.stratum_basis(q + 1, w)).echelon().kernel(),
+                    cx.cocycles(basis, cx.stratum_basis(q + 1, w)),
                     _boundaries(cx, cx.stratum_basis(q - 1, w) if q else [], basis))
                 if not basis and betti == 0 and w != 0:
                     continue

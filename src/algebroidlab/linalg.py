@@ -7,16 +7,18 @@ the nonzero entries; its products, differences and applications accumulate
 those rows, and its dense `rows` are a read-out for reports.  `Echelon` is
 a reduced row echelon span kept fraction-free: each vector enters with its
 denominators cleared, and its rows are primitive integer multiples of the
-reduced rational rows, which are made only where they are read.  Rank,
-kernel, image, rref, solve and inverse of a `QMatrix` are all one
-`Echelon` pass over its rows (augmented for solve and inverse).
-`Echelon.kernel` reads the null space off the reduced rows,
-`quotient_dim_and_reps` reduces sparse cycles against a boundary echelon,
-and `persistence_pairs` records the pivot of each accepted row of a
-filtration-ordered pass, making no Fraction at all.  The reduced row
-echelon form of a matrix is unique, so pivots, kernel and image bases,
-solutions, inverses and quotient representatives do not depend on the
-order of elimination and are reproducible byte for byte.
+reduced rational rows, which are made only where they are read; the CE
+differential hands it integer rows (D * d, see `cohomology`), so no
+Fraction is made on the way in either.  Rank, kernel, image, rref, solve
+and inverse of a `QMatrix` are all one `Echelon` pass over its rows
+(augmented for solve and inverse).  `Echelon.kernel` reads the null
+space off the reduced rows, `quotient_dim_and_reps` reduces sparse cycles
+against a boundary echelon, and `persistence_pairs` records the pivot of
+each accepted row of a filtration-ordered pass, making no Fraction at
+all.  The reduced row echelon form of a matrix is unique, so pivots,
+kernel and image bases, solutions, inverses and quotient representatives
+do not depend on the order of elimination and are reproducible byte for
+byte.
 """
 
 from __future__ import annotations
@@ -217,8 +219,8 @@ class Echelon:
     columns, for coordinates to eliminate: they order before every other
     column, and `dense_rows` leaves out the rows pivoted there, so its rows
     are the reduced basis of the part of the span that vanishes at those
-    coordinates.  Vectors enter with rational (or integer) entries and are
-    consumed.
+    coordinates.  Vectors enter with rational or integer entries (the rows
+    of the CE differential are integer) and are consumed.
     """
 
     def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):

@@ -555,8 +555,8 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         basis_s = slice_cx.window_basis(q, end)
         bnd_ech = _boundaries(slice_cx, slice_cx.window_basis(q - 1, end + shift + 1)
                               if q else [], basis_s)
-        d_s = slice_cx.d_matrix(basis_s, slice_cx.window_basis(q + 1, end + shift))
-        betti_s, _ = quotient_dim_and_reps(d_s.echelon().kernel(), bnd_ech.copy())
+        cycles_s = slice_cx.cocycles(basis_s, slice_cx.window_basis(q + 1, end + shift))
+        betti_s, _ = quotient_dim_and_reps(cycles_s, bnd_ech.copy())
         # total side: sum the weight strata at the same degree
         wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
@@ -566,8 +566,7 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         surjective = True
         if betti_s:
             basis_big = cx.window_basis(q, end)
-            cocycles = cx.d_matrix(basis_big,
-                                   cx.window_basis(q + 1, end + shift)).echelon().kernel()
+            cocycles = cx.cocycles(basis_big, cx.window_basis(q + 1, end + shift))
             index = {e: i for i, e in enumerate(basis_s)}
             img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep, minor,
                                                          len(frame), index)) is not None

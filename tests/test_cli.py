@@ -137,6 +137,20 @@ def test_jet_cohomology_refuses_a_differential_that_does_not_square_to_zero(
                               "d_of_d": "-6*e[1,2]"}]
 
 
+def test_not_complex_witness_is_exact_on_fractional_data(tmp_path, capsysbinary):
+    # the reproducer above with [e1, e2] = 5/2 e2: the differential runs on
+    # integers under the denominator 2, and the witness prints d o d itself
+    bad = tmp_path / "bad.alab"
+    bad.write_text("version 1\n\nalgebroid bad {\n  vars = x, y\n  jet_order = 6\n"
+                   "  rank = 2\n  anchor[0] = 1, y\n  anchor[1] = 0, 1\n"
+                   "  bracket[0][1] = 0, 5/2\n}\n")
+    code, out = run(["cohomology", str(bad), "--mode", "jet", "--window", "3:5:3",
+                     "--format", "structured"], capsysbinary)
+    assert code == 2
+    assert parse_structured(out).witnesses == [
+        {"kind": "not_complex", "degree": 0, "element": "y", "d_of_d": "-7/2*e[1,2]"}]
+
+
 NOT_JACOBI = ("version 1\n\nalgebroid g {\n  rank = 3\n"
               "  bracket[0][1] = 1, 0, 0\n  bracket[0][2] = 0, 0, 1\n}\n")
 

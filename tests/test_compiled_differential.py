@@ -31,7 +31,7 @@ from algebroidlab.modelfile import parse_model
 from algebroidlab.pullback import standard_euler_section
 from algebroidlab.ratpoly import TruncatedPoly, monomials_up_to
 from test_pullback import _gl2_plane_action, _lift_rep
-from test_windowed_cohomology import _affine_patch
+from test_windowed_cohomology import _affine_patch, _fractional_patches
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 QZERO = F(0)
@@ -152,16 +152,35 @@ def _reference_window_basis(cx, q, max_deg, weight=None):
 # -- the comparison ---------------------------------------------------------------------------
 
 
+def _assert_exact(cochain, want, where):
+    """cochain equals the reference and holds Fractions only."""
+    assert cochain == want, where
+    assert all(type(x) is F for x in cochain.values()), where
+
+
 def _assert_matches_reference(a, rho=None, max_deg=3, sections=()):
     cx = CEComplex(a, rho)
     assert cx.degree_shift() == _reference_shift(cx), a.name
     data = _uncapped(cx)
     for q in range(a.rank + 1):
-        for elem in cx.window_basis(q, max_deg):
-            assert cx.d_of_element(elem) == _reference_d(cx, elem, data), (a.name, elem)
+        source = cx.window_basis(q, max_deg)
+        want = [_reference_d(cx, elem, data) for elem in source]
+        for elem, ref in zip(source, want):
+            _assert_exact(cx.d_of_element(elem), ref, (a.name, elem))
             for coeffs in sections:
                 assert cx.contract_with(coeffs, elem) == _reference_contract(cx, coeffs, elem), \
                     (a.name, elem)
+        # d_matrix reads out the same exact d, one column per source element
+        target = cx.window_basis(q + 1, max_deg + cx.degree_shift())
+        for col, ref in zip(cx.d_matrix(source, target).sparse_columns(), want):
+            _assert_exact({target[i]: x for i, x in col.items()}, ref, (a.name, q))
+    if a.n_vars == 0:
+        lc = lie_algebra_cohomology(a, rho)
+        for q, mat in enumerate(lc.matrices):
+            target = cx.window_basis(q + 1, 0)
+            for elem, col in zip(lc.bases[q], mat.sparse_columns()):
+                _assert_exact({target[i]: x for i, x in col.items()},
+                              _reference_d(cx, elem, data), (a.name, elem))
     if a.n_vars and a.weights is None:
         return                    # weight buckets need coordinate weights
     for q in range(a.rank + 2):
@@ -235,6 +254,10 @@ def test_compiled_differential_matches_reference_on_affine_patches():
     for slopes, jet in (([F(2)], 5), ([F(-1, 2)], 6), ([F(1, 2), F(-3)], 3)):
         a = _affine_patch(slopes, jet)
         _assert_matches_reference(a, None, max_deg=4, sections=[_section(a, 2)])
+    # integral patch data: only the connection carries a denominator
+    for a, rho in _fractional_patches():
+        if rho is not None:
+            _assert_matches_reference(a, rho, max_deg=4, sections=[_section(a, 2)])
 
 
 def test_stratum_basis_is_the_weight_filtered_window():

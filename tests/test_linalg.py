@@ -832,14 +832,16 @@ def _check_stored_rows(ech: Echelon) -> None:
 
 
 def compare_engines(dim: int, rows: Iterable[SparseRow]) -> List[Tuple[int, int]]:
-    """Feed copies of the rows to the fraction-free Echelon and to the
-    Fraction oracle, checking after each row that both accept it or not at
-    the same pivot; then compare the rational rows, dense rows and kernels,
-    check the stored integer rows and return the persistence pairs."""
+    """Feed copies of the rows (integer or rational) to the fraction-free
+    Echelon and Fraction copies of them to the Fraction oracle, checking
+    after each row that both accept it or not at the same pivot; then
+    compare the rational rows, dense rows and kernels, check the stored
+    integer rows and return the persistence pairs."""
     new, old = Echelon(dim), FractionEchelon(dim)
     pairs = []
     for i, row in enumerate(rows):
-        got, want = new.add(dict(row)), old.add(dict(row))
+        got = new.add(dict(row))
+        want = old.add({c: Fraction(x) for c, x in row.items()})
         assert (got is None) == (want is None)
         if got is not None:
             assert min(got) == min(want)

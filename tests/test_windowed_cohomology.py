@@ -262,7 +262,8 @@ def test_cached_cochains_are_not_mutated_by_callers(monkeypatch):
     for cx in list(complexes.values()):
         fresh = CEComplex(cx.a, cx.rho)
         for elem, cochain in cx._d.items():
-            assert cochain == fresh.d_of_element(elem), (cx.a.name, elem)
+            fresh.d_of_element(elem)
+            assert cochain == fresh._d[elem], (cx.a.name, elem)
 
 
 # -- the degree-ordered pass against the per-window loop ----------------------------------
@@ -572,6 +573,44 @@ def test_certificate_refuses_each_broken_identity():
             jet_cohomology(bad, rho, window=(1, 2, 1))
     # a flat connection passes: gamma_2 = 0 and d_y gamma_1 = 0
     assert _certifies(CEComplex(a, _rank_one_connection(a, [_poly(n, [((1, 0), 2)], 6), zero])))
+
+
+def _fractional_patches():
+    """Affine patches whose slopes carry denominators, and an integral one
+    whose flat rank-1 connection alone does (gamma_1 = (1 + x)/3)."""
+    for slopes in ([F(1, 2)], [F(-3, 2)], [F(2, 3), F(1, 2)]):
+        yield _affine_patch(slopes, 6), None
+    a = _affine_patch([F(2)], 6)
+    n = a.n_vars
+    yield a, _rank_one_connection(a, [_poly(n, [((0, 0), F(1, 3)), ((1, 0), F(1, 3))], 6),
+                                      TruncatedPoly.zero(n, 6)])
+
+
+def test_degree_passes_make_no_fraction(monkeypatch):
+    """Once a complex is certified and knows its degree shift, its degree
+    passes make no Fraction, on data with denominators too: D * d, its
+    term tables and the elimination are all integer."""
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for a, rho in _fractional_patches():
+        cx = CEComplex(a, rho)
+        cx._certify()
+        cx.degree_shift()
+        with monkeypatch.context() as m:
+            m.setattr(F, "__new__", counting_new)
+            for w in (None, 0):
+                for q in range(3):
+                    cx._degree_pass(q, w, 6)
+            assert not made, (a.name, made[:3])
+            # the counter sees the Fractions of the exact read-out
+            cx.d_of_element(cx.window_basis(0, 1)[-1])
+            assert made
+        made.clear()
 
 
 @st.composite
