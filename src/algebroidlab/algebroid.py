@@ -98,12 +98,6 @@ class LieAlgebroidPatch:
                     out[l] = out[l] + u * e
         return out
 
-    def section_field_apply(self, coeffs: Sequence[TruncatedPoly], f: TruncatedPoly) -> TruncatedPoly:
-        out = TruncatedPoly.zero(self.n_vars, f.cap)
-        for l, x in enumerate(self.section_field(coeffs)):
-            out = out + x * f.deriv(l)
-        return out
-
     def bracket_sections(self, u: Sequence[TruncatedPoly], v: Sequence[TruncatedPoly]
                          ) -> List[TruncatedPoly]:
         """Leibniz-extended bracket of two sections given by coefficient lists."""

@@ -626,7 +626,7 @@ def lie_algebra_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] =
     betti: List[int] = []
     reps: List[List[List[Fraction]]] = []
     for q in range(r + 1):
-        b, rp = quotient_dim_and_reps(mats[q].echelon().kernel(),
+        b, rp = quotient_dim_and_reps(cx.cocycles(bases[q], bases[q + 1]),
                                       _boundaries(cx, bases[q - 1] if q else [], bases[q]))
         betti.append(b)
         reps.append(rp)

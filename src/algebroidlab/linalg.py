@@ -82,10 +82,6 @@ class QMatrix:
         return cols
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "QMatrix":
-        return cls.of_sparse([{} for _ in range(nrows)], ncols)
-
-    @classmethod
     def identity(cls, n: int) -> "QMatrix":
         return cls.of_sparse([{i: QONE} for i in range(n)], n)
 
@@ -153,10 +149,6 @@ class QMatrix:
         """The reduced row echelon span of the rows."""
         return Echelon(self.ncols, self.sparse_rows())
 
-    def column_echelon(self) -> "Echelon":
-        """The reduced row echelon span of the columns."""
-        return Echelon(self.nrows, self.sparse_columns())
-
     def rank(self) -> int:
         return self.echelon().rank
 
@@ -214,13 +206,13 @@ class Echelon:
     multiple of the reduced rational row, so it is 0 at every other pivot
     (fraction-free elimination; Bareiss 1968).  `pivots` is ascending.
     The rational row at pivot p is row / row[p]; `row` reads it out, and
-    so do `dense_rows`, `kernel` and `quotient_dim_and_reps`.  The columns
-    of a vector are 0..dim-1.  A sparse row may also carry negative
-    columns, for coordinates to eliminate: they order before every other
-    column, and `dense_rows` leaves out the rows pivoted there, so its rows
-    are the reduced basis of the part of the span that vanishes at those
-    coordinates.  Vectors enter with rational or integer entries (the rows
-    of the CE differential are integer) and are consumed.
+    so do `kernel` and `quotient_dim_and_reps`.  The columns of a vector
+    are 0..dim-1.  A sparse row may also carry negative columns, for
+    coordinates to eliminate: they order before every other column, so the
+    rows pivoted at 0..dim-1 are the reduced basis of the part of the span
+    that vanishes at those coordinates, and `kernel` skips the rows pivoted
+    at negative columns.  Vectors enter with rational or integer entries
+    (the rows of the CE differential are integer) and are consumed.
     """
 
     def __init__(self, dim: int, rows: Iterable[SparseRow] = ()):
@@ -267,25 +259,15 @@ class Echelon:
         self._row_at[pivot] = v
         return v
 
-    def copy(self) -> "Echelon":
-        """An independent echelon with the same rows."""
-        out = Echelon(self.dim)
-        out.pivots = list(self.pivots)
-        out._row_at = {p: dict(row) for p, row in self._row_at.items()}
-        return out
-
     def row(self, pivot: int) -> SparseRow:
         """The reduced rational row at a pivot: 1 there, 0 at every other pivot."""
         row = self._row_at[pivot]
         a = row[pivot]
         return {c: Fraction(x, a) for c, x in row.items()}
 
-    def dense_rows(self) -> List[Vector]:
-        """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
-        return [_dense(self.row(p), self.dim) for p in self.pivots if p >= 0]
-
     def kernel(self) -> List[SparseRow]:
-        """Canonical basis of the null space of `dense_rows`, as sparse vectors.
+        """Canonical basis of the null space of the rows pivoted at 0..dim-1,
+        as sparse vectors; the rows pivoted at negative columns are skipped.
 
         One vector per free column in 0..dim-1, in column order: 1 at its
         free column, 0 at the other free columns and minus the reduced row

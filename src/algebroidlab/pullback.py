@@ -32,9 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebroid import LieAlgebroidPatch, Representation, _submersion_ranks, kernel_subalgebroid
 from .cohomology import (CEComplex, _boundaries, _check_window, _degree_list,
-                         _weight_cohomology, weight_cohomology)
+                         _weight_cohomology, _windowed_row, weight_cohomology)
 from .errors import LabError, StructuralError, ValidationFailure
-from .linalg import SparseRow, _axpy, quotient_dim_and_reps
+from .linalg import SparseRow, _axpy
 from .ratpoly import TruncatedPoly, WeightAssignment, minors, poly_matrix_rank
 
 
@@ -535,7 +535,11 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
                           window: Tuple[int, int, int] = (3, 5, 3)
                           ) -> TransversalIsoReport:
     """Restriction to a transversal slice: equal betti numbers per degree
-    and surjectivity of the restriction on representative cocycles."""
+    and surjectivity of the restriction on representative cocycles.
+
+    betti_total sums the weight strata of the total complex; betti_slice
+    is the slice's jet cohomology on the window, the number
+    `jet_cohomology` of the slice patch prints for the last window N = b."""
     _check_window(window)
     # the pullback frame in big coordinates evaluates cochains on the slice
     sliced, rho_s, _rep, frame = _pullback_slice(
@@ -546,17 +550,10 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     cx = CEComplex(a, rho)
     cx.require_graded()
     slice_cx = CEComplex(sliced, rho_s)
-    start, end, span = window
+    end = window[1]
     rows: List[TransversalIsoRow] = []
-    shift = max(cx.degree_shift(), slice_cx.degree_shift())
     for q in range(max(a.rank, sliced.rank) + 1):
-        # slice side: one boundary echelon at the larger shift serves both
-        # the slice betti number (on a copy) and the restriction rank
-        basis_s = slice_cx.window_basis(q, end)
-        bnd_ech = _boundaries(slice_cx, slice_cx.window_basis(q - 1, end + shift + 1)
-                              if q else [], basis_s)
-        cycles_s = slice_cx.cocycles(basis_s, slice_cx.window_basis(q + 1, end + shift))
-        betti_s, _ = quotient_dim_and_reps(cycles_s, bnd_ech.copy())
+        betti_s = _windowed_row(slice_cx, q, None, window)[0].betti
         # total side: sum the weight strata at the same degree
         wrep = _weight_cohomology(cx, None, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
@@ -565,8 +562,11 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
         # onto a zero slice class space it holds with nothing to restrict
         surjective = True
         if betti_s:
+            basis_s = slice_cx.window_basis(q, end)
+            bnd_ech = _boundaries(slice_cx, slice_cx.window_basis(
+                q - 1, end + slice_cx.degree_shift() + 1) if q else [], basis_s)
             basis_big = cx.window_basis(q, end)
-            cocycles = cx.cocycles(basis_big, cx.window_basis(q + 1, end + shift))
+            cocycles = cx.cocycles(basis_big, cx.window_basis(q + 1, end + cx.degree_shift()))
             index = {e: i for i, e in enumerate(basis_s)}
             img_rank = sum(bnd_ech.add(_restrict_cochain(a, zvec, basis_big, q, keep, minor,
                                                          len(frame), index)) is not None

@@ -1078,13 +1078,13 @@ def _restriction_reference(dc, lc, chart, n):
     the computation localization_check made before it counted filtration
     pairs: total cocycles modulo D_{n-1}, then the chart component of the
     (0, n) block modulo the chart coboundaries."""
-    boundaries = dc.total_matrix(n - 1).column_echelon() if n > 0 \
+    boundaries = dc.total_matrix(n - 1).transpose().echelon() if n > 0 \
         else Echelon(dc.total_dim(n))
     total_dim, total_reps = quotient_dim_and_reps(dc.total_matrix(n).echelon().kernel(),
                                                   boundaries)
     own = [i for i, (alpha, _) in enumerate(dc.bases.get((0, n), [])) if alpha == (chart,)]
     restricted = [{k: v[i] for k, i in enumerate(own) if v[i]} for v in total_reps]
-    fib_b = lc.matrices[n - 1].column_echelon() if 0 < n <= len(lc.matrices) \
+    fib_b = lc.matrices[n - 1].transpose().echelon() if 0 < n <= len(lc.matrices) \
         else Echelon(len(own))
     return total_dim, total_dim - sum(fib_b.add(v) is not None for v in restricted)
 

@@ -1,11 +1,13 @@
-"""Every private function and method of the package has a caller in it."""
+"""Every private function and method of the package has a caller in it, and
+every public method of its classes has a caller in it or in perfbench."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "algebroidlab"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "algebroidlab"
 
 
 def _private_defs(tree: ast.Module):
@@ -16,6 +18,16 @@ def _private_defs(tree: ast.Module):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                     and fn.name.startswith("_") and not fn.name.endswith("__"):
                 yield fn.name, fn
+
+
+def _public_methods(tree: ast.Module):
+    """Public methods of module-level classes, as (name, def node)."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not fn.name.startswith("_"):
+                    yield fn.name, fn
 
 
 def _references(node: ast.AST):
@@ -32,17 +44,18 @@ def _references(node: ast.AST):
             yield sub.value
 
 
-def _unreferenced(sources):
-    """(module, name) of each private def that no code outside its own
-    body refers to, over the given {module: source} set."""
+def _unreferenced(sources, defs=_private_defs, readers=()):
+    """(module, name) of each def that `defs` picks out of the given
+    {module: source} set and that no code outside its own body refers to;
+    the reader sources count as callers but define nothing."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     counts = {}
-    for tree in trees.values():
+    for tree in [*trees.values(), *map(ast.parse, readers)]:
         for name in _references(tree):
             counts[name] = counts.get(name, 0) + 1
     dead = []
     for mod, tree in trees.items():
-        for name, fn in _private_defs(tree):
+        for name, fn in defs(tree):
             inside = sum(ref == name for ref in _references(fn))
             if counts.get(name, 0) == inside:
                 dead.append((mod, name))
@@ -63,8 +76,24 @@ def test_detector_sees_dead_recursive_and_used_privates():
         "c": "def _imported():\n    pass\n",
     }
     assert _unreferenced(sources) == [("a", "_dead"), ("a", "_orphan"), ("a", "_recursive")]
+    # public methods of classes: a reference from the package or from a
+    # reader keeps one; module-level functions are not judged
+    sources["d"] = ("class L:\n    def used(self):\n        return self.tested\n"
+                    "    def tested(self):\n        pass\n    def benched(self):\n        pass\n"
+                    "    def only_self(self):\n        return self.only_self()\n"
+                    "def public():\n    pass\n")
+    assert _unreferenced(sources, _public_methods, ["L().benched()\n"]) == [
+        ("d", "only_self"), ("d", "used")]
+
+
+def _package_sources():
+    return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def test_no_private_function_or_method_lacks_a_caller():
-    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert _unreferenced(sources) == []
+    assert _unreferenced(_package_sources()) == []
+
+
+def test_no_public_method_is_called_only_by_tests():
+    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert _unreferenced(_package_sources(), _public_methods, readers) == []

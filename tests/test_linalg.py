@@ -27,6 +27,12 @@ QZERO = Fraction(0)
 QONE = Fraction(1)
 
 
+def dense_rows(ech: Echelon) -> List[Vector]:
+    """The reduced rows of an echelon with a pivot in 0..dim-1, as dense
+    vectors, in pivot order."""
+    return [_dense(ech.row(p), ech.dim) for p in ech.pivots if p >= 0]
+
+
 def _random_matrix(rng, nrows, ncols, lo=-3, hi=3):
     return QMatrix([[Fraction(rng.randrange(lo, hi + 1)) for _ in range(ncols)]
                     for _ in range(nrows)], ncols)
@@ -128,7 +134,7 @@ def kernel_quotient_dims(d_in: QMatrix, d_out: QMatrix) -> Dict[str, object]:
     cocycles = d_out.echelon().kernel()
     kernel = [_dense(v, d_out.ncols) for v in cocycles]
     image = d_in.image_basis()
-    boundaries = d_in.column_echelon() if d_in.ncols else Echelon(d_out.ncols)
+    boundaries = d_in.transpose().echelon() if d_in.ncols else Echelon(d_out.ncols)
     betti, reps = quotient_dim_and_reps(cocycles, boundaries)
     return {
         "kernel_dim": len(kernel),
@@ -478,7 +484,7 @@ def test_rref_matches_gauss_jordan_seeded():
 
 def test_rref_edge_shapes():
     for m in (QMatrix([], 0), QMatrix([], 4), QMatrix([[], [], []]),
-              QMatrix.zeros(3, 5), QMatrix.zeros(2, 2), QMatrix.identity(4)):
+              QMatrix([[0] * 5] * 3, 5), QMatrix([[0] * 2] * 2, 2), QMatrix.identity(4)):
         _check_against_gauss_jordan(m)
     assert QMatrix([], 3).kernel_basis() == QMatrix.identity(3).rows
     assert QMatrix([], 3).solve([]) == [0, 0, 0]
@@ -529,10 +535,10 @@ def test_echelon_rows_stay_reduced_and_sparse():
             ech.add(_sparse(v))
         rows, pivots = _gauss_jordan(vecs, dim)
         assert ech.pivots == pivots
-        assert ech.dense_rows() == rows[:len(pivots)]
+        assert dense_rows(ech) == rows[:len(pivots)]
         assert all(x != 0 and type(x) is Fraction
                    for p in ech.pivots for x in ech.row(p).values())
-        assert _all_fractions(ech.dense_rows()) and _all_fractions(v.values() for v in ech.kernel())
+        assert _all_fractions(dense_rows(ech)) and _all_fractions(v.values() for v in ech.kernel())
         _check_stored_rows(ech)
         for v in vecs:
             assert not ech.reduce(_sparse(v))
@@ -623,13 +629,13 @@ def test_sparse_backed_matrix_matches_dense():
             row[nc] = Fraction(1)                         # copies: m is unchanged
         assert m.rows == rows
         red, pivots = _gauss_jordan(rows, nc)
-        assert m.echelon().dense_rows() == red[:len(pivots)]
+        assert dense_rows(m.echelon()) == red[:len(pivots)]
         assert m.rank() == len(pivots)
         assert m.kernel_basis() == m.kernel_basis() == _oracle_kernel(rows, nc)
         cols = [[row[j] for row in rows] for j in range(nc)]
         col_red, col_pivots = _gauss_jordan(cols, nr)
-        ce = m.column_echelon()
-        assert ce.pivots == col_pivots and ce.dense_rows() == col_red[:len(col_pivots)]
+        ce = m.transpose().echelon()
+        assert ce.pivots == col_pivots and dense_rows(ce) == col_red[:len(col_pivots)]
         assert m.transpose().rows == cols and m.transpose().transpose() == m
         assert m.image_basis() == [[row[j] for row in rows] for j in pivots]
         assert m.is_zero() == all(x == 0 for row in rows for x in row)
@@ -649,7 +655,7 @@ def test_sparse_backed_matrix_matches_dense():
         assert diff.rows == [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(rows, twin.rows)]
         assert _stores_no_zero(diff) and (m - m).is_zero() and _stores_no_zero(m - m)
         assert (m == twin) == (rows == twin.rows) and (diff.is_zero() == (m == twin))
-        assert m - m == QMatrix.zeros(nr, nc) != QMatrix.zeros(nr, nc + 1)
+        assert m - m == QMatrix([[0] * nc] * nr, nc) != QMatrix([[0] * (nc + 1)] * nr, nc + 1)
         vec = [_sparse_entry(extra) for _ in range(nc)]
         assert m.apply(vec) == _dense_apply(m, vec) and _all_fractions([m.apply(vec)])
         # solve, on a consistent and on an arbitrary right-hand side
@@ -753,10 +759,6 @@ class FractionEchelon:
         self._row_at[pivot] = v
         return v
 
-    def copy(self) -> "FractionEchelon":
-        """An independent echelon with the same rows."""
-        return FractionEchelon(self.dim, [dict(self._row_at[p]) for p in self.pivots])
-
     def dense_rows(self) -> List[Vector]:
         """The reduced rows with a pivot in 0..dim-1, as dense vectors, in pivot order."""
         return [_dense(self._row_at[p], self.dim) for p in self.pivots if p >= 0]
@@ -848,14 +850,10 @@ def compare_engines(dim: int, rows: Iterable[SparseRow]) -> List[Tuple[int, int]
             pairs.append((i, min(got)))
     assert new.pivots == old.pivots
     assert {p: new.row(p) for p in new.pivots} == old._row_at
-    assert new.dense_rows() == old.dense_rows()
+    assert dense_rows(new) == old.dense_rows()
     assert new.kernel() == old.kernel()
     assert _all_fractions(v.values() for v in new.kernel())
     _check_stored_rows(new)
-    copy = new.copy()
-    assert copy._row_at == new._row_at and copy.pivots == new.pivots
-    copy.add({c: QONE for c in range(dim)})              # the copy is independent
-    assert new.pivots == old.pivots and new.dense_rows() == old.dense_rows()
     return pairs
 
 

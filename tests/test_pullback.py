@@ -19,7 +19,8 @@ from algebroidlab.algebroid import (
     validate_algebroid,
     validate_representation,
 )
-from algebroidlab.cohomology import CEComplex, lie_algebra_cohomology, weight_cohomology
+from algebroidlab.cohomology import (CEComplex, jet_cohomology, lie_algebra_cohomology,
+                                     weight_cohomology)
 from algebroidlab.errors import LabError, StructuralError, ValidationFailure
 from algebroidlab.linalg import QMatrix
 from algebroidlab.library import (
@@ -49,7 +50,7 @@ from algebroidlab.pullback import (
 from algebroidlab.modelfile import parse_model
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment, minors, parse_poly
 from test_ratpoly import _reference_remap, _reference_restrict
-from test_windowed_cohomology import _affine_patch
+from test_windowed_cohomology import SLOPES, _affine_patch
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -747,6 +748,43 @@ def test_transversal_iso_restricts_only_onto_nonzero_slice_classes(monkeypatch):
         assert rep.ok
         assert {row.degree for row in rep.rows if row.betti_slice} == slice_classes
         assert set(restricted) == slice_classes, a.name
+
+
+def _shift_mismatch_patch(k, jet_order=8):
+    """x (weight 0), y (weight 1); e1 = d/dx + x^k y d/dy (frame weight 0),
+    e2 = d/dy (frame weight -1), [e1, e2] = -x^k e2.  The total complex has
+    degree shift k; the slice y = 0 is the tangent line, of shift 0."""
+    one, zero = _poly(2, jet_order, "1"), _poly(2, jet_order, "0")
+    xk = _poly(2, jet_order, f"x^{k}")
+    anchor = [[one, xk * _poly(2, jet_order, "y")], [zero, one]]
+    c = [[[zero, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
+    c[0][1] = [zero, -xk]
+    c[1][0] = [zero, xk]
+    return LieAlgebroidPatch(("x", "y"), jet_order, 2, anchor, c,
+                             weights=WeightAssignment((0, 1)),
+                             frame_weights=(0, -1), name=f"shift_mismatch{k}")
+
+
+def _assert_slice_betti_is_its_jet_cohomology(a, keep, window=(3, 5, 3)):
+    rep = transversal_iso_check(a, None, keep=keep, window=window)
+    sliced, rho_s, _, _ = _pullback_slice(StructuredMap("slice", keep=keep), a, None)
+    jet = jet_cohomology(sliced, rho_s, window, degrees=range(len(rep.rows)))
+    assert [row.betti_slice for row in rep.rows] == [row.betti for row in jet.rows], a.name
+    return rep
+
+
+def test_slice_betti_is_the_jet_cohomology_of_the_slice():
+    _, line = parse_model(str(MODELS / "sl2_line.alab")).pick("algebroid", None)
+    assert _assert_slice_betti_is_its_jet_cohomology(line, ()).ok
+    # the transitive affine patches of the benchmark's transversal problems
+    for slope in SLOPES:
+        assert _assert_slice_betti_is_its_jet_cohomology(_affine_patch([slope], 6), (0,)).ok
+    for k in (1, 2, 3):
+        a = _shift_mismatch_patch(k)
+        sliced = _pullback_slice(StructuredMap("slice", keep=(0,)), a, None)[0]
+        assert (CEComplex(a).degree_shift(), CEComplex(sliced).degree_shift()) == (k, 0)
+        rep = _assert_slice_betti_is_its_jet_cohomology(a, (0,))
+        assert rep.ok and [row.betti_slice for row in rep.rows] == [1, 0, 0]
 
 
 def _reference_restrict_cochain(a, vec, basis, q, keep, frame, slice_basis):

@@ -30,7 +30,8 @@ from algebroidlab.linalg import Echelon, QMatrix, _axpy, persistence_pairs, quot
 from algebroidlab.modelfile import parse_model
 from algebroidlab.pullback import euler_homotopy_verify, transversal_iso_check
 from algebroidlab.ratpoly import TruncatedPoly, WeightAssignment
-from test_linalg import _oracle_kernel, _sparse, _two_echelon_quotient, compare_engines
+from test_linalg import (_oracle_kernel, _sparse, _two_echelon_quotient, compare_engines,
+                         dense_rows)
 
 # the module; the package exports a function of the same name
 COHOMOLOGY = sys.modules["algebroidlab.cohomology"]
@@ -95,7 +96,7 @@ def _rref(vectors, dim):
     ech = Echelon(dim)
     for v in vectors:
         ech.add(_sparse(v))
-    return ech.dense_rows()
+    return dense_rows(ech)
 
 
 def _check_boundaries(a, weights=(None,), extra_shifts=(0,)):
@@ -108,7 +109,7 @@ def _check_boundaries(a, weights=(None,), extra_shifts=(0,)):
                     shift = cx.degree_shift() + extra
                     basis_q = cx.window_basis(q, n_deg, weight)
                     primitives = cx.window_basis(q - 1, n_deg + shift + 1, weight) if q else []
-                    got = _boundaries(cx, primitives, basis_q).dense_rows()
+                    got = dense_rows(_boundaries(cx, primitives, basis_q))
                     want = _kernel_then_apply(oracle_cx, q, n_deg, weight, basis_q, shift)
                     assert got == _rref(want, len(basis_q)), (a.name, weight, extra, q, n_deg)
                     cases += bool(got)
@@ -132,8 +133,9 @@ def test_window_boundaries_match_kernel_then_apply_on_weight_strata():
 
 
 def test_window_boundaries_match_kernel_then_apply_with_larger_shift():
-    # transversal_iso_check passes the larger shift of the total and slice
-    # complexes; poisson_disc has a nonzero shift of its own
+    # primitives deeper than the complex's own shift + 1, as a deeper
+    # boundary depth for the jet windows would read them; poisson_disc has
+    # a nonzero shift of its own
     _check_boundaries(_affine_patch([F(-1, 2)], 6), extra_shifts=(1, 2))
     _check_boundaries(poisson_disc_patch(), extra_shifts=(0, 1))
 
@@ -148,7 +150,7 @@ def test_stratum_boundaries_match_image_of_d_matrix():
             for w in range(-3, 4):
                 cx, oracle_cx = CEComplex(a, rho), CEComplex(a, rho)
                 basis_pre, basis_q = cx.stratum_basis(q - 1, w), cx.stratum_basis(q, w)
-                got = _boundaries(cx, basis_pre, basis_q).dense_rows()
+                got = dense_rows(_boundaries(cx, basis_pre, basis_q))
                 image = oracle_cx.d_matrix(basis_pre, basis_q).image_basis()
                 assert got == _rref(image, len(basis_q)), (a.name, q, w)
                 cases += bool(got)
