@@ -178,17 +178,15 @@ def _symmetric_parts(structure: List[List[List[TruncatedPoly]]]):
                 yield (i, j, k), structure[i][j][k] + structure[j][i][k]
 
 
-def validate_algebroid(a: LieAlgebroidPatch, order: Optional[int] = None) -> ValidationReport:
+def validate_algebroid(a: LieAlgebroidPatch) -> ValidationReport:
     """Check antisymmetry, Jacobi, and anchor-bracket compatibility.
 
     Antisymmetry is exact.  Jacobi and the anchor condition consume one
     product (and one derivative) of structure data, so they are certified
-    only up to the stated order.  The first failing identity is witnessed
+    only up to the certified order.  The first failing identity is witnessed
     by its indices and the lowest-order offending monomial.
     """
-    if order is not None and order > a.jet_order:
-        raise StructuralError(f"requested order {order} exceeds jet order {a.jet_order}")
-    certified = a.certified_order() if order is None else min(order, a.certified_order())
+    certified = a.certified_order()
     r = a.rank
     checks: List[CheckResult] = []
 
@@ -287,13 +285,11 @@ def adjoint_representation(a: LieAlgebroidPatch) -> Representation:
     return Representation(a, a.rank, gammas, fibre_weights=a.frame_weights, name="adjoint")
 
 
-def validate_representation(rho: Representation, order: Optional[int] = None) -> ValidationReport:
+def validate_representation(rho: Representation) -> ValidationReport:
     """Flatness of the connection: the curvature on every frame pair vanishes
     up to the certified order."""
     a = rho.algebroid
-    if order is not None and order > a.jet_order:
-        raise StructuralError(f"requested order {order} exceeds jet order {a.jet_order}")
-    certified = rho.certified_order() if order is None else min(order, rho.certified_order())
+    certified = rho.certified_order()
     m = rho.rank
 
     def curvature():

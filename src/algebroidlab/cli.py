@@ -35,8 +35,7 @@ from .cohomology import cohomology
 from .pullback import StructuredMap, pullback_structured, transversal_iso_check
 from .covers import (build_double_complex, localization_check, ss_pages,
                      validate_family)
-from .transport import (IntegrationError, monodromy_check, parallel_transport,
-                        validate_path_family)
+from .transport import monodromy_check, parallel_transport, validate_path_family
 from .exhaustion import subexhaust
 from .modelfile import ModelFile, parse_model
 from .report import (EXIT_INTERNAL, FORMATS, Report, cell, emit_report)
@@ -309,8 +308,7 @@ def _cmd_localize(model: ModelFile, flags, rep: Report):
     result = localization_check(fam, fam.cover, flags["at"], flags["deg"])
     t = rep.table("localization", ("degree", "chart", "total_dim",
                                    "fibre_dim", "kernel_dim", "branch"))
-    t.add(result.degree, result.chart,
-          result.total_dim if result.total_dim >= 0 else None,
+    t.add(result.degree, result.chart, result.total_dim,
           result.fibre_dim, result.kernel_dim, result.branch)
     th = rep.table("hypotheses", ("hypothesis", "holds"))
     for key in sorted(result.hypotheses):
@@ -418,8 +416,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValidationFailure as exc:
         rep = Report(echo, verdict="fail", notes=[str(exc)])
         rep.witness(exc.witness)
-    except IntegrationError as exc:
-        rep = Report(echo, verdict="error", notes=[str(exc)])
     except StructuralError as exc:
         rep = Report(echo, verdict="fail", notes=[str(exc)])
     except LabError as exc:

@@ -535,7 +535,6 @@ def jet_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
 
 
 def weight_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
-                      weights: Optional[Sequence[int]] = None,
                       degrees: Optional[Sequence[int]] = None,
                       window: Tuple[int, int, int] = (2, 5, 3)) -> CohomologyReport:
     """Exact betti numbers per (degree, weight) stratum.
@@ -546,24 +545,22 @@ def weight_cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None
     """
     cx = CEComplex(a, rho)
     cx.require_graded()
-    return _weight_cohomology(cx, weights, degrees, window)
+    return _weight_cohomology(cx, degrees, window)
 
 
-def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
-                       degrees: Optional[Sequence[int]], window: Tuple[int, int, int]
-                       ) -> CohomologyReport:
+def _weight_cohomology(cx: CEComplex, degrees: Optional[Sequence[int]],
+                       window: Tuple[int, int, int]) -> CohomologyReport:
     """weight_cohomology on a graded complex, so callers can share its
     differential cache; the complex is certified first."""
     _check_window(window)
     cx._certify()
     a = cx.a
     degrees = _degree_list(degrees, a.rank)
-    if weights is None:
-        # the weights of the constant-coefficient elements
-        offsets = [cx.element_weight(e) for q in degrees for e in cx._window(q, 0, None)]
-        lo, hi = min(offsets, default=0), max(offsets, default=0)
-        mono_w = (max(a.weights.weights, default=0) if a.weights else 0) * window[1]
-        weights = list(range(lo, hi + mono_w + 1))
+    # the weights of the constant-coefficient elements
+    offsets = [cx.element_weight(e) for q in degrees for e in cx._window(q, 0, None)]
+    lo, hi = min(offsets, default=0), max(offsets, default=0)
+    mono_w = (max(a.weights.weights, default=0) if a.weights else 0) * window[1]
+    weights = range(lo, hi + mono_w + 1)
     finite = a.n_vars == 0 or (a.weights is not None and min(a.weights.weights) >= 1)
     rows: List[CohomologyRow] = []
     dims: Dict[int, int] = {}
@@ -592,12 +589,11 @@ def _weight_cohomology(cx: CEComplex, weights: Optional[Sequence[int]],
 
 def cohomology(a: LieAlgebroidPatch, rho: Optional[Representation] = None,
                mode: str = "weight", window: Tuple[int, int, int] = (2, 5, 3),
-               degrees: Optional[Sequence[int]] = None,
-               weights: Optional[Sequence[int]] = None) -> CohomologyReport:
+               degrees: Optional[Sequence[int]] = None) -> CohomologyReport:
     if mode == "jet":
         return jet_cohomology(a, rho, window, degrees)
     if mode == "weight":
-        return weight_cohomology(a, rho, weights, degrees, window)
+        return weight_cohomology(a, rho, degrees, window)
     raise StructuralError(f"unknown cohomology mode {mode!r}")
 
 

@@ -16,12 +16,13 @@ The local system has one layer here, which `transport` reuses.
 data of one chart to another, as a bracket morphism P + Q of the two
 semidirect tables g + V: it checks the edges of `validate_family`, which
 judges each chart's connection over that chart's own fibre, and
-certifies a transported frame map.  `_require_valid_family` raises
-the one invalid-family error, and refuses a cover other than the family's.
-`_per_fibre` runs a per-chart computation once per distinct fibre object:
-`validate_family` validates the fibres through it, and `_chart_cohomology`
-computes their cohomology; the double complex takes its chart bases and
-vertical blocks from that list, and the second-page oracle, the
+certifies a transported frame map.  `_per_fibre` runs a per-chart
+computation once per distinct fibre object: `validate_family` validates
+the fibres through it.  `_chart_cohomology` is the one way in to a
+family's fibre cohomology: it refuses a cover other than the family's,
+raises the one invalid-family error, and then computes each distinct
+fibre's cohomology once.  The double complex takes its chart bases and
+vertical blocks from that list; the second-page oracle, localization, the
 Gauss-Manin bundle and the monodromy check read the same list.
 
 The pages of the filtration-by-column spectral sequence come from one
@@ -145,17 +146,6 @@ def _chart_forest(c: CoverDatum) -> Tuple[List[List[int]], List[Tuple[int, ...]]
             lca = next(x for x in pb if x in pa)
             cycles.append((a, b) + pb[1:pb.index(lca) + 1] + pa[:pa.index(lca)][::-1])
     return components, cycles
-
-
-def nerve_components(c: CoverDatum) -> List[List[int]]:
-    """Connected components of the chart graph, as sorted vertex lists."""
-    return _chart_forest(c)[0]
-
-
-def graph_is_tree(c: CoverDatum) -> bool:
-    """Connected and acyclic one-skeleton (ignores declared triangles)."""
-    components, cycles = _chart_forest(c)
-    return len(components) == 1 and not cycles
 
 
 # -- local systems -----------------------------------------------------------------------
@@ -308,16 +298,6 @@ def validate_family(f: LocalSystemFamily) -> ValidationReport:
     return ValidationReport(all(c.ok for c in checks), 0, checks)
 
 
-def _require_valid_family(f: LocalSystemFamily, c: Optional[CoverDatum] = None) -> None:
-    """Raise on a cover c other than the family's, then on the first
-    failing check of validate_family, with its witness."""
-    if c is not None and c != f.cover:
-        raise StructuralError("cover disagrees with the family's cover")
-    bad = validate_family(f).failing()
-    if bad:
-        raise ValidationFailure(f"family data invalid: {bad[0].name}", bad[0].witness or {})
-
-
 def _per_fibre(f: LocalSystemFamily, fn: Callable[[ChartData], T]) -> List[T]:
     """fn of every chart, called once per distinct (algebra, representation)
     object pair and shared by the charts that carry it."""
@@ -331,8 +311,16 @@ def _per_fibre(f: LocalSystemFamily, fn: Callable[[ChartData], T]) -> List[T]:
     return out
 
 
-def _chart_cohomology(f: LocalSystemFamily) -> List[LieCohomology]:
-    """Fibre cohomology of every chart, once per distinct fibre."""
+def _chart_cohomology(f: LocalSystemFamily, c: Optional[CoverDatum] = None
+                      ) -> List[LieCohomology]:
+    """Fibre cohomology of every chart, once per distinct fibre, of a valid
+    family: raise on a cover c other than the family's, then on the first
+    failing check of validate_family, with its witness."""
+    if c is not None and c != f.cover:
+        raise StructuralError("cover disagrees with the family's cover")
+    bad = validate_family(f).failing()
+    if bad:
+        raise ValidationFailure(f"family data invalid: {bad[0].name}", bad[0].witness or {})
     return _per_fibre(f, lambda cd: lie_algebra_cohomology(cd.algebra, cd.rep))
 
 
@@ -465,10 +453,9 @@ class CechDoubleComplex:
 
 def build_double_complex(f: LocalSystemFamily, c: CoverDatum) -> CechDoubleComplex:
     """Assemble and exactly verify the twisted double complex."""
-    _require_valid_family(f, c)
+    lcs = _chart_cohomology(f, c)
     simpl = nerve(c).simplices
     q_max = max(f.fibre_rank(i) for i in range(len(f.charts)))
-    lcs = _chart_cohomology(f)
 
     def chart_basis(i: int, q: int) -> List[BasisElement]:
         # every chart has rank q_max, so none has cochains above it
@@ -643,9 +630,7 @@ def ss_pages(dc: CechDoubleComplex, r_max: int = 4) -> SSReport:
         if graded != total[n]:
             conv_ok = False
     oracle = e2_simplicial_oracle(dc.family, dc)
-    e2_ok = all(pages[2].dims.get(k, 0) == v for k, v in oracle.items()) and \
-        all(oracle.get(k, 0) == v for k, v in pages[2].dims.items() if v) \
-        if len(pages) > 2 else False
+    e2_ok = {k: v for k, v in pages[2].dims.items() if v} == oracle
     return SSReport(pages[:r_max + 1], r_stab, e_inf, total, conv_ok, oracle, e2_ok)
 
 
@@ -697,7 +682,7 @@ def e2_simplicial_oracle(f: LocalSystemFamily, dc: CechDoubleComplex
     simpl = dc.simplices
     out: Dict[Tuple[int, int], int] = {}
     for q in range(dc.q_max + 1):
-        dims_h = [len(lc.representatives[q]) if q < len(lc.betti) else 0 for lc in lcs]
+        dims_h = [lc.betti[q] for lc in lcs]
         # simplicial cochain spaces with H^q coefficients at the min vertex;
         # every face sum transports along a nerve edge (coface min, face min)
         sizes = [sum(dims_h[alpha[0]] for alpha in level) for level in simpl]
@@ -721,7 +706,7 @@ class LocalizationReport:
     branch: Optional[str]
     degree: int
     chart: int
-    total_dim: int
+    total_dim: Optional[int]
     fibre_dim: int
     kernel_dim: Optional[int]
 
@@ -756,24 +741,20 @@ def localization_check(f: LocalSystemFamily, c: CoverDatum, chart: int, n: int
         raise StructuralError("chart index out of range")
     if n < 0:
         raise StructuralError("negative degree")
-    try:
-        lc = lie_algebra_cohomology(f.charts[chart].algebra, f.charts[chart].rep)
-    except ValidationFailure:
-        _require_valid_family(f, c)     # a fibre that is no complex fails its chart check
-        raise
+    lc = _chart_cohomology(f, c)[chart]
+    components, cycles = _chart_forest(c)
     hyp_a = all(lc.betti[q] == 0 for q in range(min(max(n - 1, 0), len(lc.betti))))
-    hyp_b = len(nerve_components(c)) == 1
+    hyp_b = len(components) == 1
     h_prev = lc.betti[n - 1] if 0 <= n - 1 < len(lc.betti) else 0
     c1 = h_prev == 0
-    c2 = bool(c.simply_connected) if c.simply_connected is not None else graph_is_tree(c)
+    c2 = bool(c.simply_connected) if c.simply_connected is not None else hyp_b and not cycles
     hyps = {"fibre_vanishing_below": hyp_a, "connected": hyp_b,
             "top_minus_one_vanishes": c1, "simply_connected": c2}
     branch = "c1" if c1 else ("c2" if c2 else None)
     fibre_dim = lc.betti[n] if n < len(lc.betti) else 0
     if not (hyp_a and hyp_b and (c1 or c2)):
-        _require_valid_family(f, c)
         return LocalizationReport("hypotheses unmet", hyps, branch, n, chart,
-                                  -1, fibre_dim, None)
+                                  None, fibre_dim, None)
     unpaired = _unpaired_columns(build_double_complex(f, c), n)
     kernel_dim = sum(p >= 1 for p in unpaired)
     verdict = "injective" if kernel_dim == 0 else "kernel nonzero"

@@ -555,7 +555,7 @@ def transversal_iso_check(a: LieAlgebroidPatch, rho: Optional[Representation],
     for q in range(max(a.rank, sliced.rank) + 1):
         betti_s = _windowed_row(slice_cx, q, None, window)[0].betti
         # total side: sum the weight strata at the same degree
-        wrep = _weight_cohomology(cx, None, [q], window)
+        wrep = _weight_cohomology(cx, [q], window)
         betti_a = sum(row.betti for row in wrep.rows if row.degree == q)
         # restriction surjectivity on representatives: the rank of the
         # restricted cocycles modulo the slice boundaries at this window;

@@ -26,7 +26,7 @@ from .algebroid import (LieAlgebroidPatch, Representation, ValidationReport,
 from .cohomology import lie_algebra_cohomology
 from .covers import (ChartData, CoverDatum, LocalSystemFamily, _chart_cohomology,
                      _chart_forest, _edge_maps, _fibre_table, _holonomy,
-                     _induced_on_cohomology, _morphism_failure, _require_valid_family)
+                     _induced_on_cohomology, _morphism_failure)
 from .errors import LabError, StructuralError, ValidationFailure
 from .linalg import QMatrix
 from .ratpoly import TruncatedPoly, _poly_mat_mul, parse_poly
@@ -385,7 +385,7 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
     otherwise when their largest entry gap is at most tol, and radius is
     the certified radius of the series.
     """
-    _require_valid_family(lsf)
+    lcs = _chart_cohomology(lsf)
     tr = parallel_transport(pf, tol)
     if not tr.is_loop:
         raise StructuralError("path family endpoints carry different structure")
@@ -403,7 +403,6 @@ def monodromy_check(pf: PathFamily, lsf: LocalSystemFamily,
                    for cd in (lsf.charts[0], pf.fibre_at(0)))
     if base != start:
         raise StructuralError("basepoint chart does not carry the time-0 fibre")
-    lcs = _chart_cohomology(lsf)
     loop = tuple(range(ncharts)) + (0,)
     edge = _edge_maps(lsf, lcs)
     by_deg: Dict[int, Tuple[QMatrix, QMatrix]] = {}
@@ -441,9 +440,8 @@ def gauss_manin(lsf: LocalSystemFamily,
     is reported around every declared triangle (where it must be the
     identity) and around a cycle basis of the chart graph.
     """
-    _require_valid_family(lsf, cover)
+    lcs = _chart_cohomology(lsf, cover)
     cover = lsf.cover
-    lcs = _chart_cohomology(lsf)
     vertex = {i: tuple(lc.betti) for i, lc in enumerate(lcs)}
     edge = _edge_maps(lsf, lcs)
     edge_maps: Dict[Tuple[int, int], Dict[int, QMatrix]] = {}

@@ -23,10 +23,8 @@ from algebroidlab.covers import (
     build_double_complex,
     cochain_transport,
     e2_simplicial_oracle,
-    graph_is_tree,
     localization_check,
     nerve,
-    nerve_components,
     ss_pages,
     validate_family,
 )
@@ -106,12 +104,18 @@ def test_cover_rejects_unsorted_overlap():
         CoverDatum(("A", "B"), ((1, 0),))
 
 
+def _is_tree(c: CoverDatum) -> bool:
+    """Connected and acyclic chart graph, read off the spanning forest."""
+    components, cycles = covers._chart_forest(c)
+    return len(components) == 1 and not cycles
+
+
 def test_components_and_tree():
-    assert nerve_components(_interval(3)) == [[0, 1, 2]]
-    assert graph_is_tree(_interval(3))
-    assert not graph_is_tree(_circle(3))
+    assert covers._chart_forest(_interval(3))[0] == [[0, 1, 2]]
+    assert _is_tree(_interval(3))
+    assert not _is_tree(_circle(3))
     two = CoverDatum(("A", "B", "C"), ((0, 1),))
-    assert nerve_components(two) == [[0, 1], [2]]
+    assert covers._chart_forest(two)[0] == [[0, 1], [2]]
 
 
 # The union-find components and the cycle basis that the chart graph had
@@ -211,13 +215,12 @@ def test_chart_forest_matches_the_union_find_and_cycle_references(drawn):
         comps = _union_find_components(ncharts, c.overlaps)
         basis = _cycle_basis_reference(ncharts, c.overlaps)
         assert covers._chart_forest(c) == (comps, basis)
-        assert nerve_components(c) == comps
-        assert graph_is_tree(c) == (len(comps) == 1 and len(edges) == ncharts - 1)
+        assert _is_tree(c) == (len(comps) == 1 and len(edges) == ncharts - 1)
         assert len(basis) == len(edges) - ncharts + len(comps)
         for nodes in basis:
             assert nodes[0] == nodes[-1]
             assert all(tuple(sorted(e)) in edges for e in zip(nodes, nodes[1:]))
-    assert all(graph_is_tree(t) for t in trees)
+    assert all(_is_tree(t) for t in trees)
 
 
 # -- family validation --------------------------------------------------------------------
@@ -1035,6 +1038,7 @@ def test_localization_hypotheses_unmet_on_circle(monkeypatch):
     f = _constant_family(_circle(3), abelian_patch(1))
     rep = localization_check(f, _circle(3), chart=0, n=1)
     assert rep.verdict == "hypotheses unmet"
+    assert rep.total_dim is None
     assert not rep.hypotheses["top_minus_one_vanishes"]
     assert not rep.hypotheses["simply_connected"]
 

@@ -1,10 +1,13 @@
-"""Every private function and method of the package has a caller in it, and
-every public method of its classes has a caller in it or in perfbench."""
+"""Every private function and method of the package has a caller in it;
+every public method of its classes, and every module-level public function
+that the package does not export, has a caller in it or in perfbench."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+
+import algebroidlab
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "algebroidlab"
@@ -28,6 +31,17 @@ def _public_methods(tree: ast.Module):
                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
                         and not fn.name.startswith("_"):
                     yield fn.name, fn
+
+
+def _unexported_functions(exported):
+    """Defs picker: module-level public functions whose names are not in
+    `exported`, as (name, def node)."""
+    def defs(tree: ast.Module):
+        for fn in tree.body:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and not fn.name.startswith("_") and fn.name not in exported:
+                yield fn.name, fn
+    return defs
 
 
 def _references(node: ast.AST):
@@ -84,6 +98,14 @@ def test_detector_sees_dead_recursive_and_used_privates():
                     "def public():\n    pass\n")
     assert _unreferenced(sources, _public_methods, ["L().benched()\n"]) == [
         ("d", "only_self"), ("d", "used")]
+    # module-level public functions: an exported one is not judged; a
+    # reference from the package or from a reader keeps any other
+    sources["e"] = ("def exported():\n    pass\n"
+                    "def helper():\n    pass\n"
+                    "def benched():\n    return helper()\n"
+                    "def recurses():\n    return recurses()\n")
+    assert _unreferenced(sources, _unexported_functions({"exported"}), ["benched()\n"]) == [
+        ("d", "public"), ("e", "recurses")]
 
 
 def _package_sources():
@@ -94,6 +116,18 @@ def test_no_private_function_or_method_lacks_a_caller():
     assert _unreferenced(_package_sources()) == []
 
 
+def _perfbench_sources():
+    return [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
+
+
 def test_no_public_method_is_called_only_by_tests():
-    readers = [path.read_text() for path in sorted((ROOT / "perfbench").glob("*.py"))]
-    assert _unreferenced(_package_sources(), _public_methods, readers) == []
+    assert _unreferenced(_package_sources(), _public_methods, _perfbench_sources()) == []
+
+
+def test_no_unexported_public_function_is_called_only_by_tests():
+    # the package's import list re-exports names; it calls none of them
+    sources = _package_sources()
+    exported = set(algebroidlab.__all__)
+    del sources["__init__.py"]
+    assert _unreferenced(sources, _unexported_functions(exported),
+                         _perfbench_sources()) == []
